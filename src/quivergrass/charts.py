@@ -27,7 +27,7 @@ from .representations import (
     SubmodulePoint,
     representation_on_blocks,
 )
-from .skeletons import CriticalPair, Skeleton, critical_pairs, is_route
+from .skeletons import CriticalPair, Skeleton, critical_pairs, is_route, layers_independent
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,12 @@ class ChartContext:
     """Variables, critical pairs, and the memoized path rewriter for one
     (algebra, skeleton) pair."""
 
-    def __init__(self, alg: AlgebraPresentation, sk: Skeleton, omit_ideal: bool = True):
+    def __init__(self, alg: AlgebraPresentation, sk: Skeleton):
         if len(set(sk.tops)) != len(sk.tops):
             raise TopNotSquarefreeError(f"repeated top vertex in {sk.tops}")
         self.alg = alg
         self.sk = sk
-        self.omit_ideal = omit_ideal
-        self.pairs: List[CriticalPair] = critical_pairs(alg, sk, omit_ideal=omit_ideal)
+        self.pairs: List[CriticalPair] = critical_pairs(alg, sk)
         self.pair_by_product: Dict[Path, CriticalPair] = {
             cp.product: cp for cp in self.pairs
         }
@@ -64,6 +63,7 @@ class ChartContext:
                 self.variables.append(ChartVariable(cp.product, q))
         self.path_set = set(sk.paths)
         self._memo: Dict[Path, Dict[Path, dict]] = {}
+        self.ideal: Optional[ChartIdeal] = None  # filled by chart_ideal
 
     @property
     def nvars(self):
@@ -164,15 +164,11 @@ class ChartContext:
         return {q: c for q, c in out.items() if c}
 
 
-_context_cache: Dict[Tuple[int, Tuple[int, ...], Tuple[Path, ...], bool], ChartContext] = {}
-
-
-def chart_context(alg, sk: Skeleton, omit_ideal: bool = True) -> ChartContext:
-    key = (id(alg), sk.tops, sk.paths, omit_ideal)
-    ctx = _context_cache.get(key)
+def chart_context(alg, sk: Skeleton) -> ChartContext:
+    """The chart context of sk, memoized on the algebra."""
+    ctx = alg.chart_contexts.get(sk)
     if ctx is None:
-        ctx = ChartContext(alg, sk, omit_ideal)
-        _context_cache[key] = ctx
+        ctx = alg.chart_contexts[sk] = ChartContext(alg, sk)
     return ctx
 
 
@@ -222,12 +218,11 @@ def ideal_generators(alg: AlgebraPresentation, tops) -> List[AlgElement]:
     return out
 
 
-def chart_ideal(alg, sk: Skeleton, omit_ideal: bool = True) -> ChartIdeal:
+def chart_ideal(alg, sk: Skeleton) -> ChartIdeal:
     """Variables and defining polynomials of the chart of a skeleton."""
-    ctx = chart_context(alg, sk, omit_ideal)
-    cached = getattr(ctx, "_ideal", None)
-    if cached is not None:
-        return cached
+    ctx = chart_context(alg, sk)
+    if ctx.ideal is not None:
+        return ctx.ideal
     f = alg.field
     polys = []
     seen = set()
@@ -239,9 +234,8 @@ def chart_ideal(alg, sk: Skeleton, omit_ideal: bool = True) -> ChartIdeal:
             if canon and canon not in seen:
                 seen.add(canon)
                 polys.append(canon)
-    ideal = ChartIdeal(sk, tuple(ctx.variables), tuple(sorted(polys)))
-    ctx._ideal = ideal
-    return ideal
+    ctx.ideal = ChartIdeal(sk, tuple(ctx.variables), tuple(sorted(polys)))
+    return ctx.ideal
 
 
 def point_on_chart(alg, ideal: ChartIdeal, point) -> bool:
@@ -303,26 +297,10 @@ def has_skeleton(alg, point: SubmodulePoint, sk: Skeleton) -> bool:
     """Whether sk is a skeleton of P/C: layer by layer, the skeleton paths
     must be independent modulo C plus the next radical power of P."""
     cover = point.cover
-    if tuple(cover.slots) != tuple(sk.tops):
+    if tuple(cover.slots) != tuple(sk.tops) or point.quotient_dim != sk.dim:
         return False
-    f = alg.field
-    slot = {v: s for s, v in enumerate(cover.slots)}
-    if point.quotient_dim != sk.dim:
-        return False
-    for l in range(alg.loewy_bound + 1):
-        layer = sk.of_length(l)
-        ech = Echelon(f, cover.dim)
-        for row in cover.radical_rows(l + 1):
-            ech.add(row)
-        for row in point.rows:
-            ech.add(cover.jp_to_full(row))
-        for p in layer:
-            img = alg.nf_path(p)
-            if img.is_zero():
-                return False
-            if not ech.add(cover.vector_of(slot[p.start], img)):
-                return False
-    return True
+    c_rows = [cover.jp_to_full(row) for row in point.rows]
+    return layers_independent(alg, cover, sk, modulo=c_rows)
 
 
 def _sigma_expander(alg, sk: Skeleton, point: SubmodulePoint):

@@ -291,7 +291,14 @@ class CheckFailure(QuivergrassError):
 
 def _tops_from(args, pf: ProblemFile):
     if args.top:
-        return tuple(int(tok) for tok in args.top.split(","))
+        try:
+            tops = tuple(int(tok) for tok in args.top.split(","))
+        except ValueError:
+            raise SemanticError(f"bad top list {args.top!r}")
+        for v in tops:
+            if v not in pf.quiver.vertex_index:
+                raise SemanticError(f"unknown top vertex {v}")
+        return tops
     if pf.tops:
         return pf.tops
     raise SemanticError("no top vertices given (use --top or a 'top:' line)")
@@ -301,6 +308,8 @@ def _dim_from(args, pf: ProblemFile):
     d = args.dim if args.dim is not None else pf.dim
     if d is None:
         raise SemanticError("no dimension given (use --dim or a 'dim:' line)")
+    if d < 0:
+        raise SemanticError(f"dim must be a non-negative integer, got {d}")
     return d
 
 
@@ -308,7 +317,10 @@ def _parse_point(text, nvars, field):
     if not text:
         coords = []
     else:
-        coords = [field.coerce(Fraction(tok)) for tok in text.split(",") if tok != ""]
+        try:
+            coords = [field.coerce(Fraction(tok)) for tok in text.split(",") if tok != ""]
+        except (ValueError, ZeroDivisionError):
+            raise SemanticError(f"bad point coordinates {text!r}")
     if len(coords) != nvars:
         raise SemanticError(f"expected {nvars} coordinates, got {len(coords)}")
     return tuple(coords)

@@ -2,10 +2,14 @@
 
 Vectors are tuples (or lists) of field elements, matrices are tuples of row
 tuples.  Everything here is deterministic: pivots are always the leftmost
-nonzero coordinate, echelon forms are fully reduced.
+nonzero coordinate, echelon forms are fully reduced.  An `Expander` is an
+`Echelon` that also tracks combinations: it rewrites vectors of its span in
+terms of the vectors it accepted.
 """
 
 from __future__ import annotations
+
+from bisect import bisect
 
 
 class Echelon:
@@ -13,7 +17,9 @@ class Echelon:
 
     Rows are kept fully reduced (each pivot column is zero in every other
     row) and sorted by pivot column, so the stored rows are the canonical
-    RREF basis of the span.
+    RREF basis of the span.  Pivots lie among the first `width` columns; a
+    row may carry further columns (an Expander's combinations), which the
+    reduction carries along.
     """
 
     def __init__(self, field, width):
@@ -22,45 +28,56 @@ class Echelon:
         self.rows = []
         self.pivots = []
 
+    def _reduce(self, out, rows, pivots):
+        """Clear the pivot columns of the list out, in place, by subtracting
+        multiples of the given rows over the first len(out) columns."""
+        f = self.field
+        zero, sub, mul = f.zero, f.sub, f.mul
+        for row, piv in zip(rows, pivots):
+            c = out[piv]
+            if c != zero:
+                for j in range(piv, len(out)):
+                    out[j] = sub(out[j], mul(c, row[j]))
+        return out
+
+    def _insert(self, res):
+        """File a reduced vector as a row if it is nonzero in the first width
+        columns; returns True if it was.  A row one column shorter than the
+        new one (an Expander's, before the new vector's column) gains a zero."""
+        f = self.field
+        zero = f.zero
+        piv = next((j for j in range(self.width) if res[j] != zero), None)
+        if piv is None:
+            return False
+        inv = f.inv(res[piv])
+        row = [f.mul(inv, c) for c in res]
+        for other in self.rows:
+            if len(other) < len(row):
+                other.append(zero)
+            if other[piv] != zero:
+                self._reduce(other, (row,), (piv,))
+        at = bisect(self.pivots, piv)
+        self.rows.insert(at, row)
+        self.pivots.insert(at, piv)
+        return True
+
     def residual(self, vec):
         """Reduce vec against the current rows; returns a list."""
-        f = self.field
-        out = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = out[piv]
-            if c != f.zero:
-                for j in range(piv, self.width):
-                    out[j] = f.sub(out[j], f.mul(c, row[j]))
-        return out
+        return self._reduce(list(vec), self.rows, self.pivots)
 
     def contains(self, vec):
         return all(c == self.field.zero for c in self.residual(vec))
 
     def add(self, vec):
         """Insert vec's residual if independent; returns True if rank grew."""
-        f = self.field
-        res = self.residual(vec)
-        piv = next((j for j, c in enumerate(res) if c != f.zero), None)
-        if piv is None:
-            return False
-        lead = res[piv]
-        row = [f.div(c, lead) for c in res]
-        for other in self.rows:
-            c = other[piv]
-            if c != f.zero:
-                for j in range(piv, self.width):
-                    other[j] = f.sub(other[j], f.mul(c, row[j]))
-        at = next((k for k, q in enumerate(self.pivots) if q > piv), len(self.pivots))
-        self.rows.insert(at, row)
-        self.pivots.insert(at, piv)
-        return True
+        return self._insert(self.residual(vec))
 
     @property
     def rank(self):
         return len(self.rows)
 
     def snapshot(self):
-        return tuple(tuple(r) for r in self.rows)
+        return tuple(tuple(r[: self.width]) for r in self.rows)
 
 
 def rref(field, rows, width):
@@ -70,69 +87,29 @@ def rref(field, rows, width):
     return ech
 
 
-class Expander:
+class Expander(Echelon):
     """Echelon that rewrites vectors as combinations of the added ones.
 
     Only vectors accepted by add() (i.e. independent at insertion time) are
     stored; express() returns coefficients over them, in insertion order.
-    Rows are kept mutually reduced, so reduction is a single pass.
+    Past its first width columns, a row carries one column per accepted
+    vector a_k: a row (r | t) satisfies r + sum_k t_k a_k = 0.  Reducing
+    (v | 0) therefore leaves (res | c) with v = res + sum_k c_k a_k.
     """
-
-    def __init__(self, field, width):
-        self.field = field
-        self.width = width
-        self.rows = []      # reduced vectors, pivot normalized to 1
-        self.pivots = []
-        self.combos = []    # combo[i][k]: coefficient of added vector k in rows[i]
-
-    def _reduce(self, vec):
-        f = self.field
-        out = list(vec)
-        combo = [f.zero] * len(self.rows)
-        for i, (row, piv) in enumerate(zip(self.rows, self.pivots)):
-            c = out[piv]
-            if c != f.zero:
-                for j in range(self.width):
-                    out[j] = f.sub(out[j], f.mul(c, row[j]))
-                for k, ck in enumerate(self.combos[i]):
-                    combo[k] = f.add(combo[k], f.mul(c, ck))
-        return out, combo
 
     def add(self, vec):
         f = self.field
-        res, combo = self._reduce(vec)
-        piv = next((j for j, c in enumerate(res) if c != f.zero), None)
-        if piv is None:
-            return False
-        lead = f.inv(res[piv])
-        row = [f.mul(lead, c) for c in res]
-        new_combo = [f.neg(f.mul(lead, c)) for c in combo] + [lead]
-        for i, other in enumerate(self.rows):
-            c = other[piv]
-            if c != f.zero:
-                for j in range(self.width):
-                    other[j] = f.sub(other[j], f.mul(c, row[j]))
-                old = self.combos[i] + [f.zero] * (len(new_combo) - len(self.combos[i]))
-                self.combos[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(old, new_combo)]
-        self.combos = [
-            cb + [f.zero] * (len(new_combo) - len(cb)) for cb in self.combos
-        ]
-        self.rows.append(row)
-        self.pivots.append(piv)
-        self.combos.append(new_combo)
-        return True
+        res = self._reduce(list(vec) + [f.zero] * self.rank, self.rows, self.pivots)
+        res.append(f.neg(f.one))  # the new vector's own column
+        return self._insert(res)
 
     def express(self, vec):
         """Coefficients over the added vectors, or None if not in the span."""
         f = self.field
-        res, combo = self._reduce(vec)
-        if any(c != f.zero for c in res):
+        res = self._reduce(list(vec) + [f.zero] * self.rank, self.rows, self.pivots)
+        if any(c != f.zero for c in res[: self.width]):
             return None
-        return combo
-
-    @property
-    def rank(self):
-        return len(self.rows)
+        return res[self.width :]
 
 
 def nullspace(field, rows, width):

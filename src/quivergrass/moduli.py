@@ -99,22 +99,13 @@ def is_fully_invariant(alg: AlgebraPresentation, point: SubmodulePoint) -> Invar
     return InvarianceResult(True)
 
 
-def _end_p_dim(cover: ProjectiveCover) -> int:
-    cached = getattr(cover, "_end_p_dim", None)
-    if cached is None:
-        rep_p = cover.as_representation()
-        cached = hom_dim(rep_p, rep_p)
-        cover._end_p_dim = cached
-    return cached
-
-
 def orbit_dim(alg: AlgebraPresentation, point: SubmodulePoint) -> int:
     """dim End(P) - dim Hom(P, C) - dim End(P/C)."""
     cover = point.cover
     rep_p = cover.as_representation()
     rep_c = submodule_as_rep(point)
     rep_m = quotient_rep(alg, point)
-    return _end_p_dim(cover) - hom_dim(rep_p, rep_c) - hom_dim(rep_m, rep_m)
+    return cover.end_dim() - hom_dim(rep_p, rep_c) - hom_dim(rep_m, rep_m)
 
 
 def unipotent_orbit_dim(alg: AlgebraPresentation, point: SubmodulePoint) -> int:
@@ -187,18 +178,11 @@ def simple_top_moduli_criterion(alg: AlgebraPresentation, e, prime: int = 2, bud
         raise OracleScaleError(
             f"{prime}^{len(je_p)} candidates for lambda exceed the budget {budget}"
         )
-    paths_all = all_paths(alg_p.quiver, alg_p.loewy_bound)
     for coeffs in itertools.product(list(f.elements()), repeat=len(je_p)):
         lam = AlgElement(f, dict(zip(je_p, coeffs)))
         if lam.is_zero():
             continue
-        # Lambda * lambda: span of left path multiples
-        width = len(alg_p.basis)
-        ech = Echelon(f, width)
-        for u in paths_all:
-            img = alg_p.nf_mul_path(u, lam)
-            if not img.is_zero():
-                ech.add(_basis_vec(alg_p, img))
+        ech = _cyclic_span(alg_p, lam)
         for omega in eje_p:
             lam_om = lam.mul(
                 AlgElement.of_path(f, omega), maxlen=alg_p.loewy_bound + 1
@@ -219,6 +203,16 @@ def simple_top_moduli_criterion(alg: AlgebraPresentation, e, prime: int = 2, bud
     return ModuliCriterionReport(True, "finite-field", False, False, prime=prime)
 
 
+def _cyclic_span(alg_p, lam: AlgElement) -> Echelon:
+    """Echelon of Lambda*lambda, the span of the left path multiples of lam."""
+    ech = Echelon(alg_p.field, len(alg_p.basis))
+    for u in all_paths(alg_p.quiver, alg_p.loewy_bound):
+        img = alg_p.nf_mul_path(u, lam)
+        if not img.is_zero():
+            ech.add(_basis_vec(alg_p, img))
+    return ech
+
+
 def _basis_vec(alg, x: AlgElement):
     vec = [alg.field.zero] * len(alg.basis)
     for p, c in x.terms.items():
@@ -233,15 +227,12 @@ def verify_moduli_witness(alg: AlgebraPresentation, report: ModuliCriterionRepor
     f = report.witness_lambda.field
     alg_p = with_field(alg, f)
     lam = report.witness_lambda
-    ech = Echelon(f, len(alg_p.basis))
-    for u in all_paths(alg_p.quiver, alg_p.loewy_bound):
-        img = alg_p.nf_mul_path(u, lam)
-        if not img.is_zero():
-            ech.add(_basis_vec(alg_p, img))
     lam_om = alg_p.normal_form(
         lam.mul(AlgElement.of_path(f, report.witness_omega), maxlen=alg_p.loewy_bound + 1)
     )
-    return not lam_om.is_zero() and not ech.contains(_basis_vec(alg_p, lam_om))
+    return not lam_om.is_zero() and not _cyclic_span(alg_p, lam).contains(
+        _basis_vec(alg_p, lam_om)
+    )
 
 
 @dataclass(frozen=True)

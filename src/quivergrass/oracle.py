@@ -385,8 +385,10 @@ def _orbit_partition(scene: OracleScene, unipotent_only: bool):
 
 
 def _orbit_partition_bfs(scene: OracleScene, unipotent_only: bool):
-    """Orbit closure under one-parameter generators; may be coarser than the
-    true partition if the generators fail to generate."""
+    """Orbit closure under one-parameter generators.  The orbits of the
+    generated subgroup refine the true orbits: if the generators fail to
+    generate the whole group, a true orbit may split, but never merge with
+    another."""
     cover = scene.cover
     f = scene.alg.field
     coords = _hom_p_jp_coordinates(cover)

@@ -234,7 +234,8 @@ class AlgebraPresentation:
     """The algebra KQ/I with its path basis and normal-form map.
 
     Built by :func:`build_algebra`; immutable afterwards (the normal-form
-    cache only memoizes, so sharing between tasks is safe).
+    cache and the chart contexts only memoize, so sharing between tasks is
+    safe).
     """
 
     def __init__(self, quiver, relations, loewy_bound, field, tops, order_key):
@@ -249,6 +250,8 @@ class AlgebraPresentation:
         self.basis_index: Dict[Path, int] = {}
         self._rows: Dict[Path, AlgElement] = {}
         self._nf_cache: Dict[Path, AlgElement] = {}
+        # charts.ChartContext per skeleton, filled by charts.chart_context
+        self.chart_contexts: Dict[object, object] = {}
 
     def path_key(self, path: Path):
         return self._order_key(path)
@@ -356,26 +359,10 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
     paths = all_paths(quiver, L1)
     descending = sorted(paths, key=key, reverse=True)
 
-    rows: Dict[Path, AlgElement] = {}
-
-    def reduce_elem(x: AlgElement) -> AlgElement:
-        f = field
-        out = dict(x.terms)
-        hits = [p for p in out if p in rows]
-        for p in sorted(hits, key=key, reverse=True):
-            c = out.get(p, f.zero)
-            if c == f.zero:
-                continue
-            for q, rc in rows[p].terms.items():
-                s = f.sub(out.get(q, f.zero), f.mul(c, rc))
-                if s == f.zero:
-                    out.pop(q, None)
-                else:
-                    out[q] = s
-        return AlgElement(f, out)
+    rows = alg._rows  # normal_form reduces against the rows found so far
 
     def insert(x: AlgElement):
-        x = reduce_elem(x)
+        x = alg.normal_form(x)
         if x.is_zero():
             return
         pivot = max(x.terms, key=key)
@@ -403,7 +390,6 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
                     if not uv.is_zero():
                         insert(uv)
 
-    alg._rows = rows
     basis = [p for p in descending if p.length <= loewy_bound and p not in rows]
     basis.sort(key=key)
     alg.basis = tuple(basis)

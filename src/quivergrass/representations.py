@@ -10,10 +10,10 @@ way as squarefree ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import NotSubmoduleError, RankError, TopNotSquarefreeError
-from .linalg import Echelon, Expander, mat_mul, mat_vec, nullspace
+from .linalg import Echelon, Expander, identity, mat_mul, mat_vec, nullspace, rref
 from .presentation import AlgElement, AlgebraPresentation, Path, all_paths
 
 
@@ -42,6 +42,7 @@ class ProjectiveCover:
         self.jp_index = {c: k for k, c in enumerate(self.jp_cols)}
         self._arrow_action: Dict[str, Dict[int, List[Tuple[int, object]]]] = {}
         self._rep = None
+        self._end_dim: Optional[int] = None
         self._radical_rows: Dict[int, Tuple[Tuple[object, ...], ...]] = {}
 
     @property
@@ -124,6 +125,13 @@ class ProjectiveCover:
 
             self._rep = representation_on_blocks(self.alg, blocks, column_action)
         return self._rep
+
+    def end_dim(self) -> int:
+        """dim End(P), computed once."""
+        if self._end_dim is None:
+            rep_p = self.as_representation()
+            self._end_dim = hom_dim(rep_p, rep_p)
+        return self._end_dim
 
     def radical_rows(self, m: int):
         """Canonical echelon rows (full-P coordinates) of J^m P."""
@@ -378,30 +386,36 @@ def quotient_rep(alg: AlgebraPresentation, point) -> Representation:
     return representation_on_blocks(alg, blocks, column_action)
 
 
-def radical_layering(rep: Representation) -> "SemisimpleSequence":
-    """Multiplicity matrix of the radical layers J^l M / J^{l+1} M."""
+def radical_filtration(rep: Representation) -> List[Dict[int, Echelon]]:
+    """Echelons of J^l M per vertex (block coordinates), for l = 0..L+1."""
     alg = rep.alg
     f = alg.field
     vs = alg.quiver.vertices
-    current = {}
-    for v in vs:
-        n = rep.dim_at(v)
-        ech = Echelon(f, n)
-        for i in range(n):
-            ech.add([f.one if j == i else f.zero for j in range(n)])
-        current[v] = ech
-    layers = []
+    current = {v: rref(f, identity(f, rep.dim_at(v)), rep.dim_at(v)) for v in vs}
+    filtration = [current]
     for _ in range(alg.loewy_bound + 1):
         nxt = {v: Echelon(f, rep.dim_at(v)) for v in vs}
         for arrow in alg.quiver.arrows:
             m = rep.mat(arrow.name)
             for row in current[arrow.source].rows:
                 nxt[arrow.target].add(mat_vec(f, m, row))
-        layers.append(tuple(current[v].rank - nxt[v].rank for v in vs))
+        filtration.append(nxt)
         current = nxt
-    if any(current[v].rank for v in vs):
+    return filtration
+
+
+def radical_layering(rep: Representation) -> "SemisimpleSequence":
+    """Multiplicity matrix of the radical layers J^l M / J^{l+1} M."""
+    vs = rep.alg.quiver.vertices
+    filtration = radical_filtration(rep)
+    if any(filtration[-1][v].rank for v in vs):
         raise ValueError("radical filtration does not terminate at the bound")
-    return SemisimpleSequence(tuple(layers))
+    return SemisimpleSequence(
+        tuple(
+            tuple(jl[v].rank - jl1[v].rank for v in vs)
+            for jl, jl1 in zip(filtration, filtration[1:])
+        )
+    )
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,17 @@ coordinates; routes decide which paths can survive the rewriting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import cached_property
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import TopMismatchError, TopNotSquarefreeError
-from .linalg import Echelon, mat_vec
+from .linalg import Echelon, identity, mat_vec
 from .presentation import AlgebraPresentation, Path
 from .representations import (
     ProjectiveCover,
     Representation,
     SemisimpleSequence,
-    radical_layering,
+    radical_filtration,
 )
 
 
@@ -33,15 +34,20 @@ class Skeleton:
     def dim(self):
         return len(self.paths)
 
+    @cached_property
+    def _layers(self) -> Dict[int, Tuple[Path, ...]]:
+        out: Dict[int, list] = {}
+        for p in self.paths:
+            out.setdefault(p.length, []).append(p)
+        return {l: tuple(ps) for l, ps in out.items()}
+
     def of_length(self, l) -> Tuple[Path, ...]:
-        return tuple(p for p in self.paths if p.length == l)
+        return self._layers.get(l, ())
 
     def max_length(self):
         return max(p.length for p in self.paths)
 
-    def contains(self, path: Path) -> bool:
-        return path in set(self.paths)
-
+    @cached_property
     def lengths_by_end(self) -> Dict[int, Tuple[int, ...]]:
         out: Dict[int, set] = {}
         for p in self.paths:
@@ -116,13 +122,13 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
         grow(roots, max(key(r) for r in roots))
     if prune:
         cover = ProjectiveCover(alg, tops)
-        results = [sk for sk in results if not _degenerate(alg, cover, sk)]
+        results = [sk for sk in results if layers_independent(alg, cover, sk)]
     return results
 
 
-def _degenerate(alg, cover: ProjectiveCover, sk: Skeleton) -> bool:
-    """True if some length layer of sk is dependent modulo the next radical
-    power of P."""
+def layers_independent(alg, cover: ProjectiveCover, sk: Skeleton, modulo: Sequence = ()) -> bool:
+    """Whether every length-l layer of sk is linearly independent modulo
+    J^{l+1}P plus the span of the full-P rows in modulo."""
     f = alg.field
     slot = {v: s for s, v in enumerate(cover.slots)}
     for l in range(sk.max_length() + 1):
@@ -132,11 +138,13 @@ def _degenerate(alg, cover: ProjectiveCover, sk: Skeleton) -> bool:
         ech = Echelon(f, cover.dim)
         for row in cover.radical_rows(l + 1):
             ech.add(row)
+        for row in modulo:
+            ech.add(row)
         for p in layer:
             img = alg.nf_path(p)
             if img.is_zero() or not ech.add(cover.vector_of(slot[p.start], img)):
-                return True
-    return False
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -191,7 +199,7 @@ def is_route(alg: AlgebraPresentation, path: Path, sk: Skeleton) -> bool:
     """
     if path.start not in sk.tops:
         return False
-    by_end = sk.lengths_by_end()
+    by_end = sk.lengths_by_end
     need = 0  # next path must have length > previous, starting from length 0
     itinerary = path.vertex_itinerary()
     if 0 not in by_end.get(itinerary[0], ()):
@@ -227,17 +235,12 @@ def skeleton_of(alg: AlgebraPresentation, rep: Representation, tops) -> Skeleton
     """
     tops = tuple(sorted(set(tops), key=alg.quiver.vertex_index.__getitem__))
     f = alg.field
-    layering = radical_layering(rep)
     vs = alg.quiver.vertices
-    top_layer = tuple(
-        1 if v in tops else 0 for v in vs
-    )
-    if layering.layers[0] != top_layer:
-        raise TopMismatchError(
-            f"module top {layering.layers[0]} does not match {tops}"
-        )
+    filtration = radical_filtration(rep)  # J^l M per vertex, l = 0..L+1
+    top = tuple(filtration[0][v].rank - filtration[1][v].rank for v in vs)
+    if top != tuple(1 if v in tops else 0 for v in vs):
+        raise TopMismatchError(f"module top {top} does not match {tops}")
 
-    # radical filtration of the module, per vertex
     n_total = rep.dim
     offsets = {}
     run = 0
@@ -251,38 +254,13 @@ def skeleton_of(alg: AlgebraPresentation, rep: Representation, tops) -> Skeleton
             out[offsets[v] + k] = c
         return out
 
-    radical = []  # echelon of J^l M in ambient coordinates, l = 0..L+1
-    current = {v: Echelon(f, rep.dim_at(v)) for v in vs}
-    for v in vs:
-        for i in range(rep.dim_at(v)):
-            current[v].add([f.one if j == i else f.zero for j in range(rep.dim_at(v))])
-    for l in range(alg.loewy_bound + 2):
-        ech = Echelon(f, n_total)
-        for v in vs:
-            for row in current[v].rows:
-                ech.add(embed(v, row))
-        radical.append(ech)
-        nxt = {v: Echelon(f, rep.dim_at(v)) for v in vs}
-        for arrow in alg.quiver.arrows:
-            m = rep.mat(arrow.name)
-            for row in current[arrow.source].rows:
-                nxt[arrow.target].add(mat_vec(f, m, row))
-        current = nxt
-
     # deterministic top elements: first standard vector outside JM per top vertex
     gen_vec = {}
     for v in tops:
-        jm_block = Echelon(f, rep.dim_at(v))
-        for row in radical[1].rows:
-            seg = row[offsets[v] : offsets[v] + rep.dim_at(v)]
-            jm_block.add(list(seg))
-        chosen = None
-        for i in range(rep.dim_at(v)):
-            cand = [f.one if j == i else f.zero for j in range(rep.dim_at(v))]
-            if any(c != f.zero for c in jm_block.residual(cand)):
-                chosen = cand
+        for cand in identity(f, rep.dim_at(v)):
+            if not filtration[1][v].contains(cand):
+                gen_vec[v] = embed(v, cand)
                 break
-        gen_vec[v] = embed(v, chosen)
 
     def act(path: Path):
         vec = gen_vec[path.start]
@@ -298,8 +276,9 @@ def skeleton_of(alg: AlgebraPresentation, rep: Representation, tops) -> Skeleton
     layer_paths = list(chosen_paths)
     for l in range(1, alg.loewy_bound + 1):
         ech = Echelon(f, n_total)
-        for row in radical[l + 1].rows:
-            ech.add(list(row))
+        for v in vs:
+            for row in filtration[l + 1][v].rows:
+                ech.add(embed(v, row))
         new_layer = []
         candidates = []
         for p in layer_paths:

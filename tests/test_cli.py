@@ -235,6 +235,26 @@ def test_cli_input_errors(problem_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["skeletons", "--top", "5", "--dim", "2"],
+        ["skeletons", "--top", "a", "--dim", "2"],
+        ["layering", "--skeleton", "e1,w,a*w", "--point", "1/0"],
+        ["layering", "--skeleton", "e1,w,a*w", "--point", "x"],
+        ["skeletons", "--dim", "-1"],
+        ["enumerate", "--field", "F2", "--dim", "-1"],
+    ],
+    ids=["unknown-top", "non-integer-top", "zero-denominator", "non-numeric-point",
+         "negative-dim-skeletons", "negative-dim-enumerate"],
+)
+def test_cli_bad_flag_values_exit_2(problem_file, capsys, argv):
+    path = problem_file(LOOP_ARROW_TEXT)
+    code, out = run_cli([argv[0], path] + argv[1:])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_cli_hom_and_layering(problem_file):
     path = problem_file(LOOP_ARROW_TEXT)
     code, out = run_cli(["hom", path, "--skeleton", "e1,w,a*w", "--point", "0"])
