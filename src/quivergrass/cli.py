@@ -326,11 +326,18 @@ def _parse_point(text, nvars, field):
     return tuple(coords)
 
 
+def _parse_skeleton(alg, tops, text):
+    paths = [parse_path(tok.strip(), alg.quiver) for tok in text.split(",")]
+    try:
+        return make_skeleton(alg, tops, paths)
+    except ValueError as exc:
+        raise SemanticError(f"bad skeleton {text!r}: {exc}")
+
+
 def _skeleton_from(args, alg, tops):
     if not args.skeleton:
         raise SemanticError("this command needs --skeleton")
-    paths = [parse_path(tok.strip(), alg.quiver) for tok in args.skeleton.split(",")]
-    return make_skeleton(alg, tops, paths)
+    return _parse_skeleton(alg, tops, args.skeleton)
 
 
 def _layering_json(s, vertices):
@@ -451,8 +458,7 @@ def cmd_layering(args, pf, out):
 
 
 def _module_from_args(alg, tops, skeleton_text, point_text):
-    paths = [parse_path(tok.strip(), alg.quiver) for tok in skeleton_text.split(",")]
-    sk = make_skeleton(alg, tops, paths)
+    sk = _parse_skeleton(alg, tops, skeleton_text)
     ideal = chart_ideal(alg, sk)
     pt = _parse_point(point_text, ideal.nvars, alg.field)
     return sk, pt, module_from_point(alg, sk, pt)

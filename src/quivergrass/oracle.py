@@ -2,8 +2,10 @@
 
 Enumerates all submodule points of a Grassmannian of top-T quotients over
 F_q, partitions them into automorphism orbits and isomorphism classes, and
-cross-validates the chart machinery against the enumeration.  Everything is
-exact and deterministic; budgets guard against blowups.
+cross-validates the chart machinery against the enumeration.  Isomorphism
+classes are found by Hom scans only between points with equal exact
+invariants (radical layering and path-action ranks).  Everything is exact
+and deterministic; budgets guard against blowups.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .representations import (
     SemisimpleSequence,
     SubmodulePoint,
     hom_basis,
+    path_ranks,
     quotient_rep,
     radical_layering,
 )
@@ -474,10 +477,6 @@ def unipotent_orbits(scene: OracleScene):
 def _modules_isomorphic(scene: OracleScene, i, j) -> bool:
     f = scene.alg.field
     m, n = scene.quotient(i), scene.quotient(j)
-    if m.dims != n.dims:
-        return False
-    if scene.layerings()[i] != scene.layerings()[j]:
-        return False
     basis = hom_basis(m, n)
     if not basis:
         return m.dim == 0
@@ -511,26 +510,28 @@ def _modules_isomorphic(scene: OracleScene, i, j) -> bool:
 
 
 def iso_classes(scene: OracleScene):
-    """Partition of the points into isomorphism classes of their quotients."""
+    """Partition of the points into isomorphism classes of their quotients,
+    sorted by least point.
+
+    A point is compared by a Hom scan only with the class representatives
+    that share its key: the radical layering and the rank of every basis
+    path's action.  The key is exact, since an isomorphism phi: M -> N gives
+    N_p = phi_t M_p phi_s^-1 for every path p from s to t, and it fixes the
+    dimension vector (the ranks of the trivial paths).
+    """
     if scene._iso is None:
-        reps: List[int] = []
-        assignment = {}
-        for i in range(len(scene.points)):
-            placed = False
-            for r in reps:
-                if _modules_isomorphic(scene, r, i):
-                    assignment[i] = assignment[r]
-                    placed = True
-                    break
-            if not placed:
-                assignment[i] = len(reps)
-                reps.append(i)
+        layerings = scene.layerings()
+        reps: Dict[tuple, List[int]] = {}
         classes: Dict[int, List[int]] = {}
-        for i, c in assignment.items():
-            classes.setdefault(c, []).append(i)
-        scene._iso = tuple(
-            tuple(sorted(classes[c])) for c in sorted(classes, key=lambda c: classes[c][0])
-        )
+        for i in range(len(scene.points)):
+            bucket = reps.setdefault((layerings[i], path_ranks(scene.quotient(i))), [])
+            r = next((r for r in bucket if _modules_isomorphic(scene, r, i)), None)
+            if r is None:
+                bucket.append(i)
+                classes[i] = [i]
+            else:
+                classes[r].append(i)
+        scene._iso = tuple(tuple(c) for c in classes.values())
     return scene._iso
 
 

@@ -418,6 +418,15 @@ def radical_layering(rep: Representation) -> "SemisimpleSequence":
     )
 
 
+def path_ranks(rep: Representation) -> Tuple[int, ...]:
+    """Rank of the action of each basis path of the algebra, in basis order;
+    on the trivial paths these are the dimensions at the vertices."""
+    f = rep.alg.field
+    return tuple(
+        rref(f, rep.path_matrix(p), rep.dim_at(p.start)).rank for p in rep.alg.basis
+    )
+
+
 @dataclass(frozen=True)
 class SemisimpleSequence:
     """Layer-by-vertex multiplicity matrix, layers 0..L."""
@@ -490,37 +499,42 @@ def hom_basis(m: Representation, n: Representation):
     alg = m.alg
     f = alg.field
     vs = alg.quiver.vertices
+    zero = f.zero
+    mdim = dict(zip(vs, m.dims))
+    ndim = dict(zip(vs, n.dims))
     offsets = {}
     total = 0
     for v in vs:
         offsets[v] = total
-        total += n.dim_at(v) * m.dim_at(v)
+        total += ndim[v] * mdim[v]
     equations = []
     for arrow in alg.quiver.arrows:
         src, tgt = arrow.source, arrow.target
         ma = m.mat(arrow.name)
         na = n.mat(arrow.name)
-        for i in range(n.dim_at(tgt)):
-            for j in range(m.dim_at(src)):
-                row = [f.zero] * total
-                for k in range(m.dim_at(tgt)):
-                    if ma[k][j] != f.zero:
-                        idx = offsets[tgt] + i * m.dim_at(tgt) + k
+        m_src, m_tgt = mdim[src], mdim[tgt]
+        for i in range(ndim[tgt]):
+            tgt_base = offsets[tgt] + i * m_tgt
+            for j in range(m_src):
+                row = [zero] * total
+                for k in range(m_tgt):
+                    if ma[k][j] != zero:
+                        idx = tgt_base + k
                         row[idx] = f.add(row[idx], ma[k][j])
-                for k in range(n.dim_at(src)):
-                    if na[i][k] != f.zero:
-                        idx = offsets[src] + k * m.dim_at(src) + j
+                for k in range(ndim[src]):
+                    if na[i][k] != zero:
+                        idx = offsets[src] + k * m_src + j
                         row[idx] = f.sub(row[idx], na[i][k])
-                if any(c != f.zero for c in row):
+                if any(c != zero for c in row):
                     equations.append(row)
     out = []
     for vec in nullspace(f, equations, total):
         mats = {}
         for v in vs:
             rows = []
-            for i in range(n.dim_at(v)):
-                base = offsets[v] + i * m.dim_at(v)
-                rows.append(tuple(vec[base + j] for j in range(m.dim_at(v))))
+            for i in range(ndim[v]):
+                base = offsets[v] + i * mdim[v]
+                rows.append(tuple(vec[base + j] for j in range(mdim[v])))
             mats[v] = tuple(rows)
         out.append(mats)
     return out

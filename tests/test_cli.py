@@ -244,9 +244,13 @@ def test_cli_input_errors(problem_file):
         ["layering", "--skeleton", "e1,w,a*w", "--point", "x"],
         ["skeletons", "--dim", "-1"],
         ["enumerate", "--field", "F2", "--dim", "-1"],
+        ["chart", "--skeleton", "e1,w,w"],
+        ["chart", "--skeleton", "e1,a*w"],
+        ["chart", "--skeleton", "w"],
     ],
     ids=["unknown-top", "non-integer-top", "zero-denominator", "non-numeric-point",
-         "negative-dim-skeletons", "negative-dim-enumerate"],
+         "negative-dim-skeletons", "negative-dim-enumerate", "repeated-skeleton-path",
+         "skeleton-not-prefix-closed", "skeleton-misses-lazy-path"],
 )
 def test_cli_bad_flag_values_exit_2(problem_file, capsys, argv):
     path = problem_file(LOOP_ARROW_TEXT)

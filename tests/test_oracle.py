@@ -21,14 +21,18 @@ from quivergrass import (
     with_field,
     Path,
 )
-from quivergrass.oracle import chart_solutions, group_size
+from quivergrass import oracle
+from quivergrass.oracle import _modules_isomorphic, chart_solutions, group_size
+from quivergrass.representations import path_ranks
 
 from algebras import (
+    catalogue,
     double_triple,
     fork,
     loop_arrow,
     nilpotent_loop_arrow,
     path_of,
+    simple_tops,
     triple_arrow,
     two_loop_fork,
 )
@@ -241,3 +245,66 @@ def test_orbit_bfs_fallback_matches_exhaustive():
             bfs = orbits(small)
             assert orbit_provenance(small) == "generator-bfs"
             assert bfs == exhaustive
+
+
+@pytest.fixture(scope="module")
+def small_scenes():
+    """Catalogue scenes over F2 and F3 (first simple top, every d) with at
+    most 60 points, few enough for an all-pairs isomorphism test."""
+    scenes = []
+    for name, alg in catalogue().items():
+        for prime in (2, 3):
+            alg_p = with_field(alg, GF(prime))
+            tops = (simple_tops(alg_p)[0],)
+            dim_p = sum(1 for p in alg_p.basis if p.start in tops)
+            for d in range(1, dim_p + 1):
+                scene = enumerate_points(alg_p, tops, d)
+                if len(scene.points) <= 60:
+                    scenes.append((f"{name} F{prime} d={d}", scene))
+    return scenes
+
+
+def test_iso_classes_match_unbucketed_pairwise_partition(small_scenes):
+    for label, scene in small_scenes:
+        n = len(scene.points)
+        linked = {
+            i: {j for j in range(n) if j == i or _modules_isomorphic(scene, i, j)}
+            for i in range(n)
+        }
+        # isomorphism is an equivalence: every point's class is its link set
+        classes = {tuple(sorted(linked[i])) for i in range(n)}
+        for c in classes:
+            assert all(linked[i] == set(c) for i in c), label
+        assert iso_classes(scene) == tuple(sorted(classes)), label
+
+
+def test_orbits_have_a_single_iso_key(small_scenes):
+    for label, scene in small_scenes:
+        assert len(scene.tops) == 1
+        for orb in orbits(scene):
+            keys = {(scene.layerings()[i], path_ranks(scene.quotient(i))) for i in orb}
+            assert len(keys) == 1, label
+
+
+def test_path_ranks_on_trivial_paths_are_the_dimension_vector(small_scenes):
+    for label, scene in small_scenes:
+        alg = scene.alg
+        for i in range(len(scene.points)):
+            rep = scene.quotient(i)
+            ranks = dict(zip(alg.basis, path_ranks(rep)))
+            assert tuple(ranks[Path(v)] for v in alg.quiver.vertices) == rep.dims, label
+
+
+def test_iso_scan_hom_calls_stay_bucketed(monkeypatch):
+    hom_basis = oracle.hom_basis
+    calls = []
+
+    def counting_hom_basis(m, n):
+        calls.append(1)
+        return hom_basis(m, n)
+
+    monkeypatch.setattr(oracle, "hom_basis", counting_hom_basis)
+    scene = enumerate_points(with_field(double_triple(), GF(3)), (1,), 3)
+    assert len(iso_classes(scene)) == 195
+    # an unbucketed scan makes 14352 calls here
+    assert len(calls) <= 1000
