@@ -25,7 +25,6 @@ from .presentation import (
     Quiver,
     all_paths,
     build_algebra,
-    projective_basis,
     with_field,
 )
 from .representations import (

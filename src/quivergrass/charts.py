@@ -258,34 +258,28 @@ def submodule_from_point(alg, sk: Skeleton, point, cover: Optional[ProjectiveCov
         raise NotOnChartError("coordinates do not satisfy the chart equations")
     if cover is None:
         cover = ProjectiveCover(alg, sk.tops)
-    slot = {v: s for s, v in enumerate(cover.slots)}
-    ech = Echelon(f, cover.dim)
+    ech = Echelon(f, cover.dim_jp)
     frontier = []
     for cp in ctx.pairs:
         # the generator mixes summands: alpha*p sits over the slot of p while
-        # the target paths sit over their own start vertices
-        vec = [f.zero] * cover.dim
-        for pth, c in alg.nf_path(cp.product).terms.items():
-            i = cover.index[(slot[pth.start], pth)]
-            vec[i] = f.add(vec[i], c)
+        # the target paths sit over their own start vertices; all lie in JP
+        vec = cover.path_vector(cp.product)
         for q in cp.targets:
             c = point[ctx.var_index[(cp.product, q)]]
             if c != f.zero:
-                for pth, a in alg.nf_path(q).terms.items():
-                    i = cover.index[(slot[pth.start], pth)]
-                    vec[i] = f.sub(vec[i], f.mul(c, a))
-        if any(c != f.zero for c in vec):
-            if ech.add(vec):
-                frontier.append(vec)
+                vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, cover.path_vector(q))]
+        vec = [vec[c] for c in cover.jp_cols]
+        if ech.add(vec):
+            frontier.append(vec)
     while frontier:
         nxt = []
         for vec in frontier:
             for arrow in alg.quiver.arrows:
-                img = cover.apply_arrow(arrow, vec)
-                if any(c != f.zero for c in img) and ech.add(img):
+                img = cover.jp_image(arrow, vec)
+                if img is not None and ech.add(img):
                     nxt.append(img)
         frontier = nxt
-    rows = [cover.full_to_jp(list(r)) for r in ech.snapshot()]
+    rows = ech.snapshot()
     if cover.dim - len(rows) != sk.dim:
         raise RankError(
             f"chart point generated codimension {cover.dim - len(rows)}, expected {sk.dim}"
@@ -308,15 +302,13 @@ def _sigma_expander(alg, sk: Skeleton, point: SubmodulePoint):
     element then reads off its skeleton coordinates modulo C."""
     cover = point.cover
     f = alg.field
-    slot = {v: s for s, v in enumerate(cover.slots)}
     exp = Expander(f, cover.dim)
     for row in point.rows:
         exp.add(cover.jp_to_full(row))
     n_c = exp.rank
     order = []
     for p in sk.paths:
-        img = alg.nf_path(p)
-        if img.is_zero() or not exp.add(cover.vector_of(slot[p.start], img)):
+        if not exp.add(cover.path_vector(p)):
             raise SkeletonMismatchError(
                 f"skeleton paths do not form a basis modulo the submodule ({p.render()})"
             )
@@ -331,14 +323,11 @@ def point_from_submodule(alg, sk: Skeleton, point: SubmodulePoint):
     ctx = chart_context(alg, sk)
     cover = point.cover
     f = alg.field
-    slot = {v: s for s, v in enumerate(cover.slots)}
     exp, n_c, order = _sigma_expander(alg, sk, point)
     pos = {p: n_c + i for i, p in enumerate(order)}
     coords = [f.zero] * ctx.nvars
     for cp in ctx.pairs:
-        img = alg.nf_path(cp.product)
-        vec = cover.vector_of(slot[cp.path.start], img)
-        combo = exp.express(vec)
+        combo = exp.express(cover.path_vector(cp.product))
         if combo is None:
             raise SkeletonMismatchError("critical product escapes the basis")
         eligible = set(cp.targets)
@@ -390,7 +379,6 @@ def transition_matrix(alg, sk: Skeleton, sk2: Skeleton, point: SubmodulePoint):
     """
     cover = point.cover
     f = alg.field
-    slot = {v: s for s, v in enumerate(cover.slots)}
     try:
         exp, n_c, order = _sigma_expander(alg, sk, point)
     except SkeletonMismatchError:
@@ -398,10 +386,10 @@ def transition_matrix(alg, sk: Skeleton, sk2: Skeleton, point: SubmodulePoint):
     pos = {p: n_c + i for i, p in enumerate(order)}
     cols = []
     for p2 in sk2.paths:
-        img = alg.nf_path(p2)
-        if img.is_zero():
+        vec = cover.path_vector(p2)
+        if all(c == f.zero for c in vec):
             raise SkeletonMismatchError("second path set is not a basis of the quotient")
-        combo = exp.express(cover.vector_of(slot[p2.start], img))
+        combo = exp.express(vec)
         if combo is None:
             raise SkeletonMismatchError("second path set escapes the quotient basis")
         cols.append([combo[pos[p]] for p in sk.paths])

@@ -28,7 +28,13 @@ from typing import Dict, List, Optional, Tuple
 
 from . import polynomials as poly
 from .charts import chart_context, chart_ideal, module_from_point, submodule_from_point
-from .errors import InputError, ParseError, QuivergrassError, SemanticError
+from .errors import (
+    InputError,
+    ParseError,
+    QuivergrassError,
+    SemanticError,
+    TopNotSquarefreeError,
+)
 from .fields import QQ, parse_field
 from .moduli import (
     simple_top_moduli_criterion,
@@ -51,9 +57,8 @@ from .presentation import (
     Path,
     Quiver,
     build_algebra,
-    projective_basis,
 )
-from .representations import hom_dim, radical_layering
+from .representations import ProjectiveCover, hom_dim, radical_layering
 from .skeletons import enumerate_skeletons, make_skeleton
 
 SCHEMA_VERSION = "quivergrass/1"
@@ -103,7 +108,7 @@ def _expand_powers(text: str, lineno: int) -> List[str]:
         if "^" in raw:
             name, _, exp = raw.partition("^")
             name = name.strip()
-            if not exp.strip().isdigit():
+            if not exp.strip().isdecimal() or int(exp) < 1:
                 raise ParseError(f"bad exponent in {raw!r}", lineno)
             factors.extend([name] * int(exp))
         else:
@@ -436,11 +441,11 @@ def cmd_layering(args, pf, out):
         rep = module_from_point(alg, sk, pt)
         label = f"module at {list(pt)} on {sk.render()}"
     else:
-        pb = projective_basis(alg, tops)
-        from .representations import ProjectiveCover
-
-        rep = ProjectiveCover(alg, tops).as_representation()
-        label = f"projective cover of top {list(tops)} (dim {pb.dim_p}, radical dim {pb.dim_jp})"
+        cover = ProjectiveCover(alg, tops)
+        if not cover.squarefree:
+            raise TopNotSquarefreeError(f"repeated top vertex in {tops}")
+        rep = cover.as_representation()
+        label = f"projective cover of top {list(tops)} (dim {cover.dim}, radical dim {cover.dim_jp})"
     lay = radical_layering(rep)
     if args.json:
         doc = {
@@ -771,12 +776,13 @@ def main(argv=None, stdout=None):
         else:
             with open(args.problem, "r", encoding="utf-8") as fh:
                 text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    try:
         pf = parse_problem(text)
         return COMMANDS[args.command](args, pf, out)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except QuivergrassError as exc:

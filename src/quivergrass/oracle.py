@@ -2,10 +2,12 @@
 
 Enumerates all submodule points of a Grassmannian of top-T quotients over
 F_q, partitions them into automorphism orbits and isomorphism classes, and
-cross-validates the chart machinery against the enumeration.  Isomorphism
-classes are found by Hom scans only between points with equal exact
-invariants (radical layering and path-action ranks).  Everything is exact
-and deterministic; budgets guard against blowups.
+cross-validates the chart machinery against the enumeration.  A candidate
+subspace of JP is kept when `ProjectiveCover.escaping_arrow` finds no arrow
+moving it out of its span, the stability test `SubmodulePoint.from_rows`
+also uses.  Isomorphism classes are found by Hom scans only between points
+with equal exact invariants (radical layering and path-action ranks).
+Everything is exact and deterministic; budgets guard against blowups.
 """
 
 from __future__ import annotations
@@ -164,22 +166,7 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleC
             f"{total} candidate subspaces exceed the budget {config.subspace_budget}"
         )
 
-    arrow_maps = {}
     width = cover.dim_jp
-    for arrow in alg.quiver.arrows:
-        cols = {}
-        for k, c in enumerate(cover.jp_cols):
-            if cover.basis[c][1].end == arrow.source:
-                full = [f.zero] * cover.dim
-                full[c] = f.one
-                img = cover.apply_arrow(arrow, full)
-                entry = [
-                    (cover.jp_index[i], x) for i, x in enumerate(img) if x != f.zero
-                ]
-                if entry:
-                    cols[k] = entry
-        arrow_maps[arrow.name] = cols
-
     points = []
     for split in compositions:
         per_block_choices = [
@@ -195,24 +182,9 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleC
                         row[c] = x
                     rows.append(row)
             ech = Echelon(f, width)
-            stable = True
             for r in rows:
                 ech.add(r)
-            for r in rows:
-                for arrow in alg.quiver.arrows:
-                    img = [f.zero] * width
-                    hit = False
-                    for k, x in enumerate(r):
-                        if x != f.zero and k in arrow_maps[arrow.name]:
-                            hit = True
-                            for j, a in arrow_maps[arrow.name][k]:
-                                img[j] = f.add(img[j], f.mul(x, a))
-                    if hit and not ech.contains(img):
-                        stable = False
-                        break
-                if not stable:
-                    break
-            if stable:
+            if cover.escaping_arrow(ech) is None:
                 points.append(SubmodulePoint(cover, ech.snapshot()))
     points.sort(key=lambda p: p.rows)
     return OracleScene(alg, cover.slots, d, cover, points, config)

@@ -16,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import (
-    AdmissibilityError,
-    LoewyBoundError,
-    TopNotSquarefreeError,
-)
+from .errors import AdmissibilityError, LoewyBoundError
 from .fields import QQ
 
 
@@ -413,45 +409,3 @@ def with_field(alg: AlgebraPresentation, field):
         for r in alg.relations
     ]
     return build_algebra(alg.quiver, rels, alg.loewy_bound, field, tops=alg.tops)
-
-
-@dataclass(frozen=True)
-class ProjectiveBasis:
-    """Ordered basis of P = direct sum of Lambda*e_r over the top vertices.
-
-    Entries are (top vertex, basis path starting there); paths of positive
-    length constitute the radical JP.
-    """
-
-    tops: Tuple[int, ...]
-    entries: Tuple[Tuple[int, Path], ...]
-
-    @property
-    def dim_p(self):
-        return len(self.entries)
-
-    @property
-    def dim_jp(self):
-        return sum(1 for _, p in self.entries if p.length >= 1)
-
-    def radical_entries(self):
-        return tuple((r, p) for r, p in self.entries if p.length >= 1)
-
-
-def projective_basis(alg: AlgebraPresentation, tops=None) -> ProjectiveBasis:
-    """Basis of the projective cover of a squarefree top."""
-    tops = tuple(tops) if tops is not None else alg.tops
-    if tops is None:
-        raise ValueError("no top vertices supplied")
-    if len(set(tops)) != len(tops):
-        raise TopNotSquarefreeError(f"repeated top vertex in {tops}")
-    for r in tops:
-        if r not in alg.quiver.vertex_index:
-            raise ValueError(f"unknown vertex {r}")
-    tops = tuple(sorted(tops, key=alg.quiver.vertex_index.__getitem__))
-    entries = []
-    for r in tops:
-        for p in alg.basis:
-            if p.start == r:
-                entries.append((r, p))
-    return ProjectiveBasis(tops, tuple(entries))

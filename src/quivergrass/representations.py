@@ -4,7 +4,9 @@ A representation assigns a vector space dimension to each vertex and a
 (target x source) matrix to each arrow.  The projective cover of a top is
 handled through an explicit path basis with one slot per top generator, so
 tops with repeated simples (needed by the brute-force oracle) work the same
-way as squarefree ones.
+way as squarefree ones.  `ProjectiveCover` is the one owner of that layout:
+the coordinates of path images in P, the action of each arrow as a map from
+P into JP, and the test of whether a subspace of JP is a submodule.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class ProjectiveCover:
                 raise ValueError(f"unknown vertex {v}")
         vi = alg.quiver.vertex_index
         self.slots = tuple(sorted(slots, key=vi.__getitem__))
+        self.slot_of = {v: s for s, v in enumerate(self.slots)}
         self.basis: List[Tuple[int, Path]] = []
         for s, v in enumerate(self.slots):
             for p in alg.basis:
@@ -65,6 +68,11 @@ class ProjectiveCover:
             vec[self.index[(slot, p)]] = c
         return vec
 
+    def path_vector(self, p: Path):
+        """Full-P coordinates of the normal form of a path starting at a top
+        vertex, in the (last) slot of that vertex."""
+        return self.vector_of(self.slot_of[p.start], self.alg.nf_path(p))
+
     def element_of(self, vec) -> List[Tuple[int, AlgElement]]:
         """Per-slot algebra elements of a full-P vector."""
         f = self.alg.field
@@ -90,7 +98,8 @@ class ProjectiveCover:
         return [vec[c] for c in self.jp_cols]
 
     def arrow_action(self, arrow) -> Dict[int, List[Tuple[int, object]]]:
-        """Sparse column map of the left action of an arrow on the P basis."""
+        """Sparse left action of an arrow: P basis column -> JP coordinates
+        of its image (arrow images lie in JP because I is inside J^2)."""
         act = self._arrow_action.get(arrow.name)
         if act is None:
             act = {}
@@ -99,19 +108,38 @@ class ProjectiveCover:
                     continue
                 img = self.alg.nf_path(p.extended_by(arrow))
                 if not img.is_zero():
-                    act[i] = [(self.index[(s, q)], c) for q, c in img.terms.items()]
+                    act[i] = [
+                        (self.jp_index[self.index[(s, q)]], c)
+                        for q, c in img.terms.items()
+                    ]
             self._arrow_action[arrow.name] = act
         return act
 
-    def apply_arrow(self, arrow, vec):
+    def jp_image(self, arrow, jvec):
+        """JP coordinates of arrow * v for v in JP coordinates, or None when
+        the image is zero because no column of v is moved."""
         f = self.alg.field
-        out = [f.zero] * self.dim
         act = self.arrow_action(arrow)
-        for i, c in enumerate(vec):
-            if c != f.zero and i in act:
-                for j, a in act[i]:
-                    out[j] = f.add(out[j], f.mul(c, a))
+        out = None
+        for k, c in enumerate(jvec):
+            if c != f.zero:
+                img = act.get(self.jp_cols[k])
+                if img:
+                    if out is None:
+                        out = [f.zero] * self.dim_jp
+                    for j, a in img:
+                        out[j] = f.add(out[j], f.mul(c, a))
         return out
+
+    def escaping_arrow(self, ech: Echelon):
+        """The first arrow, scanning the rows of the JP echelon ech and then
+        the arrows, that moves a row out of the span; None for a submodule."""
+        for r in ech.rows:
+            for arrow in self.alg.quiver.arrows:
+                img = self.jp_image(arrow, r)
+                if img is not None and not ech.contains(img):
+                    return arrow
+        return None
 
     def as_representation(self) -> "Representation":
         """P itself as a representation (vertex blocks = basis items by end)."""
@@ -121,7 +149,7 @@ class ProjectiveCover:
                 blocks[p.end].append(i)
 
             def column_action(arrow, col):
-                return self.arrow_action(arrow).get(col, [])
+                return [(self.jp_cols[k], c) for k, c in self.arrow_action(arrow).get(col, ())]
 
             self._rep = representation_on_blocks(self.alg, blocks, column_action)
         return self._rep
@@ -275,14 +303,9 @@ class SubmodulePoint:
                 ]
                 if not ech.contains(proj):
                     raise NotSubmoduleError("row space is not graded by vertices")
-        for r in rows:
-            full = cover.jp_to_full(r)
-            for arrow in alg.quiver.arrows:
-                img = cover.apply_arrow(arrow, full)
-                if not ech.contains([img[c] for c in cover.jp_cols]):
-                    raise NotSubmoduleError(
-                        f"row space is not stable under the arrow {arrow.name}"
-                    )
+        arrow = cover.escaping_arrow(ech)
+        if arrow is not None:
+            raise NotSubmoduleError(f"row space is not stable under the arrow {arrow.name}")
         point = cls(cover, rows)
         if expect_corank is not None and cover.dim - len(rows) != expect_corank:
             raise RankError(
@@ -364,24 +387,17 @@ def quotient_rep(alg: AlgebraPresentation, point) -> Representation:
     f = alg.field
     ech = point.echelon()
     pivot_cols = {cover.jp_cols[k] for k in ech.pivots}
-    complement = [i for i in range(cover.dim) if i not in pivot_cols]
-
-    def reduce_mod_c(vec):
-        res = ech.residual([vec[c] for c in cover.jp_cols])
-        out = list(vec)
-        for k, col in enumerate(cover.jp_cols):
-            out[col] = res[k]
-        return out
-
     blocks = {v: [] for v in alg.quiver.vertices}
-    for i in complement:
-        blocks[cover.basis[i][1].end].append(i)
+    for i, (_, p) in enumerate(cover.basis):
+        if i not in pivot_cols:
+            blocks[p.end].append(i)
 
     def column_action(arrow, col):
-        full = [f.zero] * cover.dim
-        full[col] = f.one
-        red = reduce_mod_c(cover.apply_arrow(arrow, full))
-        return [(i, red[i]) for i in complement if red[i] != f.zero]
+        img = [f.zero] * cover.dim_jp
+        for k, c in cover.arrow_action(arrow).get(col, ()):
+            img[k] = c
+        res = ech.residual(img)
+        return [(cover.jp_cols[k], c) for k, c in enumerate(res) if c != f.zero]
 
     return representation_on_blocks(alg, blocks, column_action)
 

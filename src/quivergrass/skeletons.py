@@ -130,7 +130,6 @@ def layers_independent(alg, cover: ProjectiveCover, sk: Skeleton, modulo: Sequen
     """Whether every length-l layer of sk is linearly independent modulo
     J^{l+1}P plus the span of the full-P rows in modulo."""
     f = alg.field
-    slot = {v: s for s, v in enumerate(cover.slots)}
     for l in range(sk.max_length() + 1):
         layer = sk.of_length(l)
         if not layer:
@@ -141,8 +140,7 @@ def layers_independent(alg, cover: ProjectiveCover, sk: Skeleton, modulo: Sequen
         for row in modulo:
             ech.add(row)
         for p in layer:
-            img = alg.nf_path(p)
-            if img.is_zero() or not ech.add(cover.vector_of(slot[p.start], img)):
+            if not ech.add(cover.path_vector(p)):
                 return False
     return True
 

@@ -235,7 +235,6 @@ def _sigma_to_complement(alg, sk, point):
     ech = point.echelon()
     pivot_cols = {cover.jp_cols[k] for k in ech.pivots}
     complement = [i for i in range(cover.dim) if i not in pivot_cols]
-    slot = {v: s for s, v in enumerate(cover.slots)}
     by_vertex_cols = {v: [] for v in alg.quiver.vertices}
     for i in complement:
         by_vertex_cols[cover.basis[i][1].end].append(i)
@@ -246,7 +245,7 @@ def _sigma_to_complement(alg, sk, point):
     for v in alg.quiver.vertices:
         cols = []
         for p in blocks[v]:
-            vec = cover.vector_of(slot[p.start], alg.nf_path(p))
+            vec = cover.path_vector(p)
             res = ech.residual([vec[c] for c in cover.jp_cols])
             full = list(vec)
             for k, c in enumerate(cover.jp_cols):

@@ -1,9 +1,12 @@
 """Problem parsing, command output, exit codes, golden files."""
 
+import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quivergrass.cli import main, parse_problem, render_problem
 from quivergrass.errors import ParseError, SemanticError
@@ -92,6 +95,14 @@ def test_parse_error_has_line():
     with pytest.raises(ParseError) as err:
         parse_problem(bad)
     assert err.value.line == 6
+
+
+@pytest.mark.parametrize("relation", ["w^0", "a*w^0"])
+def test_parse_rejects_zero_exponent(relation):
+    bad = LOOP_ARROW_TEXT.replace("w^2", relation)
+    with pytest.raises(ParseError) as err:
+        parse_problem(bad)
+    assert err.value.line == 7
 
 
 def test_semantic_error_unknown_arrow():
@@ -224,7 +235,7 @@ def test_cli_invariant_check_exit_codes(problem_file):
     assert "witness: right multiplication by w" in out
 
 
-def test_cli_input_errors(problem_file):
+def test_cli_input_errors(problem_file, capsys):
     path = problem_file("vertices: 1\n")  # missing loewy
     code, _ = run_cli(["skeletons", path, "--top", "1", "--dim", "1"])
     assert code == 2
@@ -233,6 +244,20 @@ def test_cli_input_errors(problem_file):
     path2 = problem_file(LOOP_ARROW_TEXT, "ok.qg")
     code, _ = run_cli(["enumerate", path2])  # rational field refused
     assert code == 2
+    latin1 = Path(problem_file("", "latin1.qg"))
+    latin1.write_bytes(LOOP_ARROW_TEXT.replace("# loop", "# boucle \xe0").encode("latin-1"))
+    capsys.readouterr()
+    for unreadable in (latin1.parent, latin1):  # a directory, a non-UTF-8 file
+        code, out = run_cli(["skeletons", str(unreadable), "--top", "1", "--dim", "1"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_cli_layering_repeated_top_exit_2(problem_file, capsys):
+    path = problem_file(LOOP_ARROW_TEXT)
+    code, out = run_cli(["layering", path, "--top", "1,1"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: repeated top vertex in (1, 1)\n"
 
 
 @pytest.mark.parametrize(
@@ -247,16 +272,46 @@ def test_cli_input_errors(problem_file):
         ["chart", "--skeleton", "e1,w,w"],
         ["chart", "--skeleton", "e1,a*w"],
         ["chart", "--skeleton", "w"],
+        ["chart", "--skeleton", "e1,w^0"],
     ],
     ids=["unknown-top", "non-integer-top", "zero-denominator", "non-numeric-point",
          "negative-dim-skeletons", "negative-dim-enumerate", "repeated-skeleton-path",
-         "skeleton-not-prefix-closed", "skeleton-misses-lazy-path"],
+         "skeleton-not-prefix-closed", "skeleton-misses-lazy-path", "zero-exponent"],
 )
 def test_cli_bad_flag_values_exit_2(problem_file, capsys, argv):
     path = problem_file(LOOP_ARROW_TEXT)
     code, out = run_cli([argv[0], path] + argv[1:])
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+FLAG_TOKENS = ["e1", "e2", "w", "a", "w^0", "w^1", "w^2", "w^3", "*", ",", "1/0"]
+flag_text = st.none() | st.lists(st.sampled_from(FLAG_TOKENS), max_size=6).map("".join)
+
+
+@pytest.fixture(scope="module")
+def loop_arrow_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "loop_arrow.qg"
+    path.write_text(LOOP_ARROW_TEXT)
+    return str(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["chart", "layering", "hom"]),
+    skeleton=flag_text,
+    point=flag_text,
+    top=flag_text,
+)
+@example(command="chart", skeleton="e1,w^0", point=None, top=None)
+def test_cli_flag_strings_never_raise(loop_arrow_file, command, skeleton, point, top):
+    argv = [command, loop_arrow_file]
+    for flag, value in (("--skeleton", skeleton), ("--point", point), ("--top", top)):
+        if value is not None:
+            argv += [flag, value]
+    with contextlib.redirect_stderr(io.StringIO()):
+        code, _ = run_cli(argv)
+    assert code in (0, 1, 2)
 
 
 def test_cli_hom_and_layering(problem_file):

@@ -11,12 +11,11 @@ from quivergrass import (
     GF,
     LoewyBoundError,
     Path,
+    ProjectiveCover,
     QQ,
     Quiver,
-    TopNotSquarefreeError,
     all_paths,
     build_algebra,
-    projective_basis,
     with_field,
 )
 from quivergrass.presentation import default_order_key
@@ -71,25 +70,19 @@ def test_normal_form_rejects_long_support():
         alg.normal_form(AlgElement.of_path(QQ, too_long))
 
 
-def test_projective_basis_examples():
+def test_projective_cover_dimensions():
     alg = loop_arrow()
-    pb = projective_basis(alg, (1,))
-    assert pb.dim_p == 4 and pb.dim_jp == 3
+    cover = ProjectiveCover(alg, (1,))
+    assert cover.dim == 4 and cover.dim_jp == 3
 
     q = Quiver([1], [])
     semi = build_algebra(q, [], 0, QQ)
-    pb = projective_basis(semi, (1,))
-    assert pb.dim_p == 1 and pb.dim_jp == 0
+    cover = ProjectiveCover(semi, (1,))
+    assert cover.dim == 1 and cover.dim_jp == 0
 
     dt = double_triple()
-    pb = projective_basis(dt, (1,))
-    assert pb.dim_p == 7 and pb.dim_jp == 6
-
-
-def test_projective_basis_squarefree_only():
-    alg = loop_arrow()
-    with pytest.raises(TopNotSquarefreeError):
-        projective_basis(alg, (1, 1))
+    cover = ProjectiveCover(dt, (1,))
+    assert cover.dim == 7 and cover.dim_jp == 6
 
 
 def test_admissibility_error():

@@ -89,8 +89,8 @@ def test_quotient_twisted_line(la):
 
 def test_not_submodule_error(la):
     cover = ProjectiveCover(la, (1,))
-    # span(w) is not stable: a*w escapes
-    with pytest.raises(NotSubmoduleError):
+    # span(w) is not stable: a*w escapes (w*w = 0 stays inside)
+    with pytest.raises(NotSubmoduleError, match=r"stable under the arrow a$"):
         SubmodulePoint.from_elements(
             cover, [(0, AlgElement.of_path(QQ, path_of(la.quiver, "w")))]
         )
