@@ -98,26 +98,26 @@ def _parse_arrow_decl(chunk: str, lineno: int) -> Tuple[str, int, int]:
     return m.group(1), int(m.group(2)), int(m.group(3))
 
 
-def _expand_powers(text: str, lineno: int) -> List[str]:
-    """Split a product like a*w^2 into factor names in written order."""
-    factors = []
+def _expand_powers(text: str, lineno, bound) -> List[str]:
+    """Split a product like a*w^2 into factor names in written order.  With a
+    bound, a product of more factors is refused before it is expanded."""
+    powers = []
     for raw in text.split("*"):
         raw = raw.strip()
         if not raw:
             raise ParseError("empty factor in product", lineno)
-        if "^" in raw:
-            name, _, exp = raw.partition("^")
-            name = name.strip()
-            if not exp.strip().isdecimal() or int(exp) < 1:
-                raise ParseError(f"bad exponent in {raw!r}", lineno)
-            factors.extend([name] * int(exp))
-        else:
-            factors.append(raw)
-    return factors
+        name, power, exp = raw.partition("^")
+        if power and (not exp.strip().isdecimal() or int(exp) < 1):
+            raise ParseError(f"bad exponent in {raw!r}", lineno)
+        powers.append((name.strip(), int(exp) if power else 1))
+    if bound is not None and sum(n for _, n in powers) > bound:
+        raise SemanticError(f"path {text!r} exceeds length {bound}", lineno)
+    return [name for name, n in powers for _ in range(n)]
 
 
-def parse_path(text: str, quiver: Quiver, lineno: int = 0) -> Path:
-    """Parse a path: e<k> or a product of arrow names, right to left."""
+def parse_path(text: str, quiver: Quiver, lineno=None, bound=None) -> Path:
+    """Parse a path: e<k> or a product of arrow names, right to left.  A
+    path longer than bound is refused before its powers are expanded."""
     text = text.strip()
     m = re.match(r"^e(\d+)$", text)
     if m:
@@ -125,7 +125,7 @@ def parse_path(text: str, quiver: Quiver, lineno: int = 0) -> Path:
         if v not in quiver.vertex_index:
             raise SemanticError(f"unknown vertex {v}", lineno)
         return Path(v)
-    names = _expand_powers(text, lineno)
+    names = _expand_powers(text, lineno, bound)
     arrows = []
     for name in reversed(names):  # application order
         if name not in quiver.arrow_by_name:
@@ -290,10 +290,6 @@ def render_problem(pf: ProblemFile) -> str:
 # command implementations
 
 
-class CheckFailure(QuivergrassError):
-    """A verification-style command found a mismatch or negative verdict."""
-
-
 def _tops_from(args, pf: ProblemFile):
     if args.top:
         try:
@@ -331,21 +327,21 @@ def _parse_point(text, nvars, field):
     return tuple(coords)
 
 
-def _parse_skeleton(alg, tops, text):
-    paths = [parse_path(tok.strip(), alg.quiver) for tok in text.split(",")]
+def _parse_skeleton(alg, tops, text, flag):
     try:
+        paths = [parse_path(tok.strip(), alg.quiver, bound=alg.loewy_bound) for tok in text.split(",")]
         return make_skeleton(alg, tops, paths)
-    except ValueError as exc:
-        raise SemanticError(f"bad skeleton {text!r}: {exc}")
+    except (InputError, ValueError) as exc:
+        raise SemanticError(f"bad {flag} {text!r}: {exc}")
 
 
 def _skeleton_from(args, alg, tops):
     if not args.skeleton:
         raise SemanticError("this command needs --skeleton")
-    return _parse_skeleton(alg, tops, args.skeleton)
+    return _parse_skeleton(alg, tops, args.skeleton, "--skeleton")
 
 
-def _layering_json(s, vertices):
+def _layering_json(s):
     return [list(layer) for layer in s.layers]
 
 
@@ -453,7 +449,7 @@ def cmd_layering(args, pf, out):
             "command": "layering",
             "module": label,
             "dims": list(rep.dims),
-            "layering": _layering_json(lay, alg.quiver.vertices),
+            "layering": _layering_json(lay),
         }
         out(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -462,8 +458,8 @@ def cmd_layering(args, pf, out):
     return 0
 
 
-def _module_from_args(alg, tops, skeleton_text, point_text):
-    sk = _parse_skeleton(alg, tops, skeleton_text)
+def _module_from_args(alg, tops, skeleton_text, point_text, flag):
+    sk = _parse_skeleton(alg, tops, skeleton_text, flag)
     ideal = chart_ideal(alg, sk)
     pt = _parse_point(point_text, ideal.nvars, alg.field)
     return sk, pt, module_from_point(alg, sk, pt)
@@ -474,9 +470,9 @@ def cmd_hom(args, pf, out):
     tops = _tops_from(args, pf)
     if not args.skeleton:
         raise SemanticError("hom needs --skeleton (and optionally --skeleton2)")
-    sk, pt, m = _module_from_args(alg, tops, args.skeleton, args.point)
+    sk, pt, m = _module_from_args(alg, tops, args.skeleton, args.point, "--skeleton")
     if args.skeleton2:
-        sk2, pt2, n = _module_from_args(alg, tops, args.skeleton2, args.point2)
+        sk2, pt2, n = _module_from_args(alg, tops, args.skeleton2, args.point2, "--skeleton2")
         label = "Hom(M, N)"
     else:
         sk2, pt2, n = sk, pt, m
@@ -587,7 +583,7 @@ def cmd_orbit_dims(args, pf, out):
                 "point": repr(pt),
                 "orbit_dim": orbit_dim(alg, pt),
                 "unipotent_orbit_dim": unipotent_orbit_dim(alg, pt),
-                "layering": _layering_json(scene.layerings()[i], alg.quiver.vertices),
+                "layering": _layering_json(scene.layerings()[i]),
             }
         )
     if args.json:
@@ -633,7 +629,7 @@ def cmd_enumerate(args, pf, out):
             "orbit_provenance": orbit_provenance(scene),
             "iso_classes": [list(c) for c in iso],
             "layerings": [
-                _layering_json(s, alg.quiver.vertices) for s in scene.layerings()
+                _layering_json(s) for s in scene.layerings()
             ],
         }
         out(json.dumps(doc, indent=2, sort_keys=True))
@@ -694,6 +690,8 @@ def cmd_cross_validate(args, pf, out):
 
 
 def cmd_local_type(args, pf, out):
+    if args.field:
+        raise SemanticError("local-type takes its field from -q, not --field")
     alg = pf.algebra("Q")  # rational presentation; coerced to F_q internally
     tops = _tops_from(args, pf)
     if len(tops) != 1:

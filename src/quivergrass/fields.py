@@ -43,9 +43,6 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / a
 
-    def div(self, a, b):
-        return a / b
-
     @property
     def finite(self):
         return False
@@ -99,9 +96,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     @property
     def finite(self):

@@ -5,9 +5,18 @@ F_q, partitions them into automorphism orbits and isomorphism classes, and
 cross-validates the chart machinery against the enumeration.  A candidate
 subspace of JP is kept when `ProjectiveCover.escaping_arrow` finds no arrow
 moving it out of its span, the stability test `SubmodulePoint.from_rows`
-also uses.  Isomorphism classes are found by Hom scans only between points
-with equal exact invariants (radical layering and path-action ranks).
-Everything is exact and deterministic; budgets guard against blowups.
+also uses.
+
+Aut(P) acts through the path basis of End(P): each basis triple (r, s, p)
+sends the generator of slot r to p times the generator of slot s, and acts
+on JP by a sparse right multiplication.  A group element is a coefficient
+vector over that basis.  One orbit loop moves a point's rows by such
+vectors: by every group element when the group fits the budget (exhaustive
+scan), else by the one-parameter generators 1 + c*b, closing each orbit
+breadth first (generator BFS).  Isomorphism classes are found by Hom scans
+only between points with equal exact invariants (radical layering and
+path-action ranks).  Everything is exact and deterministic; budgets guard
+against blowups.
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ from .charts import (
     submodule_from_point,
 )
 from .errors import OracleScaleError, TopNotSquarefreeError
-from .linalg import Echelon, is_invertible, mat_vec
-from .presentation import AlgebraPresentation, AlgElement, Path
+from .linalg import Echelon, is_invertible
+from .presentation import AlgebraPresentation
 from .representations import (
     ProjectiveCover,
     Representation,
@@ -202,20 +211,36 @@ def _compositions(total, bounds):
 
 
 # ---------------------------------------------------------------------------
-# the automorphism group of P over F_q
+# the automorphism group of P over F_q, through the path basis of End(P)
 
 
-def _hom_p_jp_coordinates(cover: ProjectiveCover):
-    """Free coordinates of Hom(P, JP): for slots (s, r), the basis paths from
-    the vertex of slot s to the vertex of slot r, of positive length."""
-    alg = cover.alg
-    coords = []
-    for r, vr in enumerate(cover.slots):
-        for s, vs_ in enumerate(cover.slots):
-            for p in alg.basis:
-                if p.length >= 1 and p.start == vs_ and p.end == vr:
-                    coords.append((r, s, p))
-    return coords
+def _end_basis(cover: ProjectiveCover):
+    """Path basis of End(P): triples (r, s, p) sending the generator of slot
+    r to p times the generator of slot s, for every basis path p from the
+    vertex of slot s to the vertex of slot r.  The unit triples (length 0)
+    come first, block by block of `_unit_blocks`; the radical triples follow
+    in (r, s, path) order."""
+    triples = [
+        (r, s, p)
+        for r, vr in enumerate(cover.slots)
+        for s, vs_ in enumerate(cover.slots)
+        for p in cover.alg.basis
+        if p.start == vs_ and p.end == vr
+    ]
+    return sorted(triples, key=lambda t: t[2].length > 0)
+
+
+def _right_action(cover: ProjectiveCover, triple):
+    """Sparse action of a basis triple on JP: column -> JP coordinates of its
+    image (the column's path in slot r, with p put in front, in slot s)."""
+    r, s, p = triple
+    act = {}
+    for k, col in enumerate(cover.jp_cols):
+        slot, path = cover.basis[col]
+        if slot == r:
+            img = cover.alg.nf_path(p.then(path))
+            act[k] = [(cover.jp_index[cover.index[(s, q)]], c) for q, c in img.terms.items()]
+    return act
 
 
 def _unit_blocks(cover: ProjectiveCover):
@@ -229,7 +254,7 @@ def _unit_blocks(cover: ProjectiveCover):
 
 def group_size(cover: ProjectiveCover) -> int:
     q = cover.alg.field.char
-    size = q ** len(_hom_p_jp_coordinates(cover))
+    size = q ** sum(1 for _, _, p in _end_basis(cover) if p.length >= 1)
     for block in _unit_blocks(cover):
         t = len(block)
         gl = 1
@@ -249,178 +274,84 @@ def _all_invertible(field, n):
     return mats
 
 
-def iter_group_elements(cover: ProjectiveCover):
-    """Endomorphism data (unit matrices per block, radical part per hom
-    coordinate) for every automorphism of P over F_q."""
-    f = cover.alg.field
-    coords = _hom_p_jp_coordinates(cover)
-    blocks = _unit_blocks(cover)
-    unit_choices = [_all_invertible(f, len(b)) for b in blocks]
-    elems = list(f.elements())
-    for units in itertools.product(*unit_choices):
-        for rad in itertools.product(elems, repeat=len(coords)):
-            yield units, rad
-
-
-def endomorphism_matrix(cover: ProjectiveCover, units, rad, unipotent_only=False):
-    """Matrix (full P coordinates) of the endomorphism z_r -> unit part +
-    radical part, acting by right multiplication on each basis path."""
-    alg = cover.alg
-    f = alg.field
-    coords = _hom_p_jp_coordinates(cover)
-    blocks = _unit_blocks(cover)
-    n = cover.dim
-    cols = [[f.zero] * n for _ in range(n)]
-    gen_images: List[List[Tuple[int, AlgElement]]] = [[] for _ in cover.slots]
-    if unipotent_only:
-        for r in range(len(cover.slots)):
-            gen_images[r].append((r, AlgElement.of_path(f, Path(cover.slots[r]))))
-    else:
-        for block, unit in zip(blocks, units):
-            t = len(block)
-            for j, r in enumerate(block):
-                for i, s in enumerate(block):
-                    c = unit[i][j]
-                    if c != f.zero:
-                        gen_images[r].append(
-                            (s, AlgElement.of_path(f, Path(cover.slots[s]), c))
-                        )
-    for (r, s, p), c in zip(coords, rad):
-        if c != f.zero:
-            gen_images[r].append((s, AlgElement.of_path(f, p, c)))
-    for i, (slot_i, path_i) in enumerate(cover.basis):
-        for s, elem in gen_images[slot_i]:
-            img = elem  # image of the generator of slot_i in slot s
-            moved = AlgElement.zero(f)
-            for pth, c in img.terms.items():
-                joined = pth.then(path_i)
-                if joined is None:
-                    continue
-                moved = moved.add(cover.alg.nf_path(joined).scale(c))
-            for pth, c in moved.terms.items():
-                cols[i][cover.index[(s, pth)]] = f.add(
-                    cols[i][cover.index[(s, pth)]], c
-                )
-    # transpose columns into a matrix acting on column vectors
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def _apply_matrix_to_point(cover, mat, point: SubmodulePoint) -> Tuple:
-    f = cover.alg.field
-    ech = Echelon(f, cover.dim_jp)
-    for r in point.rows:
-        full = cover.jp_to_full(r)
-        img = mat_vec(f, mat, full)
-        ech.add([img[c] for c in cover.jp_cols])
-    return ech.snapshot()
-
-
-def _group_matrices(cover: ProjectiveCover, unipotent_only: bool):
-    f = cover.alg.field
-    coords = _hom_p_jp_coordinates(cover)
-    if unipotent_only:
-        for rad in itertools.product(list(f.elements()), repeat=len(coords)):
-            yield endomorphism_matrix(cover, None, rad, unipotent_only=True)
-    else:
-        for units, rad in iter_group_elements(cover):
-            yield endomorphism_matrix(cover, units, rad)
-
-
 def _orbit_partition(scene: OracleScene, unipotent_only: bool):
+    """Orbits of Aut(P), or of its unipotent radical, in order of least point.
+
+    A group element is a coefficient vector over `_end_basis`: invertible
+    unit blocks, then any radical values.  Within the group budget every
+    element moves each orbit's least point (exhaustive scan).  Beyond it the
+    orbit is closed under the generators 1 + c*b, for every basis triple b
+    and every c != 0 that keeps them invertible (generator BFS).  The orbits
+    of the generated subgroup refine the true orbits: if the generators fail
+    to generate the whole group, a true orbit may split, but never merge with
+    another.
+    """
     cover = scene.cover
     f = scene.alg.field
-    config = scene.config
-    q = f.char
-    coords = _hom_p_jp_coordinates(cover)
-    size = q ** len(coords)
-    if not unipotent_only:
-        size = group_size(cover)
-    if size > config.group_budget:
-        return _orbit_partition_bfs(scene, unipotent_only), "generator-bfs"
-    # materialize small groups once; stream large ones per representative
-    mats = list(_group_matrices(cover, unipotent_only)) if size <= 65536 else None
-    index = {p.rows: i for i, p in enumerate(scene.points)}
-    assigned = {}
-    orbits = []
-    for i, p in enumerate(scene.points):
-        if i in assigned:
-            continue
-        orbit = set()
-        for mat in mats if mats is not None else _group_matrices(cover, unipotent_only):
-            rows = _apply_matrix_to_point(cover, mat, p)
-            j = index.get(rows)
-            if j is None:
-                raise OracleScaleError("group action left the enumerated point set")
-            orbit.add(j)
-        for j in orbit:
-            assigned[j] = len(orbits)
-        orbits.append(tuple(sorted(orbit)))
-    orbits.sort(key=lambda o: o[0])
-    return tuple(orbits), "exhaustive"
-
-
-def _orbit_partition_bfs(scene: OracleScene, unipotent_only: bool):
-    """Orbit closure under one-parameter generators.  The orbits of the
-    generated subgroup refine the true orbits: if the generators fail to
-    generate the whole group, a true orbit may split, but never merge with
-    another."""
-    cover = scene.cover
-    f = scene.alg.field
-    coords = _hom_p_jp_coordinates(cover)
-    gens = []
-    elems = [e for e in f.elements() if e != f.zero]
-    blocks = _unit_blocks(cover)
-    id_units = tuple(
-        tuple(
-            tuple(f.one if i == j else f.zero for j in range(len(b)))
-            for i in range(len(b))
+    basis = _end_basis(cover)
+    actions = [_right_action(cover, b) for b in basis]
+    n_unit = sum(1 for _, _, p in basis if p.length == 0)
+    n_rad = len(basis) - n_unit
+    identity = tuple(f.one if r == s else f.zero for r, s, _ in basis[:n_unit])
+    elems = list(f.elements())
+    size = f.char ** n_rad if unipotent_only else group_size(cover)
+    grow = size > scene.config.group_budget
+    if grow:
+        one = identity + (f.zero,) * n_rad
+        gens = [
+            one[:b] + (f.add(one[b], c),) + one[b + 1 :]
+            for b in range(n_unit if unipotent_only else 0, len(basis))
+            for c in elems
+            if c != f.zero and f.add(one[b], c) != f.zero
+        ]
+        moves = lambda: gens
+    else:
+        units = [[identity]] if unipotent_only else [
+            [tuple(c for row in m for c in row) for m in _all_invertible(f, len(b))]
+            for b in _unit_blocks(cover)
+        ]
+        moves = lambda: (
+            sum(unit, ()) + rad
+            for unit in itertools.product(*units)
+            for rad in itertools.product(elems, repeat=n_rad)
         )
-        for b in blocks
-    )
-    zero_rad = tuple(f.zero for _ in coords)
-    for k in range(len(coords)):
-        for c in elems:
-            rad = list(zero_rad)
-            rad[k] = c
-            gens.append(endomorphism_matrix(cover, id_units, tuple(rad)))
-    if not unipotent_only:
-        for bi, b in enumerate(blocks):
-            t = len(b)
-            for i in range(t):
-                for j in range(t):
-                    for c in elems:
-                        if i == j and c == f.one:
-                            continue
-                        unit = [
-                            [f.one if x == y else f.zero for y in range(t)]
-                            for x in range(t)
-                        ]
-                        unit[i][j] = c  # scaling on the diagonal, transvection off it
-                        units = list(id_units)
-                        units[bi] = tuple(tuple(r) for r in unit)
-                        gens.append(endomorphism_matrix(cover, tuple(units), zero_rad))
     index = {p.rows: i for i, p in enumerate(scene.points)}
     seen = set()
     orbits = []
     for i in range(len(scene.points)):
         if i in seen:
             continue
-        frontier = [i]
         orbit = {i}
+        frontier = [i]
         while frontier:
-            j = frontier.pop()
-            for mat in gens:
-                rows = _apply_matrix_to_point(cover, mat, scene.points[j])
-                k = index.get(rows)
+            rows = scene.points[frontier.pop()].rows
+            # per row, its image under each basis triple as (column, value) terms
+            moved = [
+                [
+                    [(j, f.mul(c, a)) for k, c in enumerate(row) if c != f.zero for j, a in act.get(k, ())]
+                    for act in actions
+                ]
+                for row in rows
+            ]
+            for coeffs in moves():
+                ech = Echelon(f, cover.dim_jp)
+                for images in moved:
+                    vec = [f.zero] * cover.dim_jp
+                    for c, terms in zip(coeffs, images):
+                        if c != f.zero:
+                            for j, x in terms:
+                                vec[j] = f.add(vec[j], f.mul(c, x))
+                    ech.add(vec)
+                k = index.get(ech.snapshot())
                 if k is None:
                     raise OracleScaleError("group action left the enumerated point set")
                 if k not in orbit:
                     orbit.add(k)
-                    frontier.append(k)
+                    if grow:
+                        frontier.append(k)
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
-    orbits.sort(key=lambda o: o[0])
-    return tuple(orbits)
+    return tuple(orbits), "generator-bfs" if grow else "exhaustive"
 
 
 def orbits(scene: OracleScene):

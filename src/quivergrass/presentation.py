@@ -187,9 +187,6 @@ class AlgElement:
     def min_length(self):
         return min(p.length for p in self.terms)
 
-    def project_end(self, vertex) -> "AlgElement":
-        return AlgElement(self.field, {p: c for p, c in self.terms.items() if p.end == vertex})
-
     def __eq__(self, other):
         return isinstance(other, AlgElement) and self.field == other.field and self.terms == other.terms
 
@@ -251,9 +248,6 @@ class AlgebraPresentation:
 
     def path_key(self, path: Path):
         return self._order_key(path)
-
-    def sort_paths(self, paths):
-        return sorted(paths, key=self._order_key)
 
     @property
     def dim(self):

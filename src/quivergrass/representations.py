@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import NotSubmoduleError, RankError, TopNotSquarefreeError
+from .errors import NotSubmoduleError, TopNotSquarefreeError
 from .linalg import Echelon, Expander, identity, mat_mul, mat_vec, nullspace, rref
 from .presentation import AlgElement, AlgebraPresentation, Path, all_paths
 
@@ -287,7 +287,7 @@ class SubmodulePoint:
         self._ech = None
 
     @classmethod
-    def from_rows(cls, cover: ProjectiveCover, raw_rows, expect_corank=None):
+    def from_rows(cls, cover: ProjectiveCover, raw_rows):
         """Validate and canonicalize spanning rows (JP coordinates)."""
         alg = cover.alg
         f = alg.field
@@ -306,18 +306,13 @@ class SubmodulePoint:
         arrow = cover.escaping_arrow(ech)
         if arrow is not None:
             raise NotSubmoduleError(f"row space is not stable under the arrow {arrow.name}")
-        point = cls(cover, rows)
-        if expect_corank is not None and cover.dim - len(rows) != expect_corank:
-            raise RankError(
-                f"submodule has codimension {cover.dim - len(rows)}, expected {expect_corank}"
-            )
-        return point
+        return cls(cover, rows)
 
     @classmethod
-    def from_elements(cls, cover: ProjectiveCover, slot_elements, expect_corank=None):
+    def from_elements(cls, cover: ProjectiveCover, slot_elements):
         """Spanning set given as (slot, AlgElement) pairs inside JP."""
         raw = [cover.full_to_jp(cover.vector_of(s, x)) for s, x in slot_elements]
-        return cls.from_rows(cover, raw, expect_corank=expect_corank)
+        return cls.from_rows(cover, raw)
 
     @property
     def alg(self):
@@ -449,16 +444,9 @@ class SemisimpleSequence:
 
     layers: Tuple[Tuple[int, ...], ...]
 
-    @property
-    def total_dim(self):
-        return sum(sum(l) for l in self.layers)
-
     def totals_per_vertex(self):
         n = len(self.layers[0])
         return tuple(sum(l[i] for l in self.layers) for i in range(n))
-
-    def layer(self, l):
-        return self.layers[l]
 
     def render(self, vertices):
         bits = []
@@ -618,7 +606,6 @@ def submodule_as_rep(point: SubmodulePoint) -> Representation:
     per_vertex = {}
     for v, rows in point.rows_per_vertex().items():
         block = blocks[v]
-        posmap = {i: k for k, i in enumerate(block)}
         vrows = []
         for r in rows:
             full = point.cover.jp_to_full(r)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -273,16 +274,33 @@ def test_cli_layering_repeated_top_exit_2(problem_file, capsys):
         ["chart", "--skeleton", "e1,a*w"],
         ["chart", "--skeleton", "w"],
         ["chart", "--skeleton", "e1,w^0"],
+        ["chart", "--skeleton", "e1,w^2000000"],
+        ["chart", "--skeleton", "e1,w^99999999999999"],
+        ["local-type", "--field", "F3"],
     ],
     ids=["unknown-top", "non-integer-top", "zero-denominator", "non-numeric-point",
          "negative-dim-skeletons", "negative-dim-enumerate", "repeated-skeleton-path",
-         "skeleton-not-prefix-closed", "skeleton-misses-lazy-path", "zero-exponent"],
+         "skeleton-not-prefix-closed", "skeleton-misses-lazy-path", "zero-exponent",
+         "huge-exponent", "huger-exponent", "local-type-field"],
 )
 def test_cli_bad_flag_values_exit_2(problem_file, capsys, argv):
     path = problem_file(LOOP_ARROW_TEXT)
+    start = time.perf_counter()
     code, out = run_cli([argv[0], path] + argv[1:])
+    assert time.perf_counter() - start < 0.1  # refused before any expansion or scan
     assert code == 2 and out == ""
-    assert capsys.readouterr().err.startswith("input error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and len(err) < 200
+
+
+def test_cli_flag_errors_name_the_flag(problem_file, capsys):
+    path = problem_file(LOOP_ARROW_TEXT)
+    code, _ = run_cli(["hom", path, "--skeleton", "e1,w", "--skeleton2", "e1,q"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--skeleton2" in err and "line 0" not in err
+    code, _ = run_cli(["local-type", path, "--field", "F3"])
+    assert code == 2 and "-q" in capsys.readouterr().err
 
 
 FLAG_TOKENS = ["e1", "e2", "w", "a", "w^0", "w^1", "w^2", "w^3", "*", ",", "1/0"]

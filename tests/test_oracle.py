@@ -232,19 +232,24 @@ def test_unipotent_orbits_sizes():
     assert sorted(len(o) for o in u_orbs) == [1, 1, 2, 4]
 
 
-def test_orbit_bfs_fallback_matches_exhaustive():
+def test_orbit_bfs_fallback_matches_exhaustive(small_scenes):
+    """The generator BFS finds the exhaustive orbits, of Aut(P) and of its
+    unipotent radical, also on the repeated top (1, 1) of the fork, where
+    the GL_2 scalings and transvections act."""
     from quivergrass.oracle import orbit_provenance
 
-    for make, d in ((loop_arrow, 3), (nilpotent_loop_arrow, 4)):
-        for prime in (2, 3):
-            alg = with_field(make(), GF(prime))
-            full = enumerate_points(alg, (1,), d)
-            exhaustive = orbits(full)
-            assert orbit_provenance(full) == "exhaustive"
-            small = enumerate_points(alg, (1,), d, OracleConfig(group_budget=1))
-            bfs = orbits(small)
-            assert orbit_provenance(small) == "generator-bfs"
-            assert bfs == exhaustive
+    scenes = list(small_scenes)
+    for prime in (2, 3):
+        alg = with_field(fork(), GF(prime))
+        for d in range(1, 7):
+            scenes.append((f"fork (1, 1) F{prime} d={d}", enumerate_points(alg, (1, 1), d)))
+    for label, full in scenes:
+        assert orbit_provenance(full) == "exhaustive", label
+        small = enumerate_points(full.alg, full.tops, full.d, OracleConfig(group_budget=1))
+        assert orbits(small) == orbits(full), label
+        bfs = "generator-bfs" if group_size(small.cover) > 1 else "exhaustive"
+        assert orbit_provenance(small) == bfs, label
+        assert unipotent_orbits(small) == unipotent_orbits(full), label
 
 
 @pytest.fixture(scope="module")
