@@ -4,7 +4,9 @@ The congruence rewriting expands any path element over the skeleton basis
 with polynomial coefficients in the chart variables X_{alpha p, q}; applied
 to a generating set of the relation ideal restricted to the top vertices it
 yields the defining polynomials of the chart.  Points of the chart convert
-both ways to submodules of JP and to explicit representations.
+both ways to submodules of JP and to explicit representations; the way back
+(`point_from_submodule`) and the membership test (`has_skeleton`) are one
+pass of `skeletons.skeleton_expander` over C.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .representations import (
     SubmodulePoint,
     representation_on_blocks,
 )
-from .skeletons import CriticalPair, Skeleton, critical_pairs, is_route, layers_independent
+from .skeletons import CriticalPair, Skeleton, critical_pairs, is_route, skeleton_expander
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class ChartContext:
     def __init__(self, alg: AlgebraPresentation, sk: Skeleton):
         if len(set(sk.tops)) != len(sk.tops):
             raise TopNotSquarefreeError(f"repeated top vertex in {sk.tops}")
-        self.alg = alg
+        self.field = alg.field  # not alg: alg.chart_contexts holds this context
         self.sk = sk
         self.pairs: List[CriticalPair] = critical_pairs(alg, sk)
         self.pair_by_product: Dict[Path, CriticalPair] = {
@@ -93,12 +95,12 @@ class ChartContext:
         return out
 
     def _reduce_path_uncached(self, path: Path, route_prune: bool) -> Dict[Path, dict]:
-        f = self.alg.field
+        f = self.field
         if path.start not in self.sk.tops:
             return {}
         if path in self.path_set:
             return {path: poly.const(self.nvars, f, 1)}
-        if route_prune and not is_route(self.alg, path, self.sk):
+        if route_prune and not is_route(path, self.sk):
             return {}
         k = self._longest_prefix_in(path)
         if k < 0:
@@ -122,7 +124,7 @@ class ChartContext:
         return {q: c for q, c in out.items() if c}
 
     def reduce_element(self, z: AlgElement, route_prune: bool = True) -> Dict[Path, dict]:
-        f = self.alg.field
+        f = self.field
         out: Dict[Path, dict] = {}
         for p, c in z.terms.items():
             for q, coeff in self.reduce_path(p, route_prune).items():
@@ -135,7 +137,7 @@ class ChartContext:
         Used to check that the expansion does not depend on the order in
         which pending terms are rewritten.
         """
-        f = self.alg.field
+        f = self.field
         pending: List[Tuple[Path, dict]] = [
             (p, poly.const(self.nvars, f, c)) for p, c in z.terms.items()
         ]
@@ -148,7 +150,7 @@ class ChartContext:
             if path in self.path_set:
                 out[path] = poly.add(f, out.get(path, {}), coeff)
                 continue
-            if route_prune and not is_route(self.alg, path, self.sk):
+            if route_prune and not is_route(path, self.sk):
                 continue
             k = self._longest_prefix_in(path)
             if k < 0:
@@ -263,12 +265,11 @@ def submodule_from_point(alg, sk: Skeleton, point, cover: Optional[ProjectiveCov
     for cp in ctx.pairs:
         # the generator mixes summands: alpha*p sits over the slot of p while
         # the target paths sit over their own start vertices; all lie in JP
-        vec = cover.path_vector(cp.product)
+        vec = cover.jp_path_vector(cp.product)
         for q in cp.targets:
             c = point[ctx.var_index[(cp.product, q)]]
             if c != f.zero:
-                vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, cover.path_vector(q))]
-        vec = [vec[c] for c in cover.jp_cols]
+                vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, cover.jp_path_vector(q))]
         if ech.add(vec):
             frontier.append(vec)
     while frontier:
@@ -287,52 +288,38 @@ def submodule_from_point(alg, sk: Skeleton, point, cover: Optional[ProjectiveCov
     return SubmodulePoint.from_rows(cover, rows)
 
 
+def _chart_expander(point: SubmodulePoint, sk: Skeleton):
+    """The pass of `skeleton_expander` over the rows of C, or None when sk is
+    not a skeleton of P/C."""
+    cover = point.cover
+    if tuple(cover.slots) != tuple(sk.tops) or point.quotient_dim != sk.dim:
+        return None
+    return skeleton_expander(cover, sk, point.rows)
+
+
 def has_skeleton(alg, point: SubmodulePoint, sk: Skeleton) -> bool:
     """Whether sk is a skeleton of P/C: layer by layer, the skeleton paths
     must be independent modulo C plus the next radical power of P."""
-    cover = point.cover
-    if tuple(cover.slots) != tuple(sk.tops) or point.quotient_dim != sk.dim:
-        return False
-    c_rows = [cover.jp_to_full(row) for row in point.rows]
-    return layers_independent(alg, cover, sk, modulo=c_rows)
-
-
-def _sigma_expander(alg, sk: Skeleton, point: SubmodulePoint):
-    """Expander over C rows followed by skeleton-path images; expressing an
-    element then reads off its skeleton coordinates modulo C."""
-    cover = point.cover
-    f = alg.field
-    exp = Expander(f, cover.dim)
-    for row in point.rows:
-        exp.add(cover.jp_to_full(row))
-    n_c = exp.rank
-    order = []
-    for p in sk.paths:
-        if not exp.add(cover.path_vector(p)):
-            raise SkeletonMismatchError(
-                f"skeleton paths do not form a basis modulo the submodule ({p.render()})"
-            )
-        order.append(p)
-    return exp, n_c, order
+    return _chart_expander(point, sk) is not None
 
 
 def point_from_submodule(alg, sk: Skeleton, point: SubmodulePoint):
-    """Chart coordinates of a submodule whose quotient has this skeleton."""
-    if not has_skeleton(alg, point, sk):
+    """Chart coordinates of a submodule whose quotient has this skeleton:
+    the expansions of the critical products over sk modulo C."""
+    exp = _chart_expander(point, sk)
+    if exp is None:
         raise SkeletonMismatchError("the path set is not a skeleton of the quotient")
     ctx = chart_context(alg, sk)
-    cover = point.cover
     f = alg.field
-    exp, n_c, order = _sigma_expander(alg, sk, point)
-    pos = {p: n_c + i for i, p in enumerate(order)}
+    # the expander holds C, then the positive-length paths, longest first
+    order = [p for l in range(sk.max_length(), 0, -1) for p in sk.of_length(l)]
     coords = [f.zero] * ctx.nvars
     for cp in ctx.pairs:
-        combo = exp.express(cover.path_vector(cp.product))
+        combo = exp.express(point.cover.jp_path_vector(cp.product))
         if combo is None:
             raise SkeletonMismatchError("critical product escapes the basis")
         eligible = set(cp.targets)
-        for p in sk.paths:
-            c = combo[pos[p]]
+        for p, c in zip(order, combo[point.rank :]):
             if c == f.zero:
                 continue
             if p not in eligible:
@@ -379,11 +366,12 @@ def transition_matrix(alg, sk: Skeleton, sk2: Skeleton, point: SubmodulePoint):
     """
     cover = point.cover
     f = alg.field
-    try:
-        exp, n_c, order = _sigma_expander(alg, sk, point)
-    except SkeletonMismatchError:
+    exp = Expander(f, cover.dim)
+    for row in point.rows:
+        exp.add(cover.jp_to_full(row))
+    n_c = exp.rank
+    if not all(exp.add(cover.path_vector(p)) for p in sk.paths):
         raise SkeletonMismatchError("first path set is not a basis of the quotient")
-    pos = {p: n_c + i for i, p in enumerate(order)}
     cols = []
     for p2 in sk2.paths:
         vec = cover.path_vector(p2)
@@ -392,7 +380,7 @@ def transition_matrix(alg, sk: Skeleton, sk2: Skeleton, point: SubmodulePoint):
         combo = exp.express(vec)
         if combo is None:
             raise SkeletonMismatchError("second path set escapes the quotient basis")
-        cols.append([combo[pos[p]] for p in sk.paths])
+        cols.append(combo[n_c:])
     d = sk.dim
     matrix = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
     ech = Echelon(f, d)

@@ -87,6 +87,23 @@ class ProblemFile:
 _TERM_RE = re.compile(r"^(?:(-?\d+(?:/\d+)?)\s*\*\s*)?([A-Za-z_][A-Za-z_0-9]*(?:\s*(?:\*|\^)\s*[A-Za-z_0-9]+)*)$")
 
 
+def _shown(text: str, limit: int = 40) -> str:
+    """repr of a piece of input, cut after limit characters so that an
+    error message quoting it stays short."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
+def _decimal(digits: str, what: str, lineno=None) -> int:
+    """int of a run of decimal digits; one past Python's conversion limit is
+    a ParseError rather than a ValueError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{what} {_shown(digits)} has too many digits", lineno)
+
+
 def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0].rstrip()
 
@@ -95,7 +112,7 @@ def _parse_arrow_decl(chunk: str, lineno: int) -> Tuple[str, int, int]:
     m = re.match(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*:\s*(\d+)\s*->\s*(\d+)\s*$", chunk)
     if not m:
         raise ParseError(f"bad arrow declaration {chunk!r}", lineno)
-    return m.group(1), int(m.group(2)), int(m.group(3))
+    return m.group(1), _decimal(m.group(2), "vertex", lineno), _decimal(m.group(3), "vertex", lineno)
 
 
 def _expand_powers(text: str, lineno, bound) -> List[str]:
@@ -107,11 +124,15 @@ def _expand_powers(text: str, lineno, bound) -> List[str]:
         if not raw:
             raise ParseError("empty factor in product", lineno)
         name, power, exp = raw.partition("^")
-        if power and (not exp.strip().isdecimal() or int(exp) < 1):
-            raise ParseError(f"bad exponent in {raw!r}", lineno)
-        powers.append((name.strip(), int(exp) if power else 1))
+        n = 1
+        if power:
+            exp = exp.strip()
+            n = _decimal(exp, "exponent", lineno) if exp.isdecimal() else 0
+            if n < 1:
+                raise ParseError(f"bad exponent in {_shown(raw)}", lineno)
+        powers.append((name.strip(), n))
     if bound is not None and sum(n for _, n in powers) > bound:
-        raise SemanticError(f"path {text!r} exceeds length {bound}", lineno)
+        raise SemanticError(f"path {_shown(text)} exceeds length {bound}", lineno)
     return [name for name, n in powers for _ in range(n)]
 
 
@@ -121,7 +142,7 @@ def parse_path(text: str, quiver: Quiver, lineno=None, bound=None) -> Path:
     text = text.strip()
     m = re.match(r"^e(\d+)$", text)
     if m:
-        v = int(m.group(1))
+        v = _decimal(m.group(1), "vertex", lineno)
         if v not in quiver.vertex_index:
             raise SemanticError(f"unknown vertex {v}", lineno)
         return Path(v)
@@ -168,7 +189,10 @@ def _parse_relation(text: str, quiver: Quiver, lineno: int) -> AlgElement:
         m = _TERM_RE.match(term)
         if not m:
             raise ParseError(f"bad term {term!r}", lineno)
-        coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        try:
+            coeff = Fraction(m.group(1) or 1)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad coefficient {_shown(m.group(1))}", lineno)
         path = parse_path(m.group(2).replace(" ", ""), quiver, lineno)
         out[path] = out.get(path, Fraction(0)) + sgn * coeff
     return AlgElement(QQ, out)
@@ -204,14 +228,14 @@ def parse_problem(text: str) -> ProblemFile:
         if key == "field":
             field_tag = rest
         elif key == "loewy":
-            if not rest.isdigit():
-                raise ParseError(f"loewy bound must be a non-negative integer, got {rest!r}", lineno)
-            loewy = int(rest)
+            if not rest.isdecimal():
+                raise ParseError(f"loewy bound must be a non-negative integer, got {_shown(rest)}", lineno)
+            loewy = _decimal(rest, "loewy bound", lineno)
         elif key == "vertices":
             try:
                 vertices = [int(tok) for tok in rest.split()]
             except ValueError:
-                raise ParseError(f"bad vertex list {rest!r}", lineno)
+                raise ParseError(f"bad vertex list {_shown(rest)}", lineno)
         elif key == "arrows":
             if rest:
                 for chunk in rest.split(","):
@@ -224,11 +248,11 @@ def parse_problem(text: str) -> ProblemFile:
             try:
                 tops = tuple(int(tok) for tok in rest.split())
             except ValueError:
-                raise ParseError(f"bad top list {rest!r}", lineno)
+                raise ParseError(f"bad top list {_shown(rest)}", lineno)
         elif key == "dim":
-            if not rest.isdigit():
-                raise ParseError(f"dim must be a positive integer, got {rest!r}", lineno)
-            dim = int(rest)
+            if not rest.isdecimal():
+                raise ParseError(f"dim must be a positive integer, got {_shown(rest)}", lineno)
+            dim = _decimal(rest, "dim", lineno)
 
     if vertices is None:
         raise ParseError("missing vertices declaration")
@@ -295,7 +319,7 @@ def _tops_from(args, pf: ProblemFile):
         try:
             tops = tuple(int(tok) for tok in args.top.split(","))
         except ValueError:
-            raise SemanticError(f"bad top list {args.top!r}")
+            raise SemanticError(f"bad --top {_shown(args.top)}")
         for v in tops:
             if v not in pf.quiver.vertex_index:
                 raise SemanticError(f"unknown top vertex {v}")
@@ -314,16 +338,16 @@ def _dim_from(args, pf: ProblemFile):
     return d
 
 
-def _parse_point(text, nvars, field):
+def _parse_point(text, nvars, field, flag):
     if not text:
         coords = []
     else:
         try:
             coords = [field.coerce(Fraction(tok)) for tok in text.split(",") if tok != ""]
         except (ValueError, ZeroDivisionError):
-            raise SemanticError(f"bad point coordinates {text!r}")
+            raise SemanticError(f"bad {flag} coordinates {_shown(text)}")
     if len(coords) != nvars:
-        raise SemanticError(f"expected {nvars} coordinates, got {len(coords)}")
+        raise SemanticError(f"{flag} expects {nvars} coordinates, got {len(coords)}")
     return tuple(coords)
 
 
@@ -332,7 +356,7 @@ def _parse_skeleton(alg, tops, text, flag):
         paths = [parse_path(tok.strip(), alg.quiver, bound=alg.loewy_bound) for tok in text.split(",")]
         return make_skeleton(alg, tops, paths)
     except (InputError, ValueError) as exc:
-        raise SemanticError(f"bad {flag} {text!r}: {exc}")
+        raise SemanticError(f"bad {flag} {_shown(text)}: {exc}")
 
 
 def _skeleton_from(args, alg, tops):
@@ -433,7 +457,7 @@ def cmd_layering(args, pf, out):
     if args.skeleton:
         sk = _skeleton_from(args, alg, tops)
         ideal = chart_ideal(alg, sk)
-        pt = _parse_point(args.point, ideal.nvars, alg.field)
+        pt = _parse_point(args.point, ideal.nvars, alg.field, "--point")
         rep = module_from_point(alg, sk, pt)
         label = f"module at {list(pt)} on {sk.render()}"
     else:
@@ -458,10 +482,12 @@ def cmd_layering(args, pf, out):
     return 0
 
 
-def _module_from_args(alg, tops, skeleton_text, point_text, flag):
-    sk = _parse_skeleton(alg, tops, skeleton_text, flag)
+def _module_from_args(alg, tops, skeleton_text, point_text, suffix):
+    """The module at a chart point given by --skeleton<suffix> and
+    --point<suffix>."""
+    sk = _parse_skeleton(alg, tops, skeleton_text, "--skeleton" + suffix)
     ideal = chart_ideal(alg, sk)
-    pt = _parse_point(point_text, ideal.nvars, alg.field)
+    pt = _parse_point(point_text, ideal.nvars, alg.field, "--point" + suffix)
     return sk, pt, module_from_point(alg, sk, pt)
 
 
@@ -470,9 +496,9 @@ def cmd_hom(args, pf, out):
     tops = _tops_from(args, pf)
     if not args.skeleton:
         raise SemanticError("hom needs --skeleton (and optionally --skeleton2)")
-    sk, pt, m = _module_from_args(alg, tops, args.skeleton, args.point, "--skeleton")
+    sk, pt, m = _module_from_args(alg, tops, args.skeleton, args.point, "")
     if args.skeleton2:
-        sk2, pt2, n = _module_from_args(alg, tops, args.skeleton2, args.point2, "--skeleton2")
+        sk2, pt2, n = _module_from_args(alg, tops, args.skeleton2, args.point2, "2")
         label = "Hom(M, N)"
     else:
         sk2, pt2, n = sk, pt, m
@@ -497,7 +523,7 @@ def cmd_invariant_check(args, pf, out):
     tops = _tops_from(args, pf)
     sk = _skeleton_from(args, alg, tops)
     ideal = chart_ideal(alg, sk)
-    pt = _parse_point(args.point, ideal.nvars, alg.field)
+    pt = _parse_point(args.point, ideal.nvars, alg.field, "--point")
     point = submodule_from_point(alg, sk, pt)
     report = point_report(alg, point)
     if args.json:
@@ -778,6 +804,8 @@ def main(argv=None, stdout=None):
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
+        if args.budget < 1:
+            raise SemanticError(f"--budget must be at least 1, got {args.budget}")
         pf = parse_problem(text)
         return COMMANDS[args.command](args, pf, out)
     except InputError as exc:

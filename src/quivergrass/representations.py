@@ -47,6 +47,7 @@ class ProjectiveCover:
         self._rep = None
         self._end_dim: Optional[int] = None
         self._radical_rows: Dict[int, Tuple[Tuple[object, ...], ...]] = {}
+        self._jp_path_vectors: Dict[Path, Tuple[object, ...]] = {}
 
     @property
     def dim(self):
@@ -72,6 +73,15 @@ class ProjectiveCover:
         """Full-P coordinates of the normal form of a path starting at a top
         vertex, in the (last) slot of that vertex."""
         return self.vector_of(self.slot_of[p.start], self.alg.nf_path(p))
+
+    def jp_path_vector(self, p: Path):
+        """JP coordinates of the normal form of a path of positive length
+        starting at a top vertex, as a tuple computed once per path."""
+        out = self._jp_path_vectors.get(p)
+        if out is None:
+            vec = self.path_vector(p)
+            out = self._jp_path_vectors[p] = tuple(vec[c] for c in self.jp_cols)
+        return out
 
     def element_of(self, vec) -> List[Tuple[int, AlgElement]]:
         """Per-slot algebra elements of a full-P vector."""
@@ -162,18 +172,15 @@ class ProjectiveCover:
         return self._end_dim
 
     def radical_rows(self, m: int):
-        """Canonical echelon rows (full-P coordinates) of J^m P."""
+        """Canonical echelon rows (JP coordinates) of J^m P, for m >= 1."""
         rows = self._radical_rows.get(m)
         if rows is None:
-            f = self.alg.field
-            ech = Echelon(f, self.dim)
+            ech = Echelon(self.alg.field, self.dim_jp)
             if m <= self.alg.loewy_bound:
                 for s, v in enumerate(self.slots):
                     for q in all_paths(self.alg.quiver, self.alg.loewy_bound, start=v):
                         if q.length >= m:
-                            img = self.alg.nf_path(q)
-                            if not img.is_zero():
-                                ech.add(self.vector_of(s, img))
+                            ech.add(self.full_to_jp(self.vector_of(s, self.alg.nf_path(q))))
             rows = ech.snapshot()
             self._radical_rows[m] = rows
         return rows

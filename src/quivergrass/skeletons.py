@@ -4,16 +4,19 @@ A skeleton with top T is a set of d paths of length <= L, one tree per top
 vertex, containing the lazy paths and closed under right subpaths.  Critical
 pairs (alpha, p) with alpha*p outside the skeleton carry the chart
 coordinates; routes decide which paths can survive the rewriting.
+`skeleton_expander` is the one elimination, deepest layer first, that decides
+whether a skeleton indexes a chart containing a submodule C (with C = 0 it
+prunes the enumeration) and from which the chart coordinates are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import TopMismatchError, TopNotSquarefreeError
-from .linalg import Echelon, identity, mat_vec
+from .linalg import Echelon, Expander, identity, mat_vec
 from .presentation import AlgebraPresentation, Path
 from .representations import (
     ProjectiveCover,
@@ -45,7 +48,7 @@ class Skeleton:
         return self._layers.get(l, ())
 
     def max_length(self):
-        return max(p.length for p in self.paths)
+        return max(self._layers)
 
     @cached_property
     def lengths_by_end(self) -> Dict[int, Tuple[int, ...]]:
@@ -90,7 +93,8 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
 
     Growth adds paths in increasing path order, which visits each
     prefix-closed set exactly once.  With prune on, skeletons whose length-l
-    layer is linearly dependent modulo J^{l+1}P are dropped.
+    layer is linearly dependent modulo J^{l+1}P are dropped (the pass of
+    `skeleton_expander` with C = 0).
     """
     tops = tuple(tops)
     if len(set(tops)) != len(tops):
@@ -102,11 +106,13 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
     roots = tuple(Path(v) for v in tops)
     key = alg.path_key
     results: List[Skeleton] = []
-
-    def grow(current: Tuple[Path, ...], last_key):
+    # depth first, children in path order: a stack of (paths, key of the last)
+    stack = [(roots, max(key(r) for r in roots))] if roots else []
+    while stack:
+        current, last_key = stack.pop()
         if len(current) == d:
             results.append(Skeleton(tops, tuple(sorted(current, key=key))))
-            return
+            continue
         candidates = set()
         for p in current:
             if p.length >= alg.loewy_bound:
@@ -115,34 +121,34 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
                 q = p.extended_by(a)
                 if q not in current and key(q) > last_key:
                     candidates.add(q)
-        for q in sorted(candidates, key=key):
-            grow(current + (q,), key(q))
-
-    if roots:
-        grow(roots, max(key(r) for r in roots))
+        for q in reversed(sorted(candidates, key=key)):
+            stack.append((current + (q,), key(q)))
     if prune:
         cover = ProjectiveCover(alg, tops)
-        results = [sk for sk in results if layers_independent(alg, cover, sk)]
+        results = [sk for sk in results if skeleton_expander(cover, sk) is not None]
     return results
 
 
-def layers_independent(alg, cover: ProjectiveCover, sk: Skeleton, modulo: Sequence = ()) -> bool:
-    """Whether every length-l layer of sk is linearly independent modulo
-    J^{l+1}P plus the span of the full-P rows in modulo."""
-    f = alg.field
-    for l in range(sk.max_length() + 1):
-        layer = sk.of_length(l)
-        if not layer:
-            continue
-        ech = Echelon(f, cover.dim)
+def skeleton_expander(cover: ProjectiveCover, sk: Skeleton, c_rows: Sequence = ()) -> Optional[Expander]:
+    """One elimination over JP deciding whether sk is a skeleton of P/C.
+
+    Adds the rows of C, then for l from the longest length down to 1 the rows
+    of J^{l+1}P and the length-l paths.  Longer paths lie in J^{l+1}P, so a
+    path is accepted iff its layer stays independent modulo C + J^{l+1}P
+    (the length-0 tops always do); None at the first path refused.  When all
+    are accepted and |sk| = dim P/C, no J row is: the Expander holds C, then
+    the positive-length paths, longest first, ready to express coordinates.
+    """
+    exp = Expander(cover.alg.field, cover.dim_jp)
+    for row in c_rows:
+        exp.add(row)
+    for l in range(sk.max_length(), 0, -1):
         for row in cover.radical_rows(l + 1):
-            ech.add(row)
-        for row in modulo:
-            ech.add(row)
-        for p in layer:
-            if not ech.add(cover.path_vector(p)):
-                return False
-    return True
+            exp.add(row)
+        for p in sk.of_length(l):
+            if not exp.add(cover.jp_path_vector(p)):
+                return None
+    return exp
 
 
 @dataclass(frozen=True)
@@ -188,7 +194,7 @@ def critical_pairs(alg: AlgebraPresentation, sk: Skeleton, omit_ideal: bool = Tr
     return out
 
 
-def is_route(alg: AlgebraPresentation, path: Path, sk: Skeleton) -> bool:
+def is_route(path: Path, sk: Skeleton) -> bool:
     """Whether the skeleton shadows the path with strictly longer paths
     ending at its successive vertices.
 
@@ -198,7 +204,6 @@ def is_route(alg: AlgebraPresentation, path: Path, sk: Skeleton) -> bool:
     if path.start not in sk.tops:
         return False
     by_end = sk.lengths_by_end
-    need = 0  # next path must have length > previous, starting from length 0
     itinerary = path.vertex_itinerary()
     if 0 not in by_end.get(itinerary[0], ()):
         return False

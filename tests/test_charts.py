@@ -1,6 +1,8 @@
 """Chart rewriting, chart ideals, and the point/submodule dictionary."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from fractions import Fraction
@@ -15,6 +17,8 @@ from quivergrass import (
     SkeletonMismatchError,
     SubmodulePoint,
     chart_ideal,
+    cross_validate_chart,
+    enumerate_points,
     enumerate_skeletons,
     has_skeleton,
     make_skeleton,
@@ -29,10 +33,11 @@ from quivergrass import (
 )
 from quivergrass import polynomials as poly
 from quivergrass.charts import chart_context, ideal_generators
-from quivergrass.linalg import mat_mul, is_invertible
+from quivergrass.linalg import Echelon, Expander, mat_mul, is_invertible, rref
 from quivergrass.presentation import all_paths
+from quivergrass.skeletons import skeleton_expander
 
-from algebras import catalogue, loop_arrow, path_of, simple_tops, two_loop_fork
+from algebras import catalogue, loop_arrow, merge, path_of, simple_tops, two_loop_fork
 
 
 @pytest.fixture(scope="module")
@@ -394,3 +399,137 @@ def test_chart_soundness_at_points():
                         gvec = [f.add(a, b) for a, b in zip(gvec, vec)]
                     diff = [f.sub(a, b) for a, b in zip(gvec, acc)]
                     assert pt.contains_full(diff) or all(x == f.zero for x in diff)
+
+
+# Reference for chart membership and chart coordinates, by the definition:
+# sk is a skeleton of P/C iff, for every l, its length-l paths are
+# independent modulo J^{l+1}P + C (one echelon per layer, in full-P
+# coordinates); the coordinates are the expansions of the critical products
+# over C followed by the skeleton paths.
+
+
+def _radical_rows_full(cover):
+    """Echelon rows of J^m P in full-P coordinates, for m = 1..L+1."""
+    alg = cover.alg
+    out = {}
+    for m in range(1, alg.loewy_bound + 2):
+        ech = Echelon(alg.field, cover.dim)
+        for s, v in enumerate(cover.slots):
+            for q in all_paths(alg.quiver, alg.loewy_bound, start=v):
+                if q.length >= m:
+                    ech.add(cover.vector_of(s, alg.nf_path(q)))
+        out[m] = ech.rows
+    return out
+
+
+def _layer_test(cover, c_rows, radical_rows):
+    """The layer condition for one C, as a function of sk.  The skeletons of
+    a scene share their layers, so the verdict is kept per layer: paths of
+    length l are independent modulo J^{l+1}P + C iff their residuals
+    modulo that span are."""
+    f = cover.alg.field
+    spans, verdicts = {}, {}
+
+    def independent(layer):
+        if layer not in verdicts:
+            l = layer[0].length
+            if l not in spans:
+                spans[l] = rref(f, list(radical_rows[l + 1]) + list(c_rows), cover.dim)
+            ech = Echelon(f, cover.dim)
+            verdicts[layer] = all(ech.add(spans[l].residual(cover.path_vector(p))) for p in layer)
+        return verdicts[layer]
+
+    def layers_independent(sk):
+        return all(independent(sk.of_length(l)) for l in range(sk.max_length() + 1) if sk.of_length(l))
+
+    return layers_independent
+
+
+def _reference_coordinates(alg, sk, point, layers_independent):
+    """Chart coordinates of point on sk, or None when sk is not a skeleton
+    of the quotient."""
+    cover = point.cover
+    f = alg.field
+    if tuple(cover.slots) != tuple(sk.tops) or point.quotient_dim != sk.dim:
+        return None
+    if not layers_independent(sk):
+        return None
+    exp = Expander(f, cover.dim)
+    for row in point.rows:
+        exp.add(cover.jp_to_full(row))
+    n_c = exp.rank
+    assert all(exp.add(cover.path_vector(p)) for p in sk.paths)
+    ctx = chart_context(alg, sk)
+    coords = [f.zero] * ctx.nvars
+    for cp in ctx.pairs:
+        combo = exp.express(cover.path_vector(cp.product))
+        for p, c in zip(sk.paths, combo[n_c:]):
+            if c != f.zero:
+                coords[ctx.var_index[(cp.product, p)]] = c  # KeyError if ineligible
+    return tuple(coords)
+
+
+def _membership_configs():
+    """Every catalogue algebra at each simple top, plus merge at (1, 2)."""
+    out = [("merge", merge(), (1, 2))]
+    for name, alg in catalogue().items():
+        out.extend((name, alg, (v,)) for v in simple_tops(alg))
+    return out
+
+
+def test_chart_membership_and_coordinates_match_layer_definition():
+    n_on = 0
+    for name, alg, tops in _membership_configs():
+        for prime in (2, 3):
+            alg_p = with_field(alg, GF(prime))
+            dim_p = sum(1 for p in alg_p.basis if p.start in tops)
+            for d in range(1, dim_p + 1):
+                scene = enumerate_points(alg_p, tops, d)
+                if len(scene.points) > 300:
+                    continue
+                sks = enumerate_skeletons(alg_p, tops, d)
+                radical_rows = _radical_rows_full(scene.cover)
+                for i, pt in enumerate(scene.points):
+                    c_rows = [scene.cover.jp_to_full(row) for row in pt.rows]
+                    layers_independent = _layer_test(scene.cover, c_rows, radical_rows)
+                    for j, sk in enumerate(sks):
+                        label = (name, tops, prime, d, i, j)
+                        ref = _reference_coordinates(alg_p, sk, pt, layers_independent)
+                        assert has_skeleton(alg_p, pt, sk) == (ref is not None), label
+                        if ref is None:
+                            with pytest.raises(SkeletonMismatchError):
+                                point_from_submodule(alg_p, sk, pt)
+                            continue
+                        n_on += 1
+                        assert point_from_submodule(alg_p, sk, pt) == ref, label
+                        # no J^{l+1}P row is accepted: C, then the paths of length >= 1
+                        exp = skeleton_expander(pt.cover, sk, pt.rows)
+                        assert exp.rank == pt.rank + sk.dim - len(tops), label
+    assert n_on > 1000
+
+
+def test_pruned_skeletons_match_layer_definition():
+    for name, alg, tops in _membership_configs():
+        cover = ProjectiveCover(alg, tops)
+        layers_independent = _layer_test(cover, (), _radical_rows_full(cover))
+        for d in range(1, cover.dim + 1):
+            kept = [sk for sk in enumerate_skeletons(alg, tops, d) if layers_independent(sk)]
+            assert enumerate_skeletons(alg, tops, d, prune=True) == kept, (name, tops, d)
+
+
+def test_algebra_is_freed_without_the_cycle_collector():
+    """Chart contexts live on their algebra, so nothing they hold may point
+    back at it: with the collector off, the algebra dies with its last name."""
+    gc.disable()
+    try:
+        alg = with_field(two_loop_fork(), GF(2))
+        ref = weakref.ref(alg)
+        sks = enumerate_skeletons(alg, (1,), 3, prune=True)
+        scene = enumerate_points(alg, (1,), 3)
+        for sk in sks:
+            chart_ideal(alg, sk)
+            assert cross_validate_chart(scene, sk).matched
+        del alg, scene, sks, sk
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -106,6 +106,34 @@ def test_parse_rejects_zero_exponent(relation):
     assert err.value.line == 7
 
 
+HUGE = "9" * 5000  # past Python's 4300-digit limit on int() of a string
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("w^2", "w^" + HUGE),
+        ("loewy: 2", "loewy: " + HUGE),
+        ("dim: 3", "dim: " + HUGE),
+        ("a: 1 -> 2", "a: 1 -> " + HUGE),
+        ("w^2", "w^2, e" + HUGE),
+        ("w^2", HUGE + "*w^2"),
+        ("w^2", "1/0*w^2"),
+        ("loewy: 2", "loewy: \u00b2"),
+    ],
+    ids=["relation-exponent", "loewy", "dim", "arrow-vertex", "relation-vertex",
+         "coefficient", "zero-denominator", "superscript-loewy"],
+)
+def test_bad_numbers_in_problem_file_exit_2(problem_file, capsys, old, new):
+    text = LOOP_ARROW_TEXT.replace(old, new)
+    with pytest.raises(ParseError):
+        parse_problem(text)
+    code, out = run_cli(["layering", problem_file(text)])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and len(err) < 200
+
+
 def test_semantic_error_unknown_arrow():
     bad = LOOP_ARROW_TEXT.replace("w^2", "z*w")
     with pytest.raises(SemanticError) as err:
@@ -277,11 +305,15 @@ def test_cli_layering_repeated_top_exit_2(problem_file, capsys):
         ["chart", "--skeleton", "e1,w^2000000"],
         ["chart", "--skeleton", "e1,w^99999999999999"],
         ["local-type", "--field", "F3"],
+        ["enumerate", "--field", "F2", "--dim", "2", "--budget", "-5"],
+        ["enumerate", "--field", "F2", "--dim", "2", "--budget", "0"],
+        ["chart", "--skeleton", "e1,w^" + HUGE],
     ],
     ids=["unknown-top", "non-integer-top", "zero-denominator", "non-numeric-point",
          "negative-dim-skeletons", "negative-dim-enumerate", "repeated-skeleton-path",
          "skeleton-not-prefix-closed", "skeleton-misses-lazy-path", "zero-exponent",
-         "huge-exponent", "huger-exponent", "local-type-field"],
+         "huge-exponent", "huger-exponent", "local-type-field", "negative-budget",
+         "zero-budget", "exponent-past-digit-limit"],
 )
 def test_cli_bad_flag_values_exit_2(problem_file, capsys, argv):
     path = problem_file(LOOP_ARROW_TEXT)
@@ -301,6 +333,13 @@ def test_cli_flag_errors_name_the_flag(problem_file, capsys):
     assert "--skeleton2" in err and "line 0" not in err
     code, _ = run_cli(["local-type", path, "--field", "F3"])
     assert code == 2 and "-q" in capsys.readouterr().err
+    sk = "e1,w,a*w"
+    code, _ = run_cli(["hom", path, "--skeleton", sk, "--point", "0", "--skeleton2", sk, "--point2", "x"])
+    assert code == 2 and "--point2" in capsys.readouterr().err
+    code, _ = run_cli(["hom", path, "--skeleton", sk, "--point", "0,1", "--skeleton2", sk])
+    assert code == 2 and "--point " in capsys.readouterr().err
+    code, _ = run_cli(["enumerate", path, "--field", "F2", "--dim", "2", "--budget", "-5"])
+    assert code == 2 and "--budget" in capsys.readouterr().err
 
 
 FLAG_TOKENS = ["e1", "e2", "w", "a", "w^0", "w^1", "w^2", "w^3", "*", ",", "1/0"]

@@ -133,9 +133,9 @@ def test_routes_two_loop_fork():
     )
     for i in ("w1", "w2"):
         for j in ("w1", "w2"):
-            assert not is_route(alg, path_of(q, j, i), sk)
+            assert not is_route(path_of(q, j, i), sk)
     for p in sk.paths:
-        assert is_route(alg, p, sk)
+        assert is_route(p, sk)
 
 
 def test_routes_loop_arrow():
@@ -144,14 +144,14 @@ def test_routes_loop_arrow():
     aw = path_of(q, "w", "a")
     sk1 = make_skeleton(alg, (1,), [Path(1), path_of(q, "w"), path_of(q, "a")])
     sk2 = make_skeleton(alg, (1,), [Path(1), path_of(q, "w"), aw])
-    assert not is_route(alg, aw, sk1)
-    assert is_route(alg, aw, sk2)
+    assert not is_route(aw, sk1)
+    assert is_route(aw, sk2)
 
 
 def test_route_from_non_top_vertex():
     alg = loop_arrow()
     sk = enumerate_skeletons(alg, (1,), 3)[0]
-    assert not is_route(alg, Path(2), sk)
+    assert not is_route(Path(2), sk)
 
 
 def test_non_route_extension_stays_non_route():
@@ -161,10 +161,10 @@ def test_non_route_extension_stays_non_route():
 
     for sk in enumerate_skeletons(alg, (1,), 3):
         for u in all_paths(q, 2, start=1):
-            if is_route(alg, u, sk):
+            if is_route(u, sk):
                 continue
             for a in q.arrows_from(u.end):
-                assert not is_route(alg, u.extended_by(a), sk)
+                assert not is_route(u.extended_by(a), sk)
 
 
 def test_compatible_examples():
