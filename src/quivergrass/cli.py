@@ -24,11 +24,13 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from . import polynomials as poly
 from .charts import chart_context, chart_ideal, module_from_point, submodule_from_point
 from .errors import (
+    AdmissibilityError,
     InputError,
     ParseError,
     QuivergrassError,
@@ -81,7 +83,29 @@ class ProblemFile:
             AlgElement(field, {p: field.coerce(c) for p, c in r.terms.items()})
             for r in self.relations
         ]
+        # build_algebra's check, made while the long terms are there to name
+        for rel in rels:
+            if not rel.is_zero() and rel.min_length() < 2:
+                raise AdmissibilityError(f"relation {rel.render()} has a term of length < 2")
+        rels = [AlgElement(field, {p: c for p, c in r.terms.items() if isinstance(p, Path)}) for r in rels]
         return build_algebra(self.quiver, rels, self.loewy, field, tops=self.tops)
+
+
+@dataclass(frozen=True)
+class LongPath:
+    """A relation term longer than loewy + 1, which is zero in the algebra,
+    kept as (arrow name, exponent) runs in application order so that it is
+    never expanded; only its rendering, as Path.render, spells it out."""
+
+    start: int
+    runs: Tuple[Tuple[str, int], ...]
+
+    @property
+    def length(self):
+        return sum(n for _, n in self.runs)
+
+    def render(self) -> str:
+        return "*".join(name for name, n in reversed(self.runs) for _ in range(n))
 
 
 _TERM_RE = re.compile(r"^(?:(-?\d+(?:/\d+)?)\s*\*\s*)?([A-Za-z_][A-Za-z_0-9]*(?:\s*(?:\*|\^)\s*[A-Za-z_0-9]+)*)$")
@@ -115,9 +139,9 @@ def _parse_arrow_decl(chunk: str, lineno: int) -> Tuple[str, int, int]:
     return m.group(1), _decimal(m.group(2), "vertex", lineno), _decimal(m.group(3), "vertex", lineno)
 
 
-def _expand_powers(text: str, lineno, bound) -> List[str]:
-    """Split a product like a*w^2 into factor names in written order.  With a
-    bound, a product of more factors is refused before it is expanded."""
+def _factor_runs(text: str, lineno, bound) -> List[Tuple[str, int]]:
+    """Split a product like a*w^2 into (factor name, exponent) runs in
+    written order.  With a bound, a product of more factors is refused."""
     powers = []
     for raw in text.split("*"):
         raw = raw.strip()
@@ -133,35 +157,49 @@ def _expand_powers(text: str, lineno, bound) -> List[str]:
         powers.append((name.strip(), n))
     if bound is not None and sum(n for _, n in powers) > bound:
         raise SemanticError(f"path {_shown(text)} exceeds length {bound}", lineno)
-    return [name for name, n in powers for _ in range(n)]
+    return powers
 
 
-def parse_path(text: str, quiver: Quiver, lineno=None, bound=None) -> Path:
-    """Parse a path: e<k> or a product of arrow names, right to left.  A
-    path longer than bound is refused before its powers are expanded."""
+def _path_runs(text: str, quiver: Quiver, lineno, bound):
+    """A path e<k> or a product of arrow names, right to left, as its start
+    vertex and its (arrow, exponent) runs in application order.  Names and
+    composition are checked on the runs, so no power is expanded."""
     text = text.strip()
     m = re.match(r"^e(\d+)$", text)
     if m:
         v = _decimal(m.group(1), "vertex", lineno)
         if v not in quiver.vertex_index:
             raise SemanticError(f"unknown vertex {v}", lineno)
-        return Path(v)
-    names = _expand_powers(text, lineno, bound)
-    arrows = []
-    for name in reversed(names):  # application order
+        return v, []
+    runs = []
+    for name, n in reversed(_factor_runs(text, lineno, bound)):  # application order
         if name not in quiver.arrow_by_name:
             raise SemanticError(f"unknown arrow {name!r}", lineno)
-        arrows.append(quiver.arrow_by_name[name])
-    for prev, nxt in zip(arrows, arrows[1:]):
-        if prev.target != nxt.source:
-            raise SemanticError(
-                f"arrows {nxt.name} and {prev.name} do not compose", lineno
-            )
-    return Path(arrows[0].source, tuple(arrows))
+        runs.append((quiver.arrow_by_name[name], n))
+    prev = None
+    for arrow, n in runs:
+        if prev is not None and prev.target != arrow.source:
+            raise SemanticError(f"arrows {arrow.name} and {prev.name} do not compose", lineno)
+        if n > 1 and arrow.target != arrow.source:
+            raise SemanticError(f"arrows {arrow.name} and {arrow.name} do not compose", lineno)
+        prev = arrow
+    return runs[0][0].source, runs
 
 
-def _parse_relation(text: str, quiver: Quiver, lineno: int) -> AlgElement:
-    """Parse a sum of terms over Q; coefficients are coerced later."""
+def _expanded(start, runs) -> Path:
+    return Path(start, tuple(a for a, n in runs for _ in range(n)))
+
+
+def parse_path(text: str, quiver: Quiver, lineno=None, bound=None) -> Path:
+    """Parse a path: e<k> or a product of arrow names, right to left.  A
+    path longer than bound is refused before its powers are expanded."""
+    return _expanded(*_path_runs(text, quiver, lineno, bound))
+
+
+def _parse_relation(text: str, quiver: Quiver, lineno: int, loewy: int) -> AlgElement:
+    """Parse a sum of terms over Q; coefficients are coerced later.  A term
+    longer than loewy + 1 is the zero path (build_algebra truncates there),
+    so it is checked on its runs and kept as a LongPath."""
     text = text.strip()
     if not text:
         raise ParseError("empty relation", lineno)
@@ -193,7 +231,12 @@ def _parse_relation(text: str, quiver: Quiver, lineno: int) -> AlgElement:
             coeff = Fraction(m.group(1) or 1)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad coefficient {_shown(m.group(1))}", lineno)
-        path = parse_path(m.group(2).replace(" ", ""), quiver, lineno)
+        start, runs = _path_runs(m.group(2).replace(" ", ""), quiver, lineno, None)
+        if sum(n for _, n in runs) > loewy + 1:
+            merged = tuple((a.name, sum(n for _, n in g)) for a, g in groupby(runs, lambda r: r[0]))
+            path = LongPath(start, merged)
+        else:
+            path = _expanded(start, runs)
         out[path] = out.get(path, Fraction(0)) + sgn * coeff
     return AlgElement(QQ, out)
 
@@ -272,7 +315,7 @@ def parse_problem(text: str) -> ProblemFile:
         for piece in chunk.split(","):
             piece = piece.strip()
             if piece:
-                relations.append(_parse_relation(piece, quiver, lineno))
+                relations.append(_parse_relation(piece, quiver, lineno, loewy))
     return ProblemFile(quiver, relations, loewy, field_tag, tops, dim)
 
 

@@ -3,7 +3,9 @@
 Full invariance of a submodule point decides the absence of proper
 top-stable degenerations of its quotient; the quiver-level test for a simple
 top checks whether products lambda*omega stay in the cyclic left module of
-lambda.  Orbit dimensions come from homomorphism-space dimensions.
+lambda.  Orbit dimensions come from Yoneda: End(M) for M = P/C is the
+space K of tuples (x_s), x_s in M_{v_s}, that C kills, and Hom(M, JM) is
+its part with zero length-0 coordinates.
 """
 
 from __future__ import annotations
@@ -13,17 +15,15 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import OracleScaleError, TopNotSquarefreeError
-from .linalg import Echelon
+from .linalg import Echelon, rref
 from .presentation import AlgElement, AlgebraPresentation, Path, all_paths, with_field
 from .fields import GF
 from .representations import (
     ProjectiveCover,
     SubmodulePoint,
-    hom_dim,
-    multiplicity_mu,
+    end_kernel,
+    generator_coordinates,
     quotient_rep,
-    radical_submodule,
-    submodule_as_rep,
 )
 
 
@@ -99,34 +99,37 @@ def is_fully_invariant(alg: AlgebraPresentation, point: SubmodulePoint) -> Invar
     return InvarianceResult(True)
 
 
+def _top_dims(alg: AlgebraPresentation, point: SubmodulePoint):
+    """(sum_s dim M_{v_s}, dim End(M), dim Hom(M, JM)) for M = P/C, the
+    last being the vectors of end_kernel with zero generator coordinates."""
+    coords = [c for m in generator_coordinates(point, point) for row in m for c in row]
+    kernel = end_kernel(alg, point)
+    top_rank = rref(alg.field, [[x[c] for c in coords] for x in kernel], len(coords)).rank
+    m = quotient_rep(alg, point)
+    return sum(m.dim_at(v) for v in point.cover.slots), len(kernel), len(kernel) - top_rank
+
+
 def orbit_dim(alg: AlgebraPresentation, point: SubmodulePoint) -> int:
-    """dim End(P) - dim Hom(P, C) - dim End(P/C)."""
-    cover = point.cover
-    rep_p = cover.as_representation()
-    rep_c = submodule_as_rep(point)
-    rep_m = quotient_rep(alg, point)
-    return cover.end_dim() - hom_dim(rep_p, rep_c) - hom_dim(rep_m, rep_m)
+    """dim End(P) - dim Hom(P, C) - dim End(P/C) = sum_s dim M_{v_s} - dim K."""
+    at_slots, end_m, _ = _top_dims(alg, point)
+    return at_slots - end_m
 
 
 def unipotent_orbit_dim(alg: AlgebraPresentation, point: SubmodulePoint) -> int:
-    """dim Hom(P, JM) - dim Hom(M, JM) for M = P/C."""
-    cover = point.cover
-    rep_p = cover.as_representation()
-    rep_m = quotient_rep(alg, point)
-    rep_jm = radical_submodule(rep_m)
-    return hom_dim(rep_p, rep_jm) - hom_dim(rep_m, rep_jm)
+    """dim Hom(P, JM) - dim Hom(M, JM) for M = P/C; (JM)_{v_s} is M_{v_s}
+    less the generators of the slots at v_s."""
+    at_slots, _, hom_m_jm = _top_dims(alg, point)
+    return at_slots - sum(len(g) ** 2 for g in point.cover.slot_groups) - hom_m_jm
 
 
 def top_multiplicity_criterion(alg, point) -> bool:
     """Numeric half of the singleton-orbit criterion: the multiplicity of the
-    top simples among the composition factors equals t + dim Hom(M, JM)."""
+    top simples in M, sum_s dim M_{v_s}, equals t + dim Hom(M, JM)."""
     cover = point.cover
     if not cover.squarefree:
         raise TopNotSquarefreeError("the criterion needs a squarefree top")
-    rep_m = quotient_rep(alg, point)
-    rep_jm = radical_submodule(rep_m)
-    t = len(cover.slots)
-    return multiplicity_mu(rep_m, cover.slots) == t + hom_dim(rep_m, rep_jm)
+    mu, _, hom_m_jm = _top_dims(alg, point)
+    return mu == len(cover.slots) + hom_m_jm
 
 
 @dataclass(frozen=True)

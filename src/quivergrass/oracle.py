@@ -13,10 +13,10 @@ on JP by a sparse right multiplication.  A group element is a coefficient
 vector over that basis.  One orbit loop moves a point's rows by such
 vectors: by every group element when the group fits the budget (exhaustive
 scan), else by the one-parameter generators 1 + c*b, closing each orbit
-breadth first (generator BFS).  Isomorphism classes are found by Hom scans
-only between points with equal exact invariants (radical layering and
-path-action ranks).  Everything is exact and deterministic; budgets guard
-against blowups.
+breadth first (generator BFS).  Isomorphism is decided through Yoneda (see
+`iso_classes`), only between points with equal exact invariants (radical
+layering and path-action ranks).  Everything is exact and deterministic;
+budgets guard against blowups.
 """
 
 from __future__ import annotations
@@ -33,14 +33,15 @@ from .charts import (
     submodule_from_point,
 )
 from .errors import OracleScaleError, TopNotSquarefreeError
-from .linalg import Echelon, is_invertible
+from .linalg import Echelon, is_invertible, rref
 from .presentation import AlgebraPresentation
 from .representations import (
     ProjectiveCover,
     Representation,
     SemisimpleSequence,
     SubmodulePoint,
-    hom_basis,
+    generator_coordinates,
+    hom_from_quotient,
     path_ranks,
     quotient_rep,
     radical_layering,
@@ -97,7 +98,6 @@ class OracleScene:
         self.cover = cover
         self.points: Tuple[SubmodulePoint, ...] = tuple(points)
         self.config = config
-        self._quotients: Dict[int, Representation] = {}
         self._layerings: Optional[List[SemisimpleSequence]] = None
         self._orbits = None
         self._orbit_provenance = None
@@ -113,11 +113,7 @@ class OracleScene:
         return len(set(self.tops)) == len(self.tops)
 
     def quotient(self, i) -> Representation:
-        rep = self._quotients.get(i)
-        if rep is None:
-            rep = quotient_rep(self.alg, self.points[i])
-            self._quotients[i] = rep
-        return rep
+        return quotient_rep(self.alg, self.points[i])
 
     def layerings(self) -> List[SemisimpleSequence]:
         if self._layerings is None:
@@ -218,8 +214,8 @@ def _end_basis(cover: ProjectiveCover):
     """Path basis of End(P): triples (r, s, p) sending the generator of slot
     r to p times the generator of slot s, for every basis path p from the
     vertex of slot s to the vertex of slot r.  The unit triples (length 0)
-    come first, block by block of `_unit_blocks`; the radical triples follow
-    in (r, s, path) order."""
+    come first, group by group of `cover.slot_groups`; the radical triples
+    follow in (r, s, path) order."""
     triples = [
         (r, s, p)
         for r, vr in enumerate(cover.slots)
@@ -243,19 +239,10 @@ def _right_action(cover: ProjectiveCover, triple):
     return act
 
 
-def _unit_blocks(cover: ProjectiveCover):
-    """Slots grouped by vertex; the unit part of an endomorphism is one
-    invertible matrix per group."""
-    groups: Dict[int, List[int]] = {}
-    for s, v in enumerate(cover.slots):
-        groups.setdefault(v, []).append(s)
-    return [tuple(slots) for _, slots in sorted(groups.items(), key=lambda t: cover.alg.quiver.vertex_index[t[0]])]
-
-
 def group_size(cover: ProjectiveCover) -> int:
     q = cover.alg.field.char
     size = q ** sum(1 for _, _, p in _end_basis(cover) if p.length >= 1)
-    for block in _unit_blocks(cover):
+    for block in cover.slot_groups:
         t = len(block)
         gl = 1
         for i in range(t):
@@ -308,7 +295,7 @@ def _orbit_partition(scene: OracleScene, unipotent_only: bool):
     else:
         units = [[identity]] if unipotent_only else [
             [tuple(c for row in m for c in row) for m in _all_invertible(f, len(b))]
-            for b in _unit_blocks(cover)
+            for b in cover.slot_groups
         ]
         moves = lambda: (
             sum(unit, ()) + rad
@@ -378,36 +365,32 @@ def unipotent_orbits(scene: OracleScene):
 
 
 def _modules_isomorphic(scene: OracleScene, i, j) -> bool:
-    f = scene.alg.field
-    m, n = scene.quotient(i), scene.quotient(j)
-    basis = hom_basis(m, n)
-    if not basis:
-        return m.dim == 0
-    if len(basis) > 0 and f.char ** len(basis) > scene.config.hom_budget:
+    """Whether P/C_i is isomorphic to N = P/C_j: of equal dimension, with some
+    x in K(C_i, N) whose generator matrices are all invertible."""
+    if scene.quotient(i).dim != scene.quotient(j).dim:
+        return False
+    kernel = hom_from_quotient(scene.points[i], scene.quotient(j))
+    tops = generator_coordinates(scene.points[i], scene.points[j])
+    return _generates(scene.alg.field, kernel, tops, scene.squarefree, scene.config.hom_budget)
+
+
+def _generates(f, kernel, tops, squarefree, budget) -> bool:
+    """Whether some x in the span of kernel has each matrix of tops (lists of
+    positions in x) invertible.  For a squarefree top on t <= q vertices these
+    are t coordinates, and if each is nonzero on some vector of the span, all
+    are on one (F_q^n is no union of q proper subspaces); else the span is
+    scanned behind budget on q^{dim}."""
+    if squarefree and len(tops) <= f.char:
+        return all(any(x[c] != f.zero for x in kernel) for [[c]] in tops)
+    if not kernel:
+        return False
+    if f.char ** len(kernel) > budget:
         raise OracleScaleError("hom-space scan exceeds the budget")
-    vs = scene.alg.quiver.vertices
-    elems = list(f.elements())
-    for coeffs in itertools.product(elems, repeat=len(basis)):
-        if all(c == f.zero for c in coeffs):
-            continue
-        ok = True
-        for v in vs:
-            nv, mv = n.dim_at(v), m.dim_at(v)
-            if nv != mv:
-                ok = False
-                break
-            mat = [[f.zero] * mv for _ in range(nv)]
-            for c, h in zip(coeffs, basis):
-                if c == f.zero:
-                    continue
-                hm = h[v]
-                for a in range(nv):
-                    for b in range(mv):
-                        mat[a][b] = f.add(mat[a][b], f.mul(c, hm[a][b]))
-            if not is_invertible(f, mat, nv):
-                ok = False
-                break
-        if ok:
+    for coeffs in itertools.product(list(f.elements()), repeat=len(kernel)):
+        x = [f.zero] * len(kernel[0])
+        for c, k in zip(coeffs, kernel):
+            x = [f.add(a, f.mul(c, b)) for a, b in zip(x, k)]
+        if all(rref(f, [[x[c] for c in row] for row in m], len(m)).rank == len(m) for m in tops):
             return True
     return False
 
@@ -416,11 +399,12 @@ def iso_classes(scene: OracleScene):
     """Partition of the points into isomorphism classes of their quotients,
     sorted by least point.
 
-    A point is compared by a Hom scan only with the class representatives
-    that share its key: the radical layering and the rank of every basis
-    path's action.  The key is exact, since an isomorphism phi: M -> N gives
-    N_p = phi_t M_p phi_s^-1 for every path p from s to t, and it fixes the
-    dimension vector (the ranks of the trivial paths).
+    By Yoneda, Hom(P/C_i, N) is the space K of tuples (x_s), x_s in N_{v_s},
+    that C_i kills, and P/C_i = N when some x in K generates N.  A point is
+    tested only against the class representatives sharing its key, the
+    radical layering and the rank of every basis path's action; the key is
+    exact, since an isomorphism phi: M -> N gives N_p = phi_t M_p phi_s^-1
+    for every path p from s to t, and it fixes the dimension vector.
     """
     if scene._iso is None:
         layerings = scene.layerings()

@@ -11,7 +11,8 @@ P into JP, and the test of whether a subspace of JP is a submodule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate, groupby
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotSubmoduleError, TopNotSquarefreeError
@@ -35,6 +36,8 @@ class ProjectiveCover:
         vi = alg.quiver.vertex_index
         self.slots = tuple(sorted(slots, key=vi.__getitem__))
         self.slot_of = {v: s for s, v in enumerate(self.slots)}
+        # the slots of each top vertex, in vertex order
+        self.slot_groups = tuple(tuple(g) for _, g in groupby(range(len(self.slots)), self.slots.__getitem__))
         self.basis: List[Tuple[int, Path]] = []
         for s, v in enumerate(self.slots):
             for p in alg.basis:
@@ -45,7 +48,6 @@ class ProjectiveCover:
         self.jp_index = {c: k for k, c in enumerate(self.jp_cols)}
         self._arrow_action: Dict[str, Dict[int, List[Tuple[int, object]]]] = {}
         self._rep = None
-        self._end_dim: Optional[int] = None
         self._radical_rows: Dict[int, Tuple[Tuple[object, ...], ...]] = {}
         self._jp_path_vectors: Dict[Path, Tuple[object, ...]] = {}
 
@@ -59,7 +61,7 @@ class ProjectiveCover:
 
     @property
     def squarefree(self):
-        return len(set(self.slots)) == len(self.slots)
+        return len(self.slot_groups) == len(self.slots)
 
     def vector_of(self, slot: int, x: AlgElement):
         """Full-P coordinates of an element of Lambda*e_{slot} (basis support)."""
@@ -165,11 +167,8 @@ class ProjectiveCover:
         return self._rep
 
     def end_dim(self) -> int:
-        """dim End(P), computed once."""
-        if self._end_dim is None:
-            rep_p = self.as_representation()
-            self._end_dim = hom_dim(rep_p, rep_p)
-        return self._end_dim
+        """dim End(P) = the sum over the slots s of dim P_{v_s} (Yoneda)."""
+        return sum(1 for v in self.slots for _, p in self.basis if p.end == v)
 
     def radical_rows(self, m: int):
         """Canonical echelon rows (JP coordinates) of J^m P, for m >= 1."""
@@ -218,6 +217,7 @@ class Representation:
     alg: AlgebraPresentation
     dims: Tuple[int, ...]
     mats: Dict[str, Tuple[Tuple[object, ...], ...]]
+    _paths: Dict[Path, tuple] = field(default_factory=dict, init=False, repr=False)  # by path_matrix
 
     @property
     def dim(self):
@@ -230,15 +230,14 @@ class Representation:
         return self.mats[arrow_name]
 
     def path_matrix(self, path: Path):
-        """Matrix of the path action, from the start block to the end block."""
-        f = self.alg.field
-        n = self.dim_at(path.start)
-        out = tuple(
-            tuple(f.one if i == j else f.zero for j in range(n)) for i in range(n)
-        )
-        for a in path.arrows:
-            out = mat_mul(f, self.mats[a.name], out, n)
-        return out
+        """Matrix of the path action, from the start block to the end block;
+        computed once per path, from the matrix of its prefix."""
+        if path not in self._paths:
+            f, n = self.alg.field, self.dim_at(path.start)
+            self._paths[path] = identity(f, n) if not path.arrows else mat_mul(
+                f, self.mats[path.arrows[-1].name], self.path_matrix(path.prefix(path.length - 1)), n
+            )
+        return self._paths[path]
 
     def __eq__(self, other):
         return (
@@ -292,6 +291,9 @@ class SubmodulePoint:
         self.cover = cover
         self.rows = tuple(tuple(r) for r in rows)
         self._ech = None
+        # P/C and a basis of End(P/C); quotient_rep drops a kernel it outdates
+        self._quotient: Optional[Representation] = None
+        self._end_kernel: Optional[list] = None
 
     @classmethod
     def from_rows(cls, cover: ProjectiveCover, raw_rows):
@@ -348,21 +350,6 @@ class SubmodulePoint:
                 return False
         return self.echelon().contains([vec[c] for c in self.cover.jp_cols])
 
-    def rows_per_vertex(self):
-        """Rows grouped by the end vertex carrying their support."""
-        f = self.alg.field
-        out = {v: [] for v in self.alg.quiver.vertices}
-        for r in self.rows:
-            ends = {
-                self.cover.basis[self.cover.jp_cols[k]][1].end
-                for k, c in enumerate(r)
-                if c != f.zero
-            }
-            if len(ends) != 1:
-                raise NotSubmoduleError("non-homogeneous row in a submodule point")
-            out[ends.pop()].append(r)
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, SubmodulePoint)
@@ -381,18 +368,26 @@ class SubmodulePoint:
         return "SubmodulePoint<" + "; ".join(elems) + ">"
 
 
-def quotient_rep(alg: AlgebraPresentation, point) -> Representation:
-    """The representation of P/C on the echelon-pivot complement basis of C."""
-    if not isinstance(point, SubmodulePoint):
-        raise NotSubmoduleError("expected a SubmodulePoint (use from_rows/from_elements)")
+def _quotient_blocks(point: SubmodulePoint):
+    """Per vertex, the columns of P off the pivots of C: the basis of P/C."""
     cover = point.cover
-    f = alg.field
-    ech = point.echelon()
-    pivot_cols = {cover.jp_cols[k] for k in ech.pivots}
-    blocks = {v: [] for v in alg.quiver.vertices}
+    pivot_cols = {cover.jp_cols[k] for k in point.echelon().pivots}
+    blocks = {v: [] for v in cover.alg.quiver.vertices}
     for i, (_, p) in enumerate(cover.basis):
         if i not in pivot_cols:
             blocks[p.end].append(i)
+    return blocks
+
+
+def quotient_rep(alg: AlgebraPresentation, point) -> Representation:
+    """P/C on the echelon-pivot complement basis of C, kept on the point."""
+    if not isinstance(point, SubmodulePoint):
+        raise NotSubmoduleError("expected a SubmodulePoint (use from_rows/from_elements)")
+    if point._quotient is not None and point._quotient.alg is alg:
+        return point._quotient
+    cover = point.cover
+    f = alg.field
+    ech = point.echelon()
 
     def column_action(arrow, col):
         img = [f.zero] * cover.dim_jp
@@ -401,7 +396,54 @@ def quotient_rep(alg: AlgebraPresentation, point) -> Representation:
         res = ech.residual(img)
         return [(cover.jp_cols[k], c) for k, c in enumerate(res) if c != f.zero]
 
-    return representation_on_blocks(alg, blocks, column_action)
+    point._quotient = representation_on_blocks(alg, _quotient_blocks(point), column_action)
+    point._end_kernel = None
+    return point._quotient
+
+
+def hom_from_quotient(point: SubmodulePoint, n: Representation):
+    """Canonical basis of Hom(P/C, N) by Yoneda: a map P -> N is the tuple
+    x = (x_s), x_s in N_{v_s}, of the images of the slot generators, here
+    flattened slot by slot; it factors through P/C when it kills each row c
+    of C, that is, when sum_{(s, p)} c_{s,p} N_p x_s = 0."""
+    cover = point.cover
+    f = cover.alg.field
+    offsets = [0, *accumulate(n.dim_at(v) for v in cover.slots)]
+    equations = []
+    for row in point.rows:
+        block = None  # dim N_w equations, w the end vertex of the row
+        for k, c in enumerate(row):
+            if c != f.zero:
+                s, p = cover.basis[cover.jp_cols[k]]
+                mat = n.path_matrix(p)
+                block = block or [[f.zero] * offsets[-1] for _ in mat]
+                for eq, mrow in zip(block, mat):
+                    for j, a in enumerate(mrow, offsets[s]):
+                        if a != f.zero:
+                            eq[j] = f.add(eq[j], f.mul(c, a))
+        equations.extend(block or ())
+    return nullspace(f, equations, offsets[-1])
+
+
+def end_kernel(alg: AlgebraPresentation, point: SubmodulePoint):
+    """hom_from_quotient(point, P/C), a basis of End(P/C), kept on the point."""
+    m = quotient_rep(alg, point)
+    if point._end_kernel is None:
+        point._end_kernel = hom_from_quotient(point, m)
+    return point._end_kernel
+
+
+def generator_coordinates(point: SubmodulePoint, target: SubmodulePoint):
+    """Per group of slots at one vertex, the square matrix of the positions
+    where x in hom_from_quotient(point, N), N the quotient of target on the
+    same cover, holds the coefficient of generator e_s2 of N in x_s.  The
+    rest of N_v spans (JN)_v: x maps into JN when these vanish, and onto N
+    (Nakayama) when each matrix is invertible."""
+    cover = point.cover
+    blocks = _quotient_blocks(target)
+    offsets = [0, *accumulate(len(blocks[v]) for v in cover.slots)]
+    gens = [blocks[v].index(cover.index[(s, Path(v))]) for s, v in enumerate(cover.slots)]  # e_s in N_v
+    return [[[offsets[s] + gens[s2] for s2 in g] for s in g] for g in cover.slot_groups]
 
 
 def radical_filtration(rep: Representation) -> List[Dict[int, Echelon]]:
@@ -606,16 +648,16 @@ def radical_submodule(rep: Representation) -> Representation:
 
 def submodule_as_rep(point: SubmodulePoint) -> Representation:
     """A submodule point C of JP as a representation in its own right."""
-    rep_p = point.cover.as_representation()
-    blocks = {v: [] for v in point.alg.quiver.vertices}
-    for i, (_, p) in enumerate(point.cover.basis):
-        blocks[p.end].append(i)
-    per_vertex = {}
-    for v, rows in point.rows_per_vertex().items():
-        block = blocks[v]
-        vrows = []
-        for r in rows:
-            full = point.cover.jp_to_full(r)
-            vrows.append([full[i] for i in block])
-        per_vertex[v] = vrows
-    return submodule_rep(rep_p, per_vertex)
+    cover = point.cover
+    f = point.alg.field
+    per_vertex: Dict[int, list] = {}
+    for r in point.rows:
+        full = cover.jp_to_full(r)
+        ends = {cover.basis[i][1].end for i, c in enumerate(full) if c != f.zero}
+        if len(ends) != 1:
+            raise NotSubmoduleError("non-homogeneous row in a submodule point")
+        v = ends.pop()
+        per_vertex.setdefault(v, []).append(
+            [c for (_, p), c in zip(cover.basis, full) if p.end == v]
+        )
+    return submodule_rep(cover.as_representation(), per_vertex)

@@ -4,13 +4,14 @@ import contextlib
 import io
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quivergrass.cli import main, parse_problem, render_problem
-from quivergrass.errors import ParseError, SemanticError
+from quivergrass.errors import AdmissibilityError, ParseError, SemanticError
 
 LOOP_ARROW_TEXT = """\
 # loop with square zero feeding an arrow
@@ -132,6 +133,59 @@ def test_bad_numbers_in_problem_file_exit_2(problem_file, capsys, old, new):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "new, message",
+    [
+        ("a^2000000", "arrows a and a do not compose"),
+        ("w^2000000*a", "arrows w and a do not compose"),
+        ("w^3 + a^2000000", "arrows a and a do not compose"),
+        ("z^2000000", "unknown arrow 'z'"),
+    ],
+)
+def test_huge_relation_powers_are_checked_on_their_runs(new, message):
+    with pytest.raises(SemanticError) as err:
+        parse_problem(LOOP_ARROW_TEXT.replace("w^2", new))
+    assert str(err.value) == f"{message} (line 7)"
+
+
+def test_relation_power_past_the_loewy_bound_is_never_expanded(problem_file, capsys):
+    """A term longer than L + 1 is the zero path: with w^2000000 in place of
+    w^2 the path w^3 survives and the file is refused with the same message
+    as ever, without building the 2 000 000 factors."""
+    text = LOOP_ARROW_TEXT.replace("w^2", "w^2000000")
+    tracemalloc.start()
+    try:
+        parse_problem(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+    code, out = run_cli(["layering", problem_file(text)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: path w*w*w of length 3 does not vanish; "
+        "nilpotency bound too small or ideal not admissible\n"
+    )
+    # next to w^2 such a term is vacuous, as a short one past L + 1 is
+    pf = parse_problem(LOOP_ARROW_TEXT.replace("w^2", "w^2, w^2000000*w, a*w^5"))
+    assert pf.algebra().dim == 5
+
+
+def test_long_relation_terms_are_named_and_rendered():
+    """A term past L + 1 stays in its relation unexpanded: the refusal of a
+    relation with a term of length < 2 names it as ever (over F2 the short
+    term vanishes and the relation is vacuous), and the relation renders."""
+    pf = parse_problem(LOOP_ARROW_TEXT.replace("w^2", "w^2, 2*w + a*w^4"))
+    with pytest.raises(AdmissibilityError) as err:
+        pf.algebra()
+    assert str(err.value) == "relation 2*w + a*w*w*w*w has a term of length < 2"
+    assert pf.algebra("F2").dim == 5
+    pf = parse_problem(LOOP_ARROW_TEXT.replace("w^2", "w^2, w^5"))
+    rendered = render_problem(pf)
+    assert "\n  w*w\n  w*w*w*w*w\n" in rendered
+    assert parse_problem(rendered).relations == pf.relations
 
 
 def test_semantic_error_unknown_arrow():

@@ -21,6 +21,13 @@ from quivergrass import (
     Quiver,
 )
 from quivergrass.moduli import verify_moduli_witness
+from quivergrass.representations import (
+    hom_dim,
+    multiplicity_mu,
+    quotient_rep,
+    radical_submodule,
+    submodule_as_rep,
+)
 
 from algebras import (
     a2,
@@ -192,3 +199,36 @@ def test_coherence_on_loop_arrow_scene():
         assert orb_size[i] == 2 ** od
         assert od == unipotent_orbit_dim(alg, pt)
         assert od >= 0
+
+
+def _hom_formulas(alg, point):
+    """Reference values from vertex-wise Hom spaces: dim End(P),
+    dim End(P) - dim Hom(P, C) - dim End(M), dim Hom(P, JM) - dim Hom(M, JM)
+    and, for a squarefree top, mu(M) == t + dim Hom(M, JM)."""
+    cover = point.cover
+    rep_p = cover.as_representation()
+    m = quotient_rep(alg, point)
+    jm = radical_submodule(m)
+    end_p = hom_dim(rep_p, rep_p)
+    values = [
+        end_p,
+        end_p - hom_dim(rep_p, submodule_as_rep(point)) - hom_dim(m, m),
+        hom_dim(rep_p, jm) - hom_dim(m, jm),
+    ]
+    if cover.squarefree:
+        values.append(multiplicity_mu(m, cover.slots) == len(cover.slots) + hom_dim(m, jm))
+    return values
+
+
+def test_yoneda_dimensions_match_hom_formulas(top_scenes, rational_points):
+    groups = [(label, scene.alg, scene.points) for label, scene in top_scenes] + rational_points
+    for label, alg, points in groups:
+        for point in points:
+            values = [
+                point.cover.end_dim(),
+                orbit_dim(alg, point),
+                unipotent_orbit_dim(alg, point),
+            ]
+            if point.cover.squarefree:
+                values.append(top_multiplicity_criterion(alg, point))
+            assert values == _hom_formulas(alg, point), (label, point)

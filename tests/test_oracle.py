@@ -1,5 +1,7 @@
 """Brute-force enumeration, orbits, isomorphism classes, cross-validation."""
 
+import itertools
+
 import pytest
 
 from quivergrass import (
@@ -22,17 +24,16 @@ from quivergrass import (
     Path,
 )
 from quivergrass import oracle
+from quivergrass.linalg import is_invertible
 from quivergrass.oracle import _modules_isomorphic, chart_solutions, group_size
-from quivergrass.representations import path_ranks
+from quivergrass.representations import hom_basis, hom_dim, hom_from_quotient, path_ranks, quotient_rep
 
 from algebras import (
-    catalogue,
     double_triple,
     fork,
     loop_arrow,
     nilpotent_loop_arrow,
     path_of,
-    simple_tops,
     triple_arrow,
     two_loop_fork,
 )
@@ -252,35 +253,100 @@ def test_orbit_bfs_fallback_matches_exhaustive(small_scenes):
         assert unipotent_orbits(small) == unipotent_orbits(full), label
 
 
-@pytest.fixture(scope="module")
-def small_scenes():
-    """Catalogue scenes over F2 and F3 (first simple top, every d) with at
-    most 60 points, few enough for an all-pairs isomorphism test."""
-    scenes = []
-    for name, alg in catalogue().items():
-        for prime in (2, 3):
-            alg_p = with_field(alg, GF(prime))
-            tops = (simple_tops(alg_p)[0],)
-            dim_p = sum(1 for p in alg_p.basis if p.start in tops)
-            for d in range(1, dim_p + 1):
-                scene = enumerate_points(alg_p, tops, d)
-                if len(scene.points) <= 60:
-                    scenes.append((f"{name} F{prime} d={d}", scene))
-    return scenes
+def _hom_scan_isomorphic(m, n):
+    """Reference isomorphism test: scan every combination of the vertex-wise
+    Hom basis for one that is invertible at every vertex."""
+    f = m.alg.field
+    basis = hom_basis(m, n)
+    if not basis:
+        return m.dim == 0
+    assert f.char ** len(basis) <= 10 ** 6
+    for coeffs in itertools.product(list(f.elements()), repeat=len(basis)):
+        if all(c == f.zero for c in coeffs):
+            continue
+        ok = True
+        for v in m.alg.quiver.vertices:
+            nv, mv = n.dim_at(v), m.dim_at(v)
+            if nv != mv:
+                ok = False
+                break
+            mat = [[f.zero] * mv for _ in range(nv)]
+            for c, h in zip(coeffs, basis):
+                if c == f.zero:
+                    continue
+                hm = h[v]
+                for a in range(nv):
+                    for b in range(mv):
+                        mat[a][b] = f.add(mat[a][b], f.mul(c, hm[a][b]))
+            if not is_invertible(f, mat, nv):
+                ok = False
+                break
+        if ok:
+            return True
+    return False
 
 
-def test_iso_classes_match_unbucketed_pairwise_partition(small_scenes):
-    for label, scene in small_scenes:
+def test_iso_classes_match_unbucketed_pairwise_partition(top_scenes):
+    """The Yoneda test agrees with the vertex-wise Hom scan on every pair,
+    and iso_classes is the partition that scan gives."""
+    for label, scene in top_scenes:
         n = len(scene.points)
         linked = {
-            i: {j for j in range(n) if j == i or _modules_isomorphic(scene, i, j)}
+            i: {j for j in range(n) if _hom_scan_isomorphic(scene.quotient(i), scene.quotient(j))}
             for i in range(n)
         }
+        for i in range(n):
+            for j in range(n):
+                assert _modules_isomorphic(scene, i, j) == (j in linked[i]), (label, i, j)
         # isomorphism is an equivalence: every point's class is its link set
         classes = {tuple(sorted(linked[i])) for i in range(n)}
         for c in classes:
             assert all(linked[i] == set(c) for i in c), label
         assert iso_classes(scene) == tuple(sorted(classes)), label
+
+
+def test_hom_from_quotient_has_the_dimension_of_hom(top_scenes, rational_points):
+    """dim K(C_i, N_j) = dim Hom(M_i, N_j), over F2, F3 and at rational
+    chart points over Q."""
+    groups = [
+        (label, scene.alg, scene.points[:12]) for label, scene in top_scenes
+    ] + rational_points
+    for label, alg, points in groups:
+        for pi in points:
+            for pj in points:
+                n = quotient_rep(alg, pj)
+                kernel = hom_from_quotient(pi, n)
+                assert len(kernel) == hom_dim(quotient_rep(alg, pi), n), label
+
+
+def test_iso_classes_do_not_use_the_orbit_code(top_scenes, monkeypatch):
+    """Acceptance 07 compares orbits with isomorphism classes, so the
+    isomorphism test must not be computed from the group action."""
+
+    def forbidden(*args):
+        raise AssertionError("isomorphism test used the orbit code")
+
+    for name in ("_orbit_partition", "_end_basis", "_right_action"):
+        monkeypatch.setattr(oracle, name, forbidden)
+    for label, scene in top_scenes:
+        fresh = enumerate_points(scene.alg, scene.tops, scene.d)
+        assert iso_classes(fresh) == iso_classes(scene), label
+
+
+def test_generating_vector_is_scanned_for_more_than_q_top_vertices():
+    """Over F2 each coordinate is nonzero on some vector of the plane
+    x0 + x1 + x2 = 0, but no vector of it is nonzero on all three, so with
+    t = 3 > q only the scan gives the answer.  Over F3 the plane holds
+    (1, 1, 2), and the coordinate test and the scan agree."""
+    tops = [[[0]], [[1]], [[2]]]
+    plane = [[1, 0, 1], [0, 1, 1]]
+    assert all(any(x[c] for x in plane) for [[c]] in tops)
+    assert not oracle._generates(GF(2), plane, tops, True, 10 ** 6)
+    assert oracle._generates(GF(3), plane, tops, True, 10 ** 6)
+    assert oracle._generates(GF(3), plane, tops, False, 10 ** 6)
+    assert not oracle._generates(GF(3), plane[:1], tops, True, 10 ** 6)
+    with pytest.raises(OracleScaleError):
+        oracle._generates(GF(2), plane, tops, True, 3)
 
 
 def test_orbits_have_a_single_iso_key(small_scenes):
@@ -301,14 +367,14 @@ def test_path_ranks_on_trivial_paths_are_the_dimension_vector(small_scenes):
 
 
 def test_iso_scan_hom_calls_stay_bucketed(monkeypatch):
-    hom_basis = oracle.hom_basis
+    hom_from_quotient = oracle.hom_from_quotient
     calls = []
 
-    def counting_hom_basis(m, n):
+    def counting_hom_from_quotient(point, n):
         calls.append(1)
-        return hom_basis(m, n)
+        return hom_from_quotient(point, n)
 
-    monkeypatch.setattr(oracle, "hom_basis", counting_hom_basis)
+    monkeypatch.setattr(oracle, "hom_from_quotient", counting_hom_from_quotient)
     scene = enumerate_points(with_field(double_triple(), GF(3)), (1,), 3)
     assert len(iso_classes(scene)) == 195
     # an unbucketed scan makes 14352 calls here

@@ -34,7 +34,7 @@ from quivergrass import (
 )
 from quivergrass.linalg import is_invertible, mat_mul
 
-from algebras import loop_arrow, nilpotent_loop_arrow, path_of, random_presentation
+from algebras import loop_arrow, nilpotent_loop_arrow, path_of, random_presentation, two_loop_fork
 
 
 @pytest.fixture(scope="module")
@@ -280,3 +280,18 @@ def test_submodule_as_rep_dims(la):
     rep_c = submodule_as_rep(point)
     assert rep_c.dims == (0, 1)
     validate_representation(rep_c)
+
+
+def test_validate_representation_sums_the_terms_of_a_relation():
+    """a1*w1 = a2*w2 holds when the two products agree and fails when they
+    differ, though no single term vanishes."""
+    alg = two_loop_fork()
+    shift = ((QQ.zero, QQ.zero), (QQ.one, QQ.zero))
+
+    def rep(c):
+        mats = {"w1": shift, "w2": shift, "a1": ((QQ.zero, QQ.one),), "a2": ((QQ.zero, c),)}
+        return Representation(alg, (2, 1), mats)
+
+    validate_representation(rep(QQ.one))
+    with pytest.raises(ValueError, match="relation does not annihilate"):
+        validate_representation(rep(Fraction(2)))
