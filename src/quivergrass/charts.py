@@ -288,19 +288,19 @@ def submodule_from_point(alg, sk: Skeleton, point, cover: Optional[ProjectiveCov
     return SubmodulePoint.from_rows(cover, rows)
 
 
-def _chart_expander(point: SubmodulePoint, sk: Skeleton):
+def _chart_expander(point: SubmodulePoint, sk: Skeleton, kind=Expander):
     """The pass of `skeleton_expander` over the rows of C, or None when sk is
     not a skeleton of P/C."""
     cover = point.cover
     if tuple(cover.slots) != tuple(sk.tops) or point.quotient_dim != sk.dim:
         return None
-    return skeleton_expander(cover, sk, point.rows)
+    return skeleton_expander(cover, sk, point.rows, kind)
 
 
 def has_skeleton(alg, point: SubmodulePoint, sk: Skeleton) -> bool:
     """Whether sk is a skeleton of P/C: layer by layer, the skeleton paths
     must be independent modulo C plus the next radical power of P."""
-    return _chart_expander(point, sk) is not None
+    return _chart_expander(point, sk, Echelon) is not None
 
 
 def point_from_submodule(alg, sk: Skeleton, point: SubmodulePoint):

@@ -14,11 +14,18 @@ The input format is line oriented with '#' comments:
 
 Arrow products compose right to left: a*w means "first w, then a".  Paths in
 flags use the same syntax, with e<k> for the lazy path at a vertex.
+
+The command line is `quivergrass <command> <problem> [flags]`.  COMMANDS
+declares each command's handler and the flags it reads, FLAGS each flag with
+its value check, and the parser is built from them once.  Any other flag, a
+bad value, an abbreviation, or --point/--point2 without its skeleton is an
+InputError: exit code 2 with a one-line message.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -37,7 +44,7 @@ from .errors import (
     SemanticError,
     TopNotSquarefreeError,
 )
-from .fields import QQ, parse_field
+from .fields import GF, QQ, parse_field
 from .moduli import (
     simple_top_moduli_criterion,
     finite_local_type_check,
@@ -376,8 +383,6 @@ def _dim_from(args, pf: ProblemFile):
     d = args.dim if args.dim is not None else pf.dim
     if d is None:
         raise SemanticError("no dimension given (use --dim or a 'dim:' line)")
-    if d < 0:
-        raise SemanticError(f"dim must be a non-negative integer, got {d}")
     return d
 
 
@@ -412,21 +417,30 @@ def _layering_json(s):
     return [list(layer) for layer in s.layers]
 
 
+def _print_json(args, out, doc):
+    """A quivergrass/1 document: doc under the schema and command keys."""
+    doc = {"schema": SCHEMA_VERSION, "command": args.command, **doc}
+    out(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _scene(args, alg, tops, d):
+    """Every point over the command's finite field, within --budget."""
+    if alg.field.char == 0:
+        raise SemanticError(f"{args.command} needs a finite field (--field F<p>)")
+    return enumerate_points(alg, tops, d, OracleConfig(*[args.budget] * 3))
+
+
 def cmd_skeletons(args, pf, out):
     alg = pf.algebra(args.field)
     tops = _tops_from(args, pf)
     d = _dim_from(args, pf)
     sks = enumerate_skeletons(alg, tops, d, prune=args.prune)
     if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "skeletons",
-            "top": list(tops),
-            "dim": d,
+        _print_json(args, out, {
+            "top": list(tops), "dim": d,
             "prune": bool(args.prune),
             "skeletons": [[p.render() for p in sk.paths] for sk in sks],
-        }
-        out(json.dumps(doc, indent=2, sort_keys=True))
+        })
     else:
         out(f"{len(sks)} skeleton(s) for top {list(tops)} at dim {d}"
             + (" (pruned)" if args.prune else ""))
@@ -435,23 +449,9 @@ def cmd_skeletons(args, pf, out):
     return 0
 
 
-def _chart_lines(alg, sk, out):
-    ideal = chart_ideal(alg, sk)
-    ctx = chart_context(alg, sk)
-    names = ctx.var_names()
-    out(f"chart of {sk.render()}")
-    out(f"variables ({ideal.nvars}):")
-    for i, v in enumerate(ideal.variables):
-        out(f"  X{i + 1}: {v.render()}")
-    out(f"polynomials ({len(ideal.polynomials)}):")
-    for p in ideal.polynomials:
-        out("  " + poly.render(dict(p), names))
-
-
 def _chart_json(alg, sk):
     ideal = chart_ideal(alg, sk)
-    ctx = chart_context(alg, sk)
-    names = ctx.var_names()
+    names = chart_context(alg, sk).var_names()
     return {
         "skeleton": [p.render() for p in sk.paths],
         "variables": [
@@ -462,13 +462,23 @@ def _chart_json(alg, sk):
     }
 
 
+def _chart_lines(alg, sk, out):
+    doc = _chart_json(alg, sk)
+    out(f"chart of {sk.render()}")
+    out(f"variables ({len(doc['variables'])}):")
+    for v in doc["variables"]:
+        out(f"  {v['name']}: {v['product']} -> {v['target']}")
+    out(f"polynomials ({len(doc['polynomials'])}):")
+    for p in doc["polynomials"]:
+        out("  " + p)
+
+
 def cmd_chart(args, pf, out):
     alg = pf.algebra(args.field)
     tops = _tops_from(args, pf)
     sk = _skeleton_from(args, alg, tops)
     if args.json:
-        doc = {"schema": SCHEMA_VERSION, "command": "chart", **_chart_json(alg, sk)}
-        out(json.dumps(doc, indent=2, sort_keys=True))
+        _print_json(args, out, _chart_json(alg, sk))
     else:
         _chart_lines(alg, sk, out)
     return 0
@@ -480,14 +490,7 @@ def cmd_charts_all(args, pf, out):
     d = _dim_from(args, pf)
     sks = enumerate_skeletons(alg, tops, d, prune=args.prune)
     if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "charts-all",
-            "top": list(tops),
-            "dim": d,
-            "charts": [_chart_json(alg, sk) for sk in sks],
-        }
-        out(json.dumps(doc, indent=2, sort_keys=True))
+        _print_json(args, out, {"top": list(tops), "dim": d, "charts": [_chart_json(alg, sk) for sk in sks]})
     else:
         for sk in sks:
             _chart_lines(alg, sk, out)
@@ -498,10 +501,7 @@ def cmd_layering(args, pf, out):
     alg = pf.algebra(args.field)
     tops = _tops_from(args, pf)
     if args.skeleton:
-        sk = _skeleton_from(args, alg, tops)
-        ideal = chart_ideal(alg, sk)
-        pt = _parse_point(args.point, ideal.nvars, alg.field, "--point")
-        rep = module_from_point(alg, sk, pt)
+        sk, pt, rep = _module_from_args(alg, tops, args.skeleton, args.point, "")
         label = f"module at {list(pt)} on {sk.render()}"
     else:
         cover = ProjectiveCover(alg, tops)
@@ -511,14 +511,7 @@ def cmd_layering(args, pf, out):
         label = f"projective cover of top {list(tops)} (dim {cover.dim}, radical dim {cover.dim_jp})"
     lay = radical_layering(rep)
     if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "layering",
-            "module": label,
-            "dims": list(rep.dims),
-            "layering": _layering_json(lay),
-        }
-        out(json.dumps(doc, indent=2, sort_keys=True))
+        _print_json(args, out, {"module": label, "dims": list(rep.dims), "layering": _layering_json(lay)})
     else:
         out(label)
         out("radical layering: " + lay.render(alg.quiver.vertices))
@@ -548,14 +541,11 @@ def cmd_hom(args, pf, out):
         label = "End(M)"
     dim = hom_dim(m, n)
     if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "hom",
+        _print_json(args, out, {
             "dim": dim,
             "source": {"skeleton": [p.render() for p in sk.paths], "point": [str(c) for c in pt]},
             "target": {"skeleton": [p.render() for p in sk2.paths], "point": [str(c) for c in pt2]},
-        }
-        out(json.dumps(doc, indent=2, sort_keys=True))
+        })
     else:
         out(f"dim {label} = {dim}")
     return 0
@@ -570,18 +560,13 @@ def cmd_invariant_check(args, pf, out):
     point = submodule_from_point(alg, sk, pt)
     report = point_report(alg, point)
     if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "invariant-check",
+        _print_json(args, out, {
             "fully_invariant": report.fully_invariant,
             "orbit_dim": report.orbit_dimension,
             "unipotent_orbit_dim": report.unipotent_orbit_dimension,
             "count_criterion": report.split_count_holds,
-            "witness": None
-            if report.fully_invariant
-            else report.invariance_witness[0].render(),
-        }
-        out(json.dumps(doc, indent=2, sort_keys=True))
+            "witness": None if report.fully_invariant else report.invariance_witness[0].render(),
+        })
     else:
         out(f"submodule: {point!r}")
         out(f"fully invariant: {report.fully_invariant}")
@@ -600,22 +585,15 @@ def cmd_moduli_check(args, pf, out):
         raise SemanticError("moduli-check needs a simple top (one vertex)")
     rep = simple_top_moduli_criterion(alg, tops[0], prime=args.q, budget=args.budget)
     if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "moduli-check",
+        _print_json(args, out, {
             "top": tops[0],
             "holds": rep.holds,
             "provenance": rep.provenance,
             "eJe_zero": rep.eje_zero,
             "Je_squared_zero": rep.je_squared_zero,
-            "witness": None
-            if rep.holds
-            else {
-                "lambda": rep.witness_lambda.render(),
-                "omega": rep.witness_omega.render(),
-            },
-        }
-        out(json.dumps(doc, indent=2, sort_keys=True))
+            "witness": None if rep.holds else {
+                "lambda": rep.witness_lambda.render(), "omega": rep.witness_omega.render()},
+        })
     else:
         if rep.eje_zero:
             out("eJe = 0: moduli space exists for all d")
@@ -639,31 +617,14 @@ def cmd_orbit_dims(args, pf, out):
     alg = pf.algebra(args.field)
     tops = _tops_from(args, pf)
     d = _dim_from(args, pf)
-    field_tag = args.field or pf.field_tag
-    if parse_field(field_tag).char == 0:
-        raise SemanticError("orbit-dims enumerates points; use a finite field (--field F<p>)")
-    config = OracleConfig(args.budget, args.budget, args.budget)
-    scene = enumerate_points(alg, tops, d, config)
-    rows = []
-    for i, pt in enumerate(scene.points):
-        rows.append(
-            {
-                "index": i,
-                "point": repr(pt),
-                "orbit_dim": orbit_dim(alg, pt),
-                "unipotent_orbit_dim": unipotent_orbit_dim(alg, pt),
-                "layering": _layering_json(scene.layerings()[i]),
-            }
-        )
+    scene = _scene(args, alg, tops, d)
+    rows = [
+        {"index": i, "point": repr(pt), "orbit_dim": orbit_dim(alg, pt),
+         "unipotent_orbit_dim": unipotent_orbit_dim(alg, pt), "layering": _layering_json(lay)}
+        for i, (pt, lay) in enumerate(zip(scene.points, scene.layerings()))
+    ]
     if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "orbit-dims",
-            "top": list(tops),
-            "dim": d,
-            "points": rows,
-        }
-        out(json.dumps(doc, indent=2, sort_keys=True))
+        _print_json(args, out, {"top": list(tops), "dim": d, "points": rows})
     else:
         out(f"{len(rows)} point(s) at dim {d}")
         for r in rows:
@@ -678,30 +639,21 @@ def cmd_enumerate(args, pf, out):
     alg = pf.algebra(args.field)
     tops = _tops_from(args, pf)
     d = _dim_from(args, pf)
+    scene = _scene(args, alg, tops, d)
     field_tag = args.field or pf.field_tag
-    if parse_field(field_tag).char == 0:
-        raise SemanticError("enumerate needs a finite field (--field F<p>)")
-    config = OracleConfig(args.budget, args.budget, args.budget)
-    scene = enumerate_points(alg, tops, d, config)
     orbs = orbits(scene)
     iso = iso_classes(scene)
     if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "enumerate",
-            "top": list(tops),
-            "dim": d,
+        _print_json(args, out, {
+            "top": list(tops), "dim": d,
             "field": field_tag,
             "n_points": len(scene.points),
             "points": [repr(p) for p in scene.points],
             "orbits": [list(o) for o in orbs],
             "orbit_provenance": orbit_provenance(scene),
             "iso_classes": [list(c) for c in iso],
-            "layerings": [
-                _layering_json(s) for s in scene.layerings()
-            ],
-        }
-        out(json.dumps(doc, indent=2, sort_keys=True))
+            "layerings": [_layering_json(s) for s in scene.layerings()],
+        })
     else:
         out(
             f"{len(scene.points)} point(s), {len(orbs)} orbit(s), "
@@ -716,20 +668,14 @@ def cmd_cross_validate(args, pf, out):
     alg = pf.algebra(args.field)
     tops = _tops_from(args, pf)
     d = _dim_from(args, pf)
+    scene = _scene(args, alg, tops, d)
     field_tag = args.field or pf.field_tag
-    if parse_field(field_tag).char == 0:
-        raise SemanticError("cross-validate needs a finite field (--field F<p>)")
-    config = OracleConfig(args.budget, args.budget, args.budget)
-    scene = enumerate_points(alg, tops, d, config)
     sks = enumerate_skeletons(alg, tops, d)
     reports = [cross_validate_chart(scene, sk) for sk in sks]
     ok = all(r.ok for r in reports)
     if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "cross-validate",
-            "top": list(tops),
-            "dim": d,
+        _print_json(args, out, {
+            "top": list(tops), "dim": d,
             "field": field_tag,
             "ok": ok,
             "charts": [
@@ -742,8 +688,7 @@ def cmd_cross_validate(args, pf, out):
                 }
                 for r in reports
             ],
-        }
-        out(json.dumps(doc, indent=2, sort_keys=True))
+        })
     else:
         for r in reports:
             status = "ok" if r.ok else "MISMATCH"
@@ -759,18 +704,13 @@ def cmd_cross_validate(args, pf, out):
 
 
 def cmd_local_type(args, pf, out):
-    if args.field:
-        raise SemanticError("local-type takes its field from -q, not --field")
     alg = pf.algebra("Q")  # rational presentation; coerced to F_q internally
     tops = _tops_from(args, pf)
     if len(tops) != 1:
         raise SemanticError("local-type needs a simple top (one vertex)")
-    config = OracleConfig(args.budget, args.budget, args.budget)
-    report = finite_local_type_check(alg, tops[0], args.q, config)
+    report = finite_local_type_check(alg, tops[0], args.q, OracleConfig(*[args.budget] * 3))
     if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "local-type",
+        _print_json(args, out, {
             "top": tops[0],
             "q": args.q,
             "verdict": report.verdict,
@@ -779,8 +719,7 @@ def cmd_local_type(args, pf, out):
                 {"dim": d, "points": n, "layering_classes": l, "iso_classes": i}
                 for d, n, l, i in report.per_d
             ],
-        }
-        out(json.dumps(doc, indent=2, sort_keys=True))
+        })
     else:
         out(f"finite local type at vertex {tops[0]} over F{args.q} " +
             ("HOLDS" if report.verdict else "FAILS") + " (finite-field evidence)")
@@ -789,68 +728,121 @@ def cmd_local_type(args, pf, out):
     return 0 if report.verdict else 1
 
 
+# ---------------------------------------------------------------------------
+# the command line
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line with a short InputError, without the usage."""
+
+    def error(self, message):
+        raise InputError(message if len(message) <= 180 else message[:176] + " ...")
+
+
+def _flag_type(what, convert, ok):
+    """An argparse type: convert(text) when ok holds of it, else a refusal
+    naming what was expected."""
+
+    def check(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except (ArithmeticError, ValueError, QuivergrassError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {_shown(text)}")
+
+    return check
+
+
+# every flag with its add_argument keywords; the value checks are its type
+FLAGS = {
+    "--top": dict(help="comma-separated top vertices"),
+    "--dim": dict(type=_flag_type("an integer >= 0", int, lambda n: n >= 0), help="quotient dimension d"),
+    "--skeleton": dict(help="comma-separated paths (e.g. e1,w,a*w)"),
+    "--point": dict(help="comma-separated chart coordinates"),
+    "--skeleton2": dict(help="second skeleton"),
+    "--point2": dict(help="coordinates on --skeleton2"),
+    "--prune": dict(action="store_true", help="drop degenerate skeletons"),
+    "--field": dict(type=_flag_type("Q or F<p>", str, parse_field), help="override the coefficient field"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--budget": dict(type=_flag_type("an integer >= 1", int, lambda n: n >= 1), default=10 ** 6,
+                     help="enumeration budget"),
+    "-q": dict(type=_flag_type("a prime", int, GF), default=2, help="prime for finite-field checks"),
+}
+ALIASES = {"-q": ("--q",)}
+# a flag that is read only together with another
+NEEDS = {"--point": "--skeleton", "--point2": "--skeleton2"}
+
+# every command with its handler and the flags it reads; it accepts no other
 COMMANDS = {
-    "skeletons": cmd_skeletons,
-    "chart": cmd_chart,
-    "charts-all": cmd_charts_all,
-    "layering": cmd_layering,
-    "hom": cmd_hom,
-    "invariant-check": cmd_invariant_check,
-    "moduli-check": cmd_moduli_check,
-    "orbit-dims": cmd_orbit_dims,
-    "enumerate": cmd_enumerate,
-    "cross-validate": cmd_cross_validate,
-    "local-type": cmd_local_type,
+    "skeletons": (cmd_skeletons, ("--top", "--dim", "--prune", "--field", "--json")),
+    "chart": (cmd_chart, ("--top", "--skeleton", "--field", "--json")),
+    "charts-all": (cmd_charts_all, ("--top", "--dim", "--prune", "--field", "--json")),
+    "layering": (cmd_layering, ("--top", "--skeleton", "--point", "--field", "--json")),
+    "hom": (cmd_hom, ("--top", "--skeleton", "--point", "--skeleton2", "--point2", "--field", "--json")),
+    "invariant-check": (cmd_invariant_check, ("--top", "--skeleton", "--point", "--field", "--json")),
+    "moduli-check": (cmd_moduli_check, ("--top", "-q", "--budget", "--field", "--json")),
+    "orbit-dims": (cmd_orbit_dims, ("--top", "--dim", "--field", "--budget", "--json")),
+    "enumerate": (cmd_enumerate, ("--top", "--dim", "--field", "--budget", "--json")),
+    "cross-validate": (cmd_cross_validate, ("--top", "--dim", "--field", "--budget", "--json")),
+    "local-type": (cmd_local_type, ("--top", "-q", "--budget", "--json")),
 }
 
 
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The parser, built once: each subcommand accepts its flags as COMMANDS
+    declares them, spelled in full."""
+    parser = _Parser(
         prog="quivergrass",
         description="Affine charts and brute-force checks for Grassmannians of "
         "quotients of a projective cover with fixed top.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    for name, (_, flags) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("problem", help="problem file, or - for stdin")
-        p.add_argument("--top", help="comma-separated top vertices")
-        p.add_argument("--dim", type=int, help="quotient dimension d")
-        p.add_argument("--skeleton", help="comma-separated paths (e.g. e1,w,a*w)")
-        p.add_argument("--skeleton2", help="second skeleton (hom)")
-        p.add_argument("--point", default="", help="comma-separated chart coordinates")
-        p.add_argument("--point2", default="", help="coordinates on --skeleton2")
-        p.add_argument("--prune", action="store_true", help="drop degenerate skeletons")
-        p.add_argument("--field", help="override the coefficient field (Q or F<p>)")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--budget", type=int, default=10 ** 6, help="enumeration budget")
-        p.add_argument("-q", "--q", dest="q", type=int, default=2,
-                       help="prime for finite-field checks")
+        for flag in flags:
+            p.add_argument(flag, *ALIASES.get(flag, ()), **FLAGS[flag])
     return parser
+
+
+def _parse_args(argv):
+    """The parsed command line.  A flag the command does not read, and one
+    whose partner is missing, are refused with an InputError naming them."""
+    args, extra = build_parser().parse_known_args(argv)
+    reads = COMMANDS[args.command][1]
+    stray = next((a.split("=")[0] for a in extra if a.startswith("-") and a != "-"), None)
+    if stray is not None and stray not in reads:
+        raise InputError(f"{args.command} does not read {_shown(stray)}; it reads {', '.join(reads)}")
+    if extra:
+        raise InputError(f"unrecognized arguments: {_shown(' '.join(extra))}")
+    for flag, partner in NEEDS.items():
+        if getattr(args, flag[2:], None) is not None and not getattr(args, partner[2:]):
+            raise InputError(f"{flag} needs {partner}")
+    return args
 
 
 def main(argv=None, stdout=None):
     stdout = stdout or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
 
     def out(line=""):
         print(line, file=stdout)
 
     try:
+        args = _parse_args(argv)
         if args.problem == "-":
             text = sys.stdin.read()
         else:
             with open(args.problem, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.budget < 1:
-            raise SemanticError(f"--budget must be at least 1, got {args.budget}")
-        pf = parse_problem(text)
-        return COMMANDS[args.command](args, pf, out)
+        return COMMANDS[args.command][0](args, parse_problem(text), out)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -125,11 +125,11 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
             stack.append((current + (q,), key(q)))
     if prune:
         cover = ProjectiveCover(alg, tops)
-        results = [sk for sk in results if skeleton_expander(cover, sk) is not None]
+        results = [sk for sk in results if skeleton_expander(cover, sk, kind=Echelon) is not None]
     return results
 
 
-def skeleton_expander(cover: ProjectiveCover, sk: Skeleton, c_rows: Sequence = ()) -> Optional[Expander]:
+def skeleton_expander(cover: ProjectiveCover, sk: Skeleton, c_rows: Sequence = (), kind=Expander) -> Optional[Echelon]:
     """One elimination over JP deciding whether sk is a skeleton of P/C.
 
     Adds the rows of C, then for l from the longest length down to 1 the rows
@@ -138,8 +138,10 @@ def skeleton_expander(cover: ProjectiveCover, sk: Skeleton, c_rows: Sequence = (
     (the length-0 tops always do); None at the first path refused.  When all
     are accepted and |sk| = dim P/C, no J row is: the Expander holds C, then
     the positive-length paths, longest first, ready to express coordinates.
+    Membership alone runs with kind=Echelon, which pivots on the same
+    columns without carrying the combinations.
     """
-    exp = Expander(cover.alg.field, cover.dim_jp)
+    exp = kind(cover.alg.field, cover.dim_jp)
     for row in c_rows:
         exp.add(row)
     for l in range(sk.max_length(), 0, -1):

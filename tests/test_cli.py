@@ -1,5 +1,6 @@
 """Problem parsing, command output, exit codes, golden files."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quivergrass import cli
 from quivergrass.cli import main, parse_problem, render_problem
 from quivergrass.errors import AdmissibilityError, ParseError, SemanticError
 
@@ -362,17 +364,31 @@ def test_cli_layering_repeated_top_exit_2(problem_file, capsys):
         ["enumerate", "--field", "F2", "--dim", "2", "--budget", "-5"],
         ["enumerate", "--field", "F2", "--dim", "2", "--budget", "0"],
         ["chart", "--skeleton", "e1,w^" + HUGE],
+        ["skeletons", "--dim", "x"],
+        ["enumerate", "--field", "F2", "--dim", "2", "--budget", "x"],
+        ["moduli-check", "-q", "4"],
+        ["enumerate", "--field", "F4", "--dim", "2"],
+        ["chart", "--skel", "e1,w,a"],
+        ["frobnicate"],
+        [None, "skeletons", "--dim", "2"],
+        ["layering", "--point", "5"],
+        ["hom", "--skeleton", "e1,w,a*w", "--point", "0", "--point2", "9"],
     ],
     ids=["unknown-top", "non-integer-top", "zero-denominator", "non-numeric-point",
          "negative-dim-skeletons", "negative-dim-enumerate", "repeated-skeleton-path",
          "skeleton-not-prefix-closed", "skeleton-misses-lazy-path", "zero-exponent",
          "huge-exponent", "huger-exponent", "local-type-field", "negative-budget",
-         "zero-budget", "exponent-past-digit-limit"],
+         "zero-budget", "exponent-past-digit-limit", "non-integer-dim",
+         "non-integer-budget", "composite-q", "composite-field", "abbreviated-flag",
+         "unknown-command", "missing-problem", "point-without-skeleton",
+         "point2-without-skeleton2"],
 )
 def test_cli_bad_flag_values_exit_2(problem_file, capsys, argv):
     path = problem_file(LOOP_ARROW_TEXT)
+    # a leading None: the command line has no problem file
+    argv = argv[1:] if argv[0] is None else [argv[0], path] + argv[1:]
     start = time.perf_counter()
-    code, out = run_cli([argv[0], path] + argv[1:])
+    code, out = run_cli(argv)
     assert time.perf_counter() - start < 0.1  # refused before any expansion or scan
     assert code == 2 and out == ""
     err = capsys.readouterr().err
@@ -396,8 +412,94 @@ def test_cli_flag_errors_name_the_flag(problem_file, capsys):
     assert code == 2 and "--budget" in capsys.readouterr().err
 
 
+# The flags each command reads, written out here rather than taken from the
+# parser: -q is also spelled --q.
+READS = {
+    "skeletons": {"--top", "--dim", "--prune", "--field", "--json"},
+    "chart": {"--top", "--skeleton", "--field", "--json"},
+    "charts-all": {"--top", "--dim", "--prune", "--field", "--json"},
+    "layering": {"--top", "--skeleton", "--point", "--field", "--json"},
+    "hom": {"--top", "--skeleton", "--point", "--skeleton2", "--point2", "--field", "--json"},
+    "invariant-check": {"--top", "--skeleton", "--point", "--field", "--json"},
+    "moduli-check": {"--top", "-q", "--q", "--budget", "--field", "--json"},
+    "orbit-dims": {"--top", "--dim", "--field", "--budget", "--json"},
+    "enumerate": {"--top", "--dim", "--field", "--budget", "--json"},
+    "cross-validate": {"--top", "--dim", "--field", "--budget", "--json"},
+    "local-type": {"--top", "-q", "--q", "--budget", "--json"},
+}
+ALL_FLAGS = sorted(set().union(*READS.values()))
+SWITCHES = {"--prune", "--json"}
+# a value each flag accepts, so that only the flag itself can be refused
+GOOD_VALUE = {"--top": "1", "--dim": "2", "--skeleton": "e1,w,a", "--point": "",
+              "--skeleton2": "e1,w,a", "--point2": "", "--field": "F2",
+              "--budget": "5", "-q": "3", "--q": "3"}
+STRAY_FLAGS = [
+    [command, flag] + ([] if flag in SWITCHES else [GOOD_VALUE[flag]])
+    for command in READS
+    for flag in ALL_FLAGS
+    if flag not in READS[command]
+]
+
+
+def test_every_command_reads_a_declared_flag_set():
+    assert len(ALL_FLAGS) == 12 and len(STRAY_FLAGS) == 11 * 12 - 57
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    } == READS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    STRAY_FLAGS + [
+        ["enumerate", "--field", "F2", "--dim", "2", "--skeleton", "zz", "--point2", "9"],
+        ["skeletons", "--dim", "2", "-q", "4"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_cli_refuses_a_flag_the_command_does_not_read(loop_arrow_file, capsys, argv):
+    stray = next(a for a in argv[1:] if a.startswith("-") and a not in READS[argv[0]])
+    start = time.perf_counter()
+    code, out = run_cli([argv[0], loop_arrow_file] + argv[1:])
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {argv[0]} does not read '{stray}'; it reads ")
+    assert len(err) < 200
+
+
+def test_cli_point_without_its_skeleton_names_both_flags(loop_arrow_file, capsys):
+    for argv, flags in (
+        (["layering", "--point", "5"], ("--point", "--skeleton")),
+        (["hom", "--skeleton", "e1,w,a*w", "--point", "0", "--point2", "9"], ("--point2", "--skeleton2")),
+    ):
+        code, out = run_cli([argv[0], loop_arrow_file] + argv[1:])
+        err = capsys.readouterr().err
+        assert code == 2 and out == "" and all(flag in err for flag in flags)
+    # the empty point is still a point on a chart without coordinates
+    code, out = run_cli(["layering", loop_arrow_file, "--skeleton", "e1,w,a", "--point", ""])
+    assert code == 0 and out.startswith("module at [] on {e1, w, a}")
+
+
+def test_cli_builds_its_parser_once(loop_arrow_file, monkeypatch):
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(["skeletons", loop_arrow_file])[0] == 0
+    first = len(built)
+    assert run_cli(["layering", loop_arrow_file])[0] == 0
+    assert first == 1 + len(READS) and len(built) == first
+
+
 FLAG_TOKENS = ["e1", "e2", "w", "a", "w^0", "w^1", "w^2", "w^3", "*", ",", "1/0"]
-flag_text = st.none() | st.lists(st.sampled_from(FLAG_TOKENS), max_size=6).map("".join)
+flag_text = st.lists(st.sampled_from(FLAG_TOKENS), max_size=6).map("".join)
 
 
 @pytest.fixture(scope="module")
@@ -407,22 +509,43 @@ def loop_arrow_file(tmp_path_factory):
     return str(path)
 
 
+# a command, some of the flags it reads, and perhaps one more flag
+flag_choice = st.sampled_from(sorted(READS)).flatmap(
+    lambda command: st.tuples(
+        st.just(command),
+        st.sets(st.sampled_from(sorted(READS[command]))),
+        st.none() | st.sampled_from(ALL_FLAGS),
+    )
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    command=st.sampled_from(["chart", "layering", "hom"]),
+    choice=flag_choice,
     skeleton=flag_text,
     point=flag_text,
     top=flag_text,
+    dim=st.sampled_from(["0", "1", "2", "3"]),
+    field=st.sampled_from(["Q", "F2", "F3"]),
+    q=st.sampled_from(["2", "3"]),
+    budget=st.sampled_from(["1", "1000"]),
 )
-@example(command="chart", skeleton="e1,w^0", point=None, top=None)
-def test_cli_flag_strings_never_raise(loop_arrow_file, command, skeleton, point, top):
+@example(choice=("chart", {"--skeleton"}, None), skeleton="e1,w^0", point="", top="",
+         dim="0", field="Q", q="2", budget="1000")
+def test_cli_flag_strings_never_raise(loop_arrow_file, choice, skeleton, point, top, dim, field, q,
+                                      budget):
+    command, flags, extra = choice
+    flags = flags | ({extra} - {None})
+    values = {"--skeleton": skeleton, "--skeleton2": skeleton, "--point": point, "--point2": point,
+              "--top": top, "--dim": dim, "--field": field, "-q": q, "--q": q, "--budget": budget}
     argv = [command, loop_arrow_file]
-    for flag, value in (("--skeleton", skeleton), ("--point", point), ("--top", top)):
-        if value is not None:
-            argv += [flag, value]
+    for flag in sorted(flags):
+        argv += [flag] if flag in SWITCHES else [flag, values[flag]]
     with contextlib.redirect_stderr(io.StringIO()):
         code, _ = run_cli(argv)
     assert code in (0, 1, 2)
+    if flags - READS[command]:
+        assert code == 2
 
 
 def test_cli_hom_and_layering(problem_file):

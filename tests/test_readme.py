@@ -1,9 +1,13 @@
-"""The README's quick tour runs as written."""
+"""The README's quick tour runs as written, and its command table matches
+the parser."""
 
+import argparse
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from quivergrass.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +18,17 @@ def test_readme_quick_tour_runs():
     with contextlib.redirect_stdout(buf):
         exec(compile(block, "README.md", "exec"), {})
     assert buf.getvalue() == "3 [1, 2]\n"
+
+
+def test_readme_command_table_lists_the_flags_of_every_subcommand():
+    """Each row of the command table names exactly the flags its subparser
+    accepts, each by its first spelling."""
+    rows = re.findall(r"^\| `([a-z-]+)` \| ([^|]*) \|", README.read_text(), re.M)
+    listed = {name: set(re.findall(r"`(-[^`]*)`", cell)) for name, cell in rows}
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {a.option_strings[0] for a in p._actions if a.option_strings} - {"-h"}
+        for name, p in sub.choices.items()
+    }
+    assert len(rows) == len(listed) == 11
+    assert listed == accepted
