@@ -60,11 +60,42 @@ class Rationals:
         return "Q"
 
 
+# Miller-Rabin with these bases decides primality exactly below PRIME_BOUND,
+# the least composite that passes them all
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def is_prime(p):
+    """Whether 1 < p < PRIME_BOUND is prime, by deterministic Miller-Rabin."""
+    if p < 2:
+        return False
+    for b in _WITNESSES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _WITNESSES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The field F_p for a prime p; elements are ints in range(p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
+        if p >= PRIME_BOUND:
+            raise FieldError("field size past the supported bound: F_p needs p < 3.3e24")
+        if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.char = p

@@ -288,7 +288,7 @@ def finite_local_type_check(alg: AlgebraPresentation, e, q: int, config=None) ->
     """
     from .charts import has_skeleton
     from .oracle import OracleConfig, enumerate_points, iso_classes, orbits
-    from .skeletons import compatible, enumerate_skeletons
+    from .skeletons import enumerate_skeletons
 
     config = config or OracleConfig()
     alg_q = with_field(alg, GF(q))
@@ -316,14 +316,11 @@ def finite_local_type_check(alg: AlgebraPresentation, e, q: int, config=None) ->
         for k, orb in enumerate(orbits(scene)):
             for i in orb:
                 orbit_of_point[i] = k
-        layerings = scene.layerings()
-        vs = alg_q.quiver.vertices
         for sk in enumerate_skeletons(alg_q, (e,), d):
             members = [
                 i
-                for i in range(len(scene.points))
-                if compatible(sk, layerings[i], vs)
-                and has_skeleton(alg_q, scene.points[i], sk)
+                for i in scene.skeleton_candidates(sk)
+                if has_skeleton(alg_q, scene.points[i], sk)
             ]
             if members and len({orbit_of_point[i] for i in members}) != 1:
                 charts_ok = False

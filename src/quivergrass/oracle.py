@@ -99,6 +99,7 @@ class OracleScene:
         self.points: Tuple[SubmodulePoint, ...] = tuple(points)
         self.config = config
         self._layerings: Optional[List[SemisimpleSequence]] = None
+        self._layering_classes = None
         self._orbits = None
         self._orbit_provenance = None
         self._iso = None
@@ -123,10 +124,24 @@ class OracleScene:
         return self._layerings
 
     def layering_classes(self) -> Dict[SemisimpleSequence, Tuple[int, ...]]:
-        out: Dict[SemisimpleSequence, List[int]] = {}
-        for i, s in enumerate(self.layerings()):
-            out.setdefault(s, []).append(i)
-        return {s: tuple(idx) for s, idx in out.items()}
+        if self._layering_classes is None:
+            out: Dict[SemisimpleSequence, List[int]] = {}
+            for i, s in enumerate(self.layerings()):
+                out.setdefault(s, []).append(i)
+            self._layering_classes = {s: tuple(idx) for s, idx in out.items()}
+        return self._layering_classes
+
+    def skeleton_candidates(self, sk: Skeleton) -> Tuple[int, ...]:
+        """Sorted indices of the points that can carry sk: those whose
+        layering matches the skeleton's length/end-vertex counts, tested
+        once per layering class."""
+        vs = self.alg.quiver.vertices
+        return tuple(sorted(
+            i
+            for sseq, members in self.layering_classes().items()
+            if compatible(sk, sseq, vs)
+            for i in members
+        ))
 
     def index_of(self, point: SubmodulePoint) -> Optional[int]:
         for i, p in enumerate(self.points):
@@ -440,45 +455,67 @@ class CrossValidationReport:
 
 
 def chart_solutions(alg, sk: Skeleton, config: Optional[OracleConfig] = None):
-    """All F_q points of the chart ideal, by exhaustive scan."""
+    """All F_q points of the chart ideal, by exhaustive search behind the
+    budget on q^n, in the order of a scan over F_q^n."""
     config = config or OracleConfig()
     f = alg.field
     ideal = chart_ideal(alg, sk)
     n = ideal.nvars
     if f.char ** n > config.subspace_budget:
         raise OracleScaleError(f"chart scan q^{n} exceeds the budget")
-    polys = ideal.poly_dicts()
+    return _solutions(f, n, ideal.poly_dicts())
+
+
+def _solutions(f, n, polys):
+    """Common zeros in F_q^n of polynomials in n variables, depth first:
+    variables in order, values in field order, so the zeros come out in
+    lexicographic order.  A polynomial is tested as soon as its last variable
+    is fixed, and a partial assignment it refutes is not extended."""
+    due = [[] for _ in range(n + 1)]  # due[k]: polynomials in X1..Xk only
+    for p in polys:
+        due[max((i + 1 for e in p for i, k in enumerate(e) if k), default=0)].append(p)
+    elems = list(f.elements())
     out = []
-    for cand in itertools.product(list(f.elements()), repeat=n):
-        if all(poly.evaluate(f, p, cand) == f.zero for p in polys):
-            out.append(cand)
+
+    def extend(prefix):
+        if any(poly.evaluate(f, p, prefix) != f.zero for p in due[len(prefix)]):
+            return
+        if len(prefix) == n:
+            out.append(prefix)
+            return
+        for x in elems:
+            extend(prefix + (x,))
+
+    extend(())
     return out
 
 
 def cross_validate_chart(scene: OracleScene, sk: Skeleton) -> CrossValidationReport:
     """Solutions of the chart ideal versus enumerated points carrying the
-    skeleton, with both round trips checked."""
+    skeleton, with both round trips checked.
+
+    Both chart maps are deterministic in (cover, rows, sk), so each value is
+    computed once: `image` keys solution -> rows and `coords` rows ->
+    coordinates, and the enumerated-point loop computes only what the
+    solution loop left missing.  Rows in `coords` passed the skeleton pass,
+    so their points carry sk without a second membership test."""
     if not scene.squarefree:
         raise TopNotSquarefreeError("chart cross-validation needs a squarefree top")
     alg = scene.alg
     mismatches = []
     sols = chart_solutions(alg, sk, scene.config)
     image = {}
+    coords = {}
     for c in sols:
         pt = submodule_from_point(alg, sk, c, cover=scene.cover)
         image[c] = pt.rows
-        back = point_from_submodule(alg, sk, pt)
+        back = coords[pt.rows] = point_from_submodule(alg, sk, pt)
         if back != c:
             mismatches.append(f"round trip failed for chart point {c}")
-    # a point can carry the skeleton only if its layering matches the
-    # skeleton's length/end-vertex counts, which is much cheaper to test
-    layerings = scene.layerings()
-    vs = alg.quiver.vertices
     with_sk = [
         i
-        for i in range(len(scene.points))
-        if compatible(sk, layerings[i], vs)
-        and has_skeleton(alg, scene.points[i], sk)
+        for i in scene.skeleton_candidates(sk)
+        if scene.points[i].rows in coords or has_skeleton(alg, scene.points[i], sk)
     ]
     image_set = set(image.values())
     point_set = {scene.points[i].rows for i in with_sk}
@@ -489,9 +526,10 @@ def cross_validate_chart(scene: OracleScene, sk: Skeleton) -> CrossValidationRep
     if len(image_set) != len(sols):
         mismatches.append("chart map is not injective on solutions")
     for i in with_sk:
-        c = point_from_submodule(alg, sk, scene.points[i])
-        pt = submodule_from_point(alg, sk, c, cover=scene.cover)
-        if pt.rows != scene.points[i].rows:
+        rows = scene.points[i].rows
+        c = coords[rows] if rows in coords else point_from_submodule(alg, sk, scene.points[i])
+        back = image[c] if c in image else submodule_from_point(alg, sk, c, cover=scene.cover).rows
+        if back != rows:
             mismatches.append(f"round trip failed for enumerated point {i}")
     return CrossValidationReport(
         skeleton=sk,

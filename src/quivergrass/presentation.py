@@ -13,6 +13,7 @@ paths.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -63,15 +64,23 @@ class Quiver:
         return f"Quiver({list(self.vertices)}, {list(self.arrows)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A path: start vertex plus arrows in order of application.
 
-    The empty arrow tuple is the vertex (lazy) path e_i of length 0.
+    The empty arrow tuple is the vertex (lazy) path e_i of length 0.  Paths
+    key many dicts, so the hash is computed once, at construction.
     """
 
     start: int
     arrows: Tuple[Arrow, ...] = ()
+    _hash: int = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.start, self.arrows)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def end(self) -> int:

@@ -174,3 +174,18 @@ def simple_tops(alg):
         for v in alg.quiver.vertices
         if any(p.start == v and p.length >= 1 for p in alg.basis)
     ]
+
+
+def cross_validation_jobs(cat):
+    """(name, algebra, tops) of every chart/oracle cross-validation: each
+    catalogue algebra at each simple top, the random one also at its first
+    two vertices, and merge at its two sources."""
+    jobs = []
+    for name, alg in cat.items():
+        tops_options = [(v,) for v in simple_tops(alg)]
+        if name == "random" and len(alg.quiver.vertices) >= 2:
+            tops_options.append(tuple(alg.quiver.vertices[:2]))
+        for tops in tops_options:
+            jobs.append((name, alg, tops))
+    jobs.append(("merge", merge(), (1, 2)))
+    return jobs

@@ -36,10 +36,10 @@ from quivergrass.presentation import all_paths
 
 from algebras import (
     catalogue,
+    cross_validation_jobs,
     double_triple,
     fork,
     loop_arrow,
-    merge,
     nilpotent_loop_arrow,
     path_of,
     simple_tops,
@@ -206,22 +206,10 @@ def test_acceptance_04_nilpotent_loop_orbit_chain():
         assert not simple_top_moduli_criterion(alg, 1).holds
 
 
-def _cross_validation_jobs(cat):
-    jobs = []
-    for name, alg in cat.items():
-        tops_options = [(v,) for v in simple_tops(alg)]
-        if name == "random" and len(alg.quiver.vertices) >= 2:
-            tops_options.append(tuple(alg.quiver.vertices[:2]))
-        for tops in tops_options:
-            jobs.append((name, alg, tops))
-    jobs.append(("merge", merge(), (1, 2)))
-    return jobs
-
-
 def test_acceptance_05_chart_oracle_bijection(cat):
     with Stopwatch("05 chart/oracle bijection", 300.0):
         mismatches = []
-        for name, alg, tops in _cross_validation_jobs(cat):
+        for name, alg, tops in cross_validation_jobs(cat):
             for prime in (2, 3):
                 algp = with_field(alg, GF(prime))
                 dim_p = sum(1 for p in algp.basis if p.start in tops)

@@ -137,6 +137,34 @@ def test_bad_numbers_in_problem_file_exit_2(problem_file, capsys, old, new):
     assert err.startswith("input error: ") and len(err) < 200
 
 
+def test_huge_field_in_problem_file_exits_2(problem_file, capsys):
+    text = LOOP_ARROW_TEXT.replace("field: Q", "field: F1" + "0" * 400)
+    code, out = run_cli(["skeletons", problem_file(text), "--dim", "1"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: field size past the supported bound") and err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "tag, code",
+    [
+        ("F1000000000000000003", 0),  # a prime: decided at once
+        ("F1000000000000000001", 2),  # 101 * 9901 * ...
+        ("F3317044064679887385961981", 2),  # the bound: passes every witness
+        ("F1" + "0" * 30 + "3", 2),
+    ],
+)
+def test_large_field_tags_are_decided_at_once(problem_file, capsys, tag, code):
+    path = problem_file(LOOP_ARROW_TEXT)
+    start = time.perf_counter()
+    got, out = run_cli(["skeletons", path, "--field", tag, "--dim", "1"])
+    assert time.perf_counter() - start < 5.0
+    assert got == code
+    assert out == ("1 skeleton(s) for top [1] at dim 1\n  {e1}\n" if code == 0 else "")
+    if code:
+        assert capsys.readouterr().err.startswith("input error: argument --field: expected Q or F<p>")
+
+
 @pytest.mark.parametrize(
     "new, message",
     [

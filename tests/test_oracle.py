@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quivergrass import (
     GF,
@@ -24,11 +25,14 @@ from quivergrass import (
     Path,
 )
 from quivergrass import oracle
+from quivergrass import polynomials as poly
 from quivergrass.linalg import is_invertible
 from quivergrass.oracle import _modules_isomorphic, chart_solutions, group_size
 from quivergrass.representations import hom_basis, hom_dim, hom_from_quotient, path_ranks, quotient_rep
 
 from algebras import (
+    catalogue,
+    cross_validation_jobs,
     double_triple,
     fork,
     loop_arrow,
@@ -379,3 +383,175 @@ def test_iso_scan_hom_calls_stay_bucketed(monkeypatch):
     assert len(iso_classes(scene)) == 195
     # an unbucketed scan makes 14352 calls here
     assert len(calls) <= 1000
+
+
+# ---------------------------------------------------------------------------
+# cross-validation: each chart-map value computed once, solutions depth first
+
+
+def _product_scan(f, n, polys):
+    """Reference: every tuple of F_q^n in product order, each tested on all
+    polynomials."""
+    return [
+        c
+        for c in itertools.product(list(f.elements()), repeat=n)
+        if all(poly.evaluate(f, p, c) == f.zero for p in polys)
+    ]
+
+
+@st.composite
+def _polynomial_systems(draw):
+    q = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(0, 4))
+    monomials = st.tuples(*[st.integers(0, 2)] * n)
+    polys = draw(st.lists(st.dictionaries(monomials, st.integers(1, q - 1), max_size=4), max_size=4))
+    return GF(q), n, polys
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=_polynomial_systems())
+@example(system=(GF(2), 0, []))
+@example(system=(GF(3), 0, [{(): 2}]))
+@example(system=(GF(3), 2, [{(0, 0): 1}]))
+@example(system=(GF(2), 3, [{(1, 0, 0): 1, (0, 0, 0): 1}]))  # X2, X3 in no polynomial
+@example(system=(GF(3), 3, [{(0, 0, 2): 1, (0, 0, 0): 2}, {(1, 1, 0): 1}]))
+def test_depth_first_solutions_match_the_product_scan(system):
+    f, n, polys = system
+    assert oracle._solutions(f, n, polys) == _product_scan(f, n, polys)
+
+
+def _two_loop_cross_validate_chart(scene, sk):
+    """Reference: the solution loop and the enumerated-point loop each compute
+    every chart-map value afresh, and membership runs `compatible` and
+    `has_skeleton` on every point.  The chart maps are looked up on the
+    oracle module, so a monkeypatch there reaches both versions."""
+    alg = scene.alg
+    mismatches = []
+    sols = oracle.chart_solutions(alg, sk, scene.config)
+    image = {}
+    for c in sols:
+        pt = oracle.submodule_from_point(alg, sk, c, cover=scene.cover)
+        image[c] = pt.rows
+        if oracle.point_from_submodule(alg, sk, pt) != c:
+            mismatches.append(f"round trip failed for chart point {c}")
+    layerings = scene.layerings()
+    vs = alg.quiver.vertices
+    with_sk = [
+        i
+        for i in range(len(scene.points))
+        if compatible(sk, layerings[i], vs) and has_skeleton(alg, scene.points[i], sk)
+    ]
+    image_set = set(image.values())
+    point_set = {scene.points[i].rows for i in with_sk}
+    if image_set != point_set:
+        mismatches.append(
+            f"chart image has {len(image_set)} points, enumeration has {len(point_set)}"
+        )
+    if len(image_set) != len(sols):
+        mismatches.append("chart map is not injective on solutions")
+    for i in with_sk:
+        c = oracle.point_from_submodule(alg, sk, scene.points[i])
+        pt = oracle.submodule_from_point(alg, sk, c, cover=scene.cover)
+        if pt.rows != scene.points[i].rows:
+            mismatches.append(f"round trip failed for enumerated point {i}")
+    return oracle.CrossValidationReport(
+        sk, len(sols), len(with_sk), image_set == point_set, tuple(mismatches)
+    )
+
+
+def test_cross_validation_matches_the_two_loop_reference():
+    """On every scene of acceptance 05."""
+    for name, alg, tops in cross_validation_jobs(catalogue()):
+        for prime in (2, 3):
+            algp = with_field(alg, GF(prime))
+            dim_p = sum(1 for p in algp.basis if p.start in tops)
+            for d in range(len(tops), dim_p + 1):
+                scene = enumerate_points(algp, tops, d)
+                for sk in enumerate_skeletons(algp, tops, d):
+                    report = cross_validate_chart(scene, sk)
+                    assert report == _two_loop_cross_validate_chart(scene, sk), (name, prime, d, sk)
+
+
+def _fork_chart():
+    """two_loop_fork over F3 at d=4 and a chart of 18 points on which X2
+    and X3 are free."""
+    alg = with_field(two_loop_fork(), GF(3))
+    q = alg.quiver
+    sk = make_skeleton(
+        alg, (1,), [Path(1), path_of(q, "w1"), path_of(q, "w1", "a1"), path_of(q, "a2")]
+    )
+    return enumerate_points(alg, (1,), 4), sk
+
+
+def test_perturbed_chart_coordinates_are_reported_as_before(monkeypatch):
+    scene, sk = _fork_chart()
+    f = scene.alg.field
+    sols = chart_solutions(scene.alg, sk)
+    victim = oracle.submodule_from_point(scene.alg, sk, sols[0], cover=scene.cover)
+    point_from_submodule = oracle.point_from_submodule
+
+    def perturbed(alg, sk_, point):
+        c = point_from_submodule(alg, sk_, point)
+        if point.rows == victim.rows:
+            c = (c[0], f.add(c[1], f.one)) + c[2:]  # another solution
+        return c
+
+    monkeypatch.setattr(oracle, "point_from_submodule", perturbed)
+    report = cross_validate_chart(scene, sk)
+    assert report == _two_loop_cross_validate_chart(scene, sk)
+    assert report.mismatches == (
+        f"round trip failed for chart point {sols[0]}",
+        f"round trip failed for enumerated point {scene.index_of(victim)}",
+    )
+
+
+def test_perturbed_chart_submodules_are_reported_as_before(monkeypatch):
+    scene, sk = _fork_chart()
+    sols = chart_solutions(scene.alg, sk)
+    submodule_from_point = oracle.submodule_from_point
+    lost = submodule_from_point(scene.alg, sk, sols[0], cover=scene.cover)
+
+    def perturbed(alg, sk_, c, cover=None):
+        return submodule_from_point(alg, sk_, sols[1] if tuple(c) == sols[0] else c, cover=cover)
+
+    monkeypatch.setattr(oracle, "submodule_from_point", perturbed)
+    report = cross_validate_chart(scene, sk)
+    assert report == _two_loop_cross_validate_chart(scene, sk)
+    assert not report.matched and report.mismatches == (
+        f"round trip failed for chart point {sols[0]}",
+        "chart image has 17 points, enumeration has 18",
+        "chart map is not injective on solutions",
+        f"round trip failed for enumerated point {scene.index_of(lost)}",
+    )
+
+
+def test_cross_validation_computes_each_chart_value_once(monkeypatch):
+    calls = {"submodule_from_point": 0, "point_from_submodule": 0, "compatible": 0}
+
+    def counting(name):
+        fn = getattr(oracle, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counting(name))
+    alg = with_field(two_loop_fork(), GF(3))
+    scene = enumerate_points(alg, (1,), 3)
+    n_classes = len(scene.layering_classes())
+    assert len(scene.points) == 54 and n_classes == 4
+    n_solutions = 0
+    for sk in enumerate_skeletons(alg, (1,), 3):
+        before = dict(calls)
+        report = cross_validate_chart(scene, sk)
+        made = {name: calls[name] - before[name] for name in calls}
+        # a matched chart leaves no enumerated point without a solution
+        assert report.ok
+        assert made["submodule_from_point"] <= report.n_solutions
+        assert made["point_from_submodule"] <= report.n_solutions
+        assert made["compatible"] <= n_classes
+        n_solutions += report.n_solutions
+    assert n_solutions >= len(scene.points)
