@@ -61,6 +61,15 @@ class Echelon:
         self.pivots.insert(at, piv)
         return True
 
+    @classmethod
+    def of_reduced(cls, field, width, rows):
+        """The echelon of rows that already form a reduced echelon basis,
+        sorted by pivot, filed as they are without a reduction."""
+        ech = cls(field, width)
+        ech.rows = [list(r) for r in rows]
+        ech.pivots = [r.index(field.one) for r in rows]  # the first nonzero entry
+        return ech
+
     def residual(self, vec):
         """Reduce vec against the current rows; returns a list."""
         return self._reduce(list(vec), self.rows, self.pivots)

@@ -2,10 +2,10 @@
 
 Enumerates all submodule points of a Grassmannian of top-T quotients over
 F_q, partitions them into automorphism orbits and isomorphism classes, and
-cross-validates the chart machinery against the enumeration.  A candidate
-subspace of JP is kept when `ProjectiveCover.escaping_arrow` finds no arrow
-moving it out of its span, the stability test `SubmodulePoint.from_rows`
-also uses.
+cross-validates the chart machinery against the enumeration.  A submodule
+of JP is built one vertex block at a time, and a partial choice of blocks
+is dropped as soon as an arrow between two chosen blocks moves a row out of
+its target block, so no candidate subspace is ever tested as a whole.
 
 Aut(P) acts through the path basis of End(P): each basis triple (r, s, p)
 sends the generator of slot r to p times the generator of slot s, and acts
@@ -153,8 +153,15 @@ class OracleScene:
 def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleConfig] = None) -> OracleScene:
     """All submodules of JP of codimension d in P, as canonical points.
 
-    Candidates are generated per vertex block (submodules are graded by end
-    vertex) and filtered by arrow stability.
+    A submodule C is graded by end vertex, C = sum of its blocks C_v in
+    (JP)_v, and stable under every arrow.  For each composition of dim C over
+    the vertices, the blocks are chosen one vertex at a time among the
+    reduced echelon matrices of their size that the loops at the vertex keep
+    (`_block_choices`), and a partial choice is dropped as soon as an arrow
+    between two chosen blocks maps a row out of its target block.  The rows
+    of a full choice, sorted by pivot, are already the canonical RREF of C.
+    The budget bounds the candidates: the graded subspaces of dimension
+    dim C, each of which this search would otherwise have to test.
     """
     if alg.field.char == 0:
         raise OracleScaleError("the oracle needs a finite coefficient field")
@@ -166,11 +173,11 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleC
     if dp < 0:
         return OracleScene(alg, cover.slots, d, cover, (), config)
     vs = alg.quiver.vertices
-    block_cols = {
-        v: [k for k, c in enumerate(cover.jp_cols) if cover.basis[c][1].end == v]
+    block_cols = [
+        [k for k, c in enumerate(cover.jp_cols) if cover.basis[c][1].end == v]
         for v in vs
-    }
-    block_dims = [len(block_cols[v]) for v in vs]
+    ]
+    block_dims = [len(cols) for cols in block_cols]
 
     total = 0
     compositions = []
@@ -186,28 +193,91 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleC
             f"{total} candidate subspaces exceed the budget {config.subspace_budget}"
         )
 
+    # per vertex position j, the arrows between block j and an earlier block
+    # i, as (i, arrow name, whether the arrow points into block j)
+    links = [[] for _ in vs]
+    vi = alg.quiver.vertex_index
+    for a in alg.quiver.arrows:
+        i, j = vi[a.source], vi[a.target]
+        if i < j:
+            links[j].append((i, a.name, True))
+        elif i > j:
+            links[i].append((j, a.name, False))
+    choices = {}  # (vertex position, dim) -> loop-stable block choices
     width = cover.dim_jp
     points = []
     for split in compositions:
-        per_block_choices = [
-            list(_echelon_block_matrices(f, k, n)) for n, k in zip(block_dims, split)
-        ]
-        for combo in itertools.product(*per_block_choices):
+        partial = [()]
+        for j, k in enumerate(split):
+            if (j, k) not in choices:
+                choices[j, k] = _block_choices(cover, block_cols, j, k)
+            partial = [
+                chosen + (ch,)
+                for chosen in partial
+                for ch in choices[j, k]
+                if _fits(ch, chosen, links[j])
+            ]
+        for chosen in partial:
             rows = []
-            for v, mats in zip(vs, combo):
-                cols = block_cols[v]
-                for brow in mats:
+            for cols, ch in zip(block_cols, chosen):
+                for piv, r in zip(ch.ech.pivots, ch.ech.rows):
                     row = [f.zero] * width
-                    for c, x in zip(cols, brow):
+                    for c, x in zip(cols, r):
                         row[c] = x
-                    rows.append(row)
-            ech = Echelon(f, width)
-            for r in rows:
-                ech.add(r)
-            if cover.escaping_arrow(ech) is None:
-                points.append(SubmodulePoint(cover, ech.snapshot()))
+                    rows.append((cols[piv], row))
+            rows.sort(key=lambda pr: pr[0])
+            points.append(SubmodulePoint(cover, [r for _, r in rows]))
     points.sort(key=lambda p: p.rows)
     return OracleScene(alg, cover.slots, d, cover, points, config)
+
+
+class _BlockChoice:
+    """A candidate block C_v in block coordinates: the `Echelon` of its
+    reduced rows, and per arrow leaving v the images of the rows in the
+    coordinates of the arrow's target block."""
+
+    __slots__ = ("ech", "images")
+
+    def __init__(self, ech, images):
+        self.ech = ech
+        self.images = images
+
+
+def _block_choices(cover: ProjectiveCover, block_cols, j, k):
+    """The k-dimensional blocks at the j-th vertex that its loops keep, in
+    the order of `_echelon_block_matrices`."""
+    alg = cover.alg
+    f = alg.field
+    v = alg.quiver.vertices[j]
+    cols = block_cols[j]
+    arrows = alg.quiver.arrows_from(v)
+    targets = [block_cols[alg.quiver.vertex_index[a.target]] for a in arrows]
+    out = []
+    for rows in _echelon_block_matrices(f, k, len(cols)):
+        ech = Echelon.of_reduced(f, len(cols), rows)
+        images = {}
+        for a, tcols in zip(arrows, targets):
+            moved = images[a.name] = []
+            for r in rows:
+                vec = [f.zero] * cover.dim_jp
+                for c, x in zip(cols, r):
+                    vec[c] = x
+                img = cover.jp_image(a, vec)
+                if img is not None:
+                    moved.append([img[c] for c in tcols])
+        if all(ech.contains(x) for a in arrows if a.target == v for x in images[a.name]):
+            out.append(_BlockChoice(ech, images))
+    return out
+
+
+def _fits(ch: _BlockChoice, chosen, links) -> bool:
+    """Whether every arrow between the block ch and a chosen block maps the
+    rows of its source block into the span of its target block."""
+    for i, name, into_ch in links:
+        src, tgt = (chosen[i], ch) if into_ch else (ch, chosen[i])
+        if not all(tgt.ech.contains(x) for x in src.images[name]):
+            return False
+    return True
 
 
 def _compositions(total, bounds):

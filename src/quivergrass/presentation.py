@@ -21,11 +21,21 @@ from .errors import AdmissibilityError, LoewyBoundError
 from .fields import QQ
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
+    """A named arrow source -> target.  Every path hashes its arrows, so the
+    hash is computed once, at construction."""
+
     name: str
     source: int
     target: int
+    _hash: int = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.source, self.target)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"{self.name}: {self.source} -> {self.target}"

@@ -11,7 +11,7 @@ prunes the enumeration) and from which the chart coordinates are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -158,16 +158,13 @@ class CriticalPair:
     """An arrow alpha and a path p in the skeleton with alpha*p outside it.
 
     targets lists the skeleton paths eligible to carry coordinates: at least
-    as long as alpha*p and ending at the same vertex.
+    as long as alpha*p and ending at the same vertex; product is alpha*p.
     """
 
     arrow: object
     path: Path
     targets: Tuple[Path, ...]
-
-    @property
-    def product(self) -> Path:
-        return self.path.extended_by(self.arrow)
+    product: Path = field(compare=False, repr=False)
 
     def render(self):
         return f"({self.arrow.name}, {self.path.render()})"
@@ -191,7 +188,7 @@ def critical_pairs(alg: AlgebraPresentation, sk: Skeleton, omit_ideal: bool = Tr
             targets = tuple(
                 q for q in sk.paths if q.length >= ap.length and q.end == ap.end
             )
-            out.append(CriticalPair(a, p, targets))
+            out.append(CriticalPair(a, p, targets, ap))
     out.sort(key=lambda cp: alg.path_key(cp.product))
     return out
 

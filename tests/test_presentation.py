@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from quivergrass import (
     AdmissibilityError,
     AlgElement,
+    Arrow,
     GF,
     LoewyBoundError,
     Path,
@@ -28,6 +29,16 @@ def test_loop_arrow_basis():
     assert alg.dim == 5
     rendered = {p.render() for p in alg.basis}
     assert rendered == {"e1", "e2", "w", "a", "a*w"}
+
+
+def test_arrows_and_paths_hash_as_their_fields():
+    """Both store the hash they are built with: the hash of their fields."""
+    q = two_loop_fork().quiver
+    a = q.arrow_by_name["a1"]
+    assert a == Arrow("a1", 1, 2) and hash(a) == hash(("a1", 1, 2))
+    assert not hasattr(a, "__dict__")
+    p = path_of(q, "w1", "a1")
+    assert p == Path(1, p.arrows) and hash(p) == hash((1, p.arrows))
 
 
 def test_semisimple_algebra():

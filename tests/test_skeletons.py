@@ -120,6 +120,7 @@ def test_critical_pair_targets_strictly_longer():
             for d in (2, 3):
                 for sk in enumerate_skeletons(alg, (v,), d):
                     for cp in critical_pairs(alg, sk):
+                        assert cp.product == cp.path.extended_by(cp.arrow)
                         for t in cp.targets:
                             assert t.length > cp.path.length
                             assert t.end == cp.product.end
