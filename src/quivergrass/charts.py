@@ -198,7 +198,11 @@ class ChartIdeal:
 def ideal_generators(alg: AlgebraPresentation, tops) -> List[AlgElement]:
     """Left-ideal generators of the relations restricted to the top vertices:
     right multiples rho*u by paths u from a top vertex, bounded in length so
-    that some term can still have length <= L."""
+    that some term can still have length <= L.  Memoized on the algebra; each
+    call returns a new list."""
+    tops = tuple(tops)
+    if tops in alg.ideal_generators_by_tops:
+        return list(alg.ideal_generators_by_tops[tops])
     f = alg.field
     out = []
     for rel in alg.relations:
@@ -217,6 +221,7 @@ def ideal_generators(alg: AlgebraPresentation, tops) -> List[AlgElement]:
                 g = rel.mul(AlgElement.of_path(f, u))
                 if not g.is_zero():
                     out.append(g)
+    alg.ideal_generators_by_tops[tops] = tuple(out)
     return out
 
 

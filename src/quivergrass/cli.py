@@ -19,7 +19,8 @@ The command line is `quivergrass <command> <problem> [flags]`.  COMMANDS
 declares each command's handler and the flags it reads, FLAGS each flag with
 its value check, and the parser is built from them once.  Any other flag, a
 bad value, an abbreviation, or --point/--point2 without its skeleton is an
-InputError: exit code 2 with a one-line message.
+InputError: exit code 2 with a one-line message.  Output into a pipe whose
+reader has left (`| head`) ends the command quietly with exit code 1.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -842,13 +844,19 @@ def main(argv=None, stdout=None):
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[args.command][0](args, parse_problem(text), out)
+        code = COMMANDS[args.command][0](args, parse_problem(text), out)
+        stdout.flush()
+        return code
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except QuivergrassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left (`| head`); silence the flush at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -31,11 +31,10 @@ class Echelon:
     def _reduce(self, out, rows, pivots):
         """Clear the pivot columns of the list out, in place, by subtracting
         multiples of the given rows over the first len(out) columns."""
-        f = self.field
-        zero, sub, mul = f.zero, f.sub, f.mul
+        sub, mul = self.field.sub, self.field.mul
         for row, piv in zip(rows, pivots):
             c = out[piv]
-            if c != zero:
+            if c:  # field zeros (0 and Fraction(0)) are falsy
                 for j in range(piv, len(out)):
                     out[j] = sub(out[j], mul(c, row[j]))
         return out
@@ -45,16 +44,15 @@ class Echelon:
         columns; returns True if it was.  A row one column shorter than the
         new one (an Expander's, before the new vector's column) gains a zero."""
         f = self.field
-        zero = f.zero
-        piv = next((j for j in range(self.width) if res[j] != zero), None)
+        piv = next((j for j in range(self.width) if res[j]), None)
         if piv is None:
             return False
         inv = f.inv(res[piv])
         row = [f.mul(inv, c) for c in res]
         for other in self.rows:
             if len(other) < len(row):
-                other.append(zero)
-            if other[piv] != zero:
+                other.append(f.zero)
+            if other[piv]:
                 self._reduce(other, (row,), (piv,))
         at = bisect(self.pivots, piv)
         self.rows.insert(at, row)

@@ -544,19 +544,17 @@ def _solutions(f, n, polys):
     due = [[] for _ in range(n + 1)]  # due[k]: polynomials in X1..Xk only
     for p in polys:
         due[max((i + 1 for e in p for i, k in enumerate(e) if k), default=0)].append(p)
-    elems = list(f.elements())
+    last = list(f.elements())[::-1]  # pushed last first, so popped in field order
     out = []
-
-    def extend(prefix):
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
         if any(poly.evaluate(f, p, prefix) != f.zero for p in due[len(prefix)]):
-            return
+            continue
         if len(prefix) == n:
             out.append(prefix)
-            return
-        for x in elems:
-            extend(prefix + (x,))
-
-    extend(())
+        else:
+            stack.extend(prefix + (x,) for x in last)
     return out
 
 

@@ -262,8 +262,10 @@ class AlgebraPresentation:
         self.basis_index: Dict[Path, int] = {}
         self._rows: Dict[Path, AlgElement] = {}
         self._nf_cache: Dict[Path, AlgElement] = {}
-        # charts.ChartContext per skeleton, filled by charts.chart_context
+        # charts.ChartContext per skeleton, filled by charts.chart_context,
+        # and the ideal generators per tops tuple, by charts.ideal_generators
         self.chart_contexts: Dict[object, object] = {}
+        self.ideal_generators_by_tops: Dict[tuple, tuple] = {}
 
     def path_key(self, path: Path):
         return self._order_key(path)

@@ -5,8 +5,10 @@ vertex, containing the lazy paths and closed under right subpaths.  Critical
 pairs (alpha, p) with alpha*p outside the skeleton carry the chart
 coordinates; routes decide which paths can survive the rewriting.
 `skeleton_expander` is the one elimination, deepest layer first, that decides
-whether a skeleton indexes a chart containing a submodule C (with C = 0 it
-prunes the enumeration) and from which the chart coordinates are read.
+whether a skeleton indexes a chart containing a submodule C and from which
+the chart coordinates are read.  With C = 0 the test splits into independent
+(start, length, end) blocks, which `enumerate_skeletons` checks as it grows
+a skeleton, to prune the enumeration.
 """
 
 from __future__ import annotations
@@ -92,9 +94,12 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
     """All d-dimensional skeletons with the given top, in canonical order.
 
     Growth adds paths in increasing path order, which visits each
-    prefix-closed set exactly once.  With prune on, skeletons whose length-l
-    layer is linearly dependent modulo J^{l+1}P are dropped (the pass of
-    `skeleton_expander` with C = 0).
+    prefix-closed set exactly once.  With prune on, only skeletons whose
+    length-l paths are independent modulo J^{l+1}P for every l are kept.
+    J^lP/J^{l+1}P splits into (start, length, end) blocks, so the test runs
+    per block during growth: the rows of each block's path tuple modulo
+    J^{l+1}P are filed once per call in `layer_rows`, and a path that makes
+    its block dependent is not added, which cuts every extension of it.
     """
     tops = tuple(tops)
     if len(set(tops)) != len(tops):
@@ -105,11 +110,16 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
         return []
     roots = tuple(Path(v) for v in tops)
     key = alg.path_key
+    if prune:
+        cover = ProjectiveCover(alg, tops)
+        below = {}  # l -> the echelon of J^{l+1}P
+        layer_rows = {(): ()}  # a block's path tuple -> its rows, None once dependent
     results: List[Skeleton] = []
-    # depth first, children in path order: a stack of (paths, key of the last)
-    stack = [(roots, max(key(r) for r in roots))] if roots else []
+    # depth first, children in path order: a stack of (paths, key of the
+    # last, the path tuple of each block)
+    stack = [(roots, max(key(r) for r in roots), {})] if roots else []
     while stack:
-        current, last_key = stack.pop()
+        current, last_key, blocks = stack.pop()
         if len(current) == d:
             results.append(Skeleton(tops, tuple(sorted(current, key=key))))
             continue
@@ -119,14 +129,30 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
                 continue
             for a in alg.quiver.arrows_from(p.end):
                 q = p.extended_by(a)
-                if q not in current and key(q) > last_key:
+                if key(q) > last_key:  # so q is not in current
                     candidates.add(q)
         for q in reversed(sorted(candidates, key=key)):
-            stack.append((current + (q,), key(q)))
-    if prune:
-        cover = ProjectiveCover(alg, tops)
-        results = [sk for sk in results if skeleton_expander(cover, sk, kind=Echelon) is not None]
+            child = blocks
+            if prune:
+                b = (q.start, q.length, q.end)
+                block = blocks.get(b, ()) + (q,)
+                if block not in layer_rows:
+                    layer_rows[block] = _block_rows(cover, below, layer_rows[block[:-1]], q)
+                if layer_rows[block] is None:
+                    continue
+                child = {**blocks, b: block}
+            stack.append((current + (q,), key(q), child))
     return results
+
+
+def _block_rows(cover: ProjectiveCover, below: Dict, rows, q: Path):
+    """Echelon rows (JP coordinates) modulo J^{l+1}P of a block's paths with
+    rows `rows` and the path q of length l, or None if q depends on them."""
+    f, l = cover.alg.field, q.length
+    if l not in below:
+        below[l] = Echelon.of_reduced(f, cover.dim_jp, cover.radical_rows(l + 1))
+    ech = Echelon.of_reduced(f, cover.dim_jp, rows)
+    return ech.rows if ech.add(below[l].residual(cover.jp_path_vector(q))) else None
 
 
 def skeleton_expander(cover: ProjectiveCover, sk: Skeleton, c_rows: Sequence = (), kind=Expander) -> Optional[Echelon]:

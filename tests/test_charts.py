@@ -517,6 +517,14 @@ def test_pruned_skeletons_match_layer_definition():
             assert enumerate_skeletons(alg, tops, d, prune=True) == kept, (name, tops, d)
 
 
+def test_ideal_generators_are_filed_on_the_algebra():
+    alg = two_loop_fork()
+    gens = ideal_generators(alg, (1,))
+    assert alg.ideal_generators_by_tops == {(1,): tuple(gens)}
+    gens.append(None)  # a caller's list is its own
+    assert ideal_generators(alg, (1,)) == gens[:-1]
+
+
 def test_algebra_is_freed_without_the_cycle_collector():
     """Chart contexts live on their algebra, so nothing they hold may point
     back at it: with the collector off, the algebra dies with its last name."""

@@ -4,6 +4,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -574,6 +577,28 @@ def test_cli_flag_strings_never_raise(loop_arrow_file, choice, skeleton, point, 
     assert code in (0, 1, 2)
     if flags - READS[command]:
         assert code == 2
+
+
+def test_cli_output_into_a_closed_pipe_ends_quietly(problem_file):
+    """Like `| head -1`: the reader leaves after one line of a 134 kB
+    listing, more than the pipe holds, so later writes fail.  The command
+    ends with exit code 1 and prints no traceback."""
+    path = problem_file(
+        "field: F2\nloewy: 2\nvertices: 1 2 3\ntop: 1\narrows: "
+        + ", ".join(f"{x}{k}: {v} -> {v + 1}" for x, v in (("a", 1), ("b", 2)) for k in range(1, 5))
+        + "\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quivergrass.cli", "skeletons", path, "--dim", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"2876 skeleton(s) for top [1] at dim 8\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_cli_hom_and_layering(problem_file):

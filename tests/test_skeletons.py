@@ -1,6 +1,10 @@
 """Skeleton enumeration, critical pairs, routes, compatibility."""
 
+import os
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivergrass import (
     AlgElement,
@@ -20,6 +24,9 @@ from quivergrass import (
     skeleton_of,
     with_field,
 )
+from quivergrass import cli, skeletons
+from quivergrass.linalg import Echelon
+from quivergrass.skeletons import skeleton_expander
 
 from algebras import (
     catalogue,
@@ -28,6 +35,10 @@ from algebras import (
     simple_tops,
     two_loop_fork,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import inputs  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_enumeration_loop_arrow():
@@ -60,6 +71,63 @@ def test_enumeration_rejects_repeated_top():
     alg = loop_arrow()
     with pytest.raises(TopNotSquarefreeError):
         enumerate_skeletons(alg, (1, 1), 3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), large=st.booleans())
+def test_pruning_during_growth_matches_the_expander_filter(seed, large):
+    """Random presentations of the benchmark's shapes (LARGE_Q over Q, SMALL
+    over F2), at the generated top and at (1, 2), every d: the pruned list is
+    the unpruned one filtered by the C = 0 pass of `skeleton_expander`."""
+    family, tag = (workloads.LARGE_Q, "Q") if large else (workloads.SMALL, "F2")
+    [(text, top)] = inputs.random_problems(seed, 1, family)
+    alg = cli.parse_problem(text).algebra(tag)
+    for tops in (top, (1, 2)):
+        cover = ProjectiveCover(alg, tops)
+        for d in range(cover.dim + 2):
+            kept = [
+                sk for sk in enumerate_skeletons(alg, tops, d)
+                if skeleton_expander(cover, sk, kind=Echelon) is not None
+            ]
+            assert enumerate_skeletons(alg, tops, d, prune=True) == kept, (text, tops, d)
+
+
+def test_pruning_files_each_block_tuple_once(monkeypatch):
+    """The pruned growth runs no expander pass and at most one Echelon.add
+    per distinct (start, length, end) block tuple, besides the adds that
+    build the rows of J^mP."""
+    alg = two_loop_fork()
+    tops, d = (1,), 7
+
+    def no_expander(*args, **kwargs):
+        raise AssertionError("skeleton_expander called by the pruned growth")
+
+    calls = []
+    add = Echelon.add
+
+    def counted(ech, vec):
+        calls.append(1)
+        return add(ech, vec)
+
+    monkeypatch.setattr(skeletons, "skeleton_expander", no_expander)
+    monkeypatch.setattr(Echelon, "add", counted)
+    for m in range(2, alg.loewy_bound + 2):
+        ProjectiveCover(alg, tops).radical_rows(m)
+    radical_adds = len(calls)
+    # every tuple tested is a block of a prefix-closed path set of size <= d
+    tuples, sets = set(), 0
+    for e in range(len(tops), d + 1):
+        for sk in enumerate_skeletons(alg, tops, e):
+            sets += 1
+            blocks = {}
+            for p in sk.paths:
+                if p.length:
+                    blocks.setdefault((p.start, p.length, p.end), []).append(p)
+            tuples.update(tuple(b) for b in blocks.values())
+    calls.clear()
+    assert len(enumerate_skeletons(alg, tops, d, prune=True)) == 9
+    assert len(calls) - radical_adds <= len(tuples)
+    assert len(tuples) < sets / 10  # a test per grown set would break the bound
 
 
 def test_skeleton_invariants_hold_for_all_enumerated():
