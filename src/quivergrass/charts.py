@@ -208,7 +208,8 @@ def ideal_generators(alg: AlgebraPresentation, tops) -> List[AlgElement]:
     for rel in alg.relations:
         budget = alg.loewy_bound - rel.min_length()
         if budget < 0:
-            # every term too long to matter; such generators rewrite to zero
+            # every term too long to matter: such generators rewrite to zero,
+            # and chart_ideal skips them
             for v in tops:
                 keep = AlgElement(
                     f, {p: c for p, c in rel.terms.items() if p.start == v}
@@ -226,14 +227,19 @@ def ideal_generators(alg: AlgebraPresentation, tops) -> List[AlgElement]:
 
 
 def chart_ideal(alg, sk: Skeleton) -> ChartIdeal:
-    """Variables and defining polynomials of the chart of a skeleton."""
+    """Variables and defining polynomials of the chart of a skeleton: the
+    coefficients of the rewritten ideal generators, skipping those longer
+    than every skeleton path."""
     ctx = chart_context(alg, sk)
     if ctx.ideal is not None:
         return ctx.ideal
     f = alg.field
     polys = []
     seen = set()
+    top_length = sk.max_length()
     for g in ideal_generators(alg, sk.tops):
+        if g.min_length() > top_length:
+            continue  # rewriting never shortens a path, so g rewrites to zero
         for q, coeff in sorted(
             ctx.reduce_element(g).items(), key=lambda t: alg.path_key(t[0])
         ):

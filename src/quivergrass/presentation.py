@@ -13,6 +13,7 @@ paths.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -385,21 +386,22 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
                 rows[piv] = row.sub(x.scale(c))
         rows[pivot] = x
 
+    # all_paths lists paths by length: upto[l] counts those of length <= l
+    lengths = [p.length for p in paths]
+    upto = [bisect.bisect_right(lengths, l) for l in range(L1 + 1)]
     for rel in rels:
-        minlen = rel.min_length()
-        budget = L1 - minlen
-        for v in paths:
-            if v.length > budget:
-                continue
+        budget = L1 - rel.min_length()
+        if budget < 0:
+            continue
+        for v in paths[: upto[budget]]:
             rv = rel.mul(AlgElement.of_path(field, v), maxlen=L1)
             if rv.is_zero():
                 continue
             insert(rv)
-            for u in paths:
-                if 0 < u.length <= budget - v.length:
-                    uv = AlgElement.of_path(field, u).mul(rv, maxlen=L1)
-                    if not uv.is_zero():
-                        insert(uv)
+            for u in paths[upto[0] : upto[budget - v.length]]:
+                uv = AlgElement.of_path(field, u).mul(rv, maxlen=L1)
+                if not uv.is_zero():
+                    insert(uv)
 
     basis = [p for p in descending if p.length <= loewy_bound and p not in rows]
     basis.sort(key=key)

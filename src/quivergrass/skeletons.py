@@ -8,7 +8,8 @@ coordinates; routes decide which paths can survive the rewriting.
 whether a skeleton indexes a chart containing a submodule C and from which
 the chart coordinates are read.  With C = 0 the test splits into independent
 (start, length, end) blocks, which `enumerate_skeletons` checks as it grows
-a skeleton, to prune the enumeration.
+a skeleton, to prune the enumeration.  The growth carries each node's
+candidate paths down to its children, so no node rebuilds them.
 """
 
 from __future__ import annotations
@@ -94,8 +95,12 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
     """All d-dimensional skeletons with the given top, in canonical order.
 
     Growth adds paths in increasing path order, which visits each
-    prefix-closed set exactly once.  With prune on, only skeletons whose
-    length-l paths are independent modulo J^{l+1}P for every l are kept.
+    prefix-closed set exactly once.  Each node carries its candidates, the
+    one-arrow extensions of its paths above its last path, in path order; the
+    child that adds q takes the candidates after q merged with q's own
+    extensions above q, built once per call in `exts`.  With prune on, only
+    skeletons whose length-l paths are independent modulo J^{l+1}P for every
+    l are kept.
     J^lP/J^{l+1}P splits into (start, length, end) blocks, so the test runs
     per block during growth: the rows of each block's path tuple modulo
     J^{l+1}P are filed once per call in `layer_rows`, and a path that makes
@@ -109,29 +114,41 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
     if d < t:
         return []
     roots = tuple(Path(v) for v in tops)
-    key = alg.path_key
+    keys = {r: alg.path_key(r) for r in roots}  # path -> its order key
+    key = keys.__getitem__
+    exts: Dict[Path, Tuple[Path, ...]] = {}  # path -> its extensions above it, in path order
+
+    def extensions(p):
+        if p not in exts:
+            out = []
+            if p.length < alg.loewy_bound:
+                for a in alg.quiver.arrows_from(p.end):
+                    q = p.extended_by(a)
+                    keys[q] = alg.path_key(q)
+                    if keys[q] > keys[p]:
+                        out.append(q)
+            exts[p] = tuple(sorted(out, key=key))
+        return exts[p]
+
     if prune:
         cover = ProjectiveCover(alg, tops)
         below = {}  # l -> the echelon of J^{l+1}P
         layer_rows = {(): ()}  # a block's path tuple -> its rows, None once dependent
     results: List[Skeleton] = []
-    # depth first, children in path order: a stack of (paths, key of the
-    # last, the path tuple of each block)
-    stack = [(roots, max(key(r) for r in roots), {})] if roots else []
+    stack = []
+    if roots:
+        last = max(key(r) for r in roots)
+        start = tuple(sorted((q for r in roots for q in extensions(r) if key(q) > last), key=key))
+        stack.append((roots, start, {}))
+    # depth first, children in path order: a stack of (paths, candidates in
+    # path order, the path tuple of each block)
     while stack:
-        current, last_key, blocks = stack.pop()
+        current, candidates, blocks = stack.pop()
         if len(current) == d:
             results.append(Skeleton(tops, tuple(sorted(current, key=key))))
             continue
-        candidates = set()
-        for p in current:
-            if p.length >= alg.loewy_bound:
-                continue
-            for a in alg.quiver.arrows_from(p.end):
-                q = p.extended_by(a)
-                if key(q) > last_key:  # so q is not in current
-                    candidates.add(q)
-        for q in reversed(sorted(candidates, key=key)):
+        for i in range(len(candidates) - 1, -1, -1):
+            q = candidates[i]
             child = blocks
             if prune:
                 b = (q.start, q.length, q.end)
@@ -141,7 +158,10 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
                 if layer_rows[block] is None:
                     continue
                 child = {**blocks, b: block}
-            stack.append((current + (q,), key(q), child))
+            later = ()  # a full child needs no candidates
+            if len(current) + 1 < d:
+                later = tuple(sorted(candidates[i + 1:] + extensions(q), key=key))
+            stack.append((current + (q,), later, child))
     return results
 
 

@@ -517,6 +517,39 @@ def test_pruned_skeletons_match_layer_definition():
             assert enumerate_skeletons(alg, tops, d, prune=True) == kept, (name, tops, d)
 
 
+def reference_chart_ideal(alg, sk):
+    """chart_ideal as it was before generators longer than the skeleton were
+    skipped: every ideal generator is rewritten."""
+    ctx = chart_context(alg, sk)
+    polys, seen = [], set()
+    for g in ideal_generators(alg, sk.tops):
+        for q, coeff in sorted(ctx.reduce_element(g).items(), key=lambda t: alg.path_key(t[0])):
+            canon = poly.frozen(poly.canonicalize(alg.field, coeff))
+            if canon and canon not in seen:
+                seen.add(canon)
+                polys.append(canon)
+    return tuple(sorted(polys))
+
+
+def test_skipped_generators_rewrite_to_zero():
+    """Every catalogue chart with d <= 4, at a simple top and at (1, 2): a
+    generator longer than every skeleton path rewrites to zero, pruned and
+    unpruned, and chart_ideal equals the ideal of all generators."""
+    skipped = 0
+    for name, alg in catalogue().items():
+        for tops in ((simple_tops(alg)[0],), (1, 2)):
+            for d in range(len(tops), 5):
+                for sk in enumerate_skeletons(alg, tops, d):
+                    ctx = chart_context(alg, sk)
+                    for g in ideal_generators(alg, sk.tops):
+                        if g.min_length() > sk.max_length():
+                            skipped += 1
+                            assert ctx.reduce_element(g, route_prune=True) == {}, (name, sk, g)
+                            assert ctx.reduce_element(g, route_prune=False) == {}, (name, sk, g)
+                    assert chart_ideal(alg, sk).polynomials == reference_chart_ideal(alg, sk), (name, sk)
+    assert skipped > 100
+
+
 def test_ideal_generators_are_filed_on_the_algebra():
     alg = two_loop_fork()
     gens = ideal_generators(alg, (1,))
