@@ -15,6 +15,11 @@ class FieldError(QuivergrassError):
     """Bad field tag or impossible coercion (e.g. 1/p in F_p)."""
 
 
+def _refuse_float(value):
+    if isinstance(value, float):
+        raise FieldError(f"the float {value!r} is not an exact scalar")
+
+
 class Rationals:
     """The field Q; elements are Fraction."""
 
@@ -24,6 +29,7 @@ class Rationals:
     tag = "Q"
 
     def coerce(self, value):
+        _refuse_float(value)
         return Fraction(value)
 
     def add(self, a, b):
@@ -104,6 +110,7 @@ class PrimeField:
         self.tag = f"F{p}"
 
     def coerce(self, value):
+        _refuse_float(value)
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:

@@ -1,7 +1,9 @@
 """Decision procedures for moduli existence and finite local type.
 
 Full invariance of a submodule point decides the absence of proper
-top-stable degenerations of its quotient; the quiver-level test for a simple
+top-stable degenerations of its quotient; it applies the right action of the
+End(P) path basis that the projective cover owns, the same action the oracle
+orbits use, to the rows of the point.  The quiver-level test for a simple
 top checks whether products lambda*omega stay in the cyclic left module of
 lambda.  Orbit dimensions come from Yoneda: End(M) for M = P/C is the
 space K of tuples (x_s), x_s in M_{v_s}, that C kills, and Hom(M, JM) is
@@ -38,64 +40,31 @@ class InvarianceResult:
         return self.holds
 
 
-def _endo_paths(alg: AlgebraPresentation, tops):
-    """Basis of End(P) for squarefree tops: right multiplications by basis
-    paths running between top vertices."""
-    return [
-        p
-        for p in alg.basis
-        if p.start in tops and p.end in tops
-    ]
-
-
-def _right_multiply(alg, cover: ProjectiveCover, vec, path: Path):
-    """Image of a full-P vector under right multiplication by a path.
-
-    The path must run between top vertices; it moves the component sitting
-    over the slot of its end vertex to the slot of its start vertex.
-    """
-    f = alg.field
-    out = [f.zero] * cover.dim
-    end_slot = cover.slots.index(path.end)
-    start_slot = cover.slots.index(path.start)
-    for i, c in enumerate(vec):
-        if c == f.zero:
-            continue
-        slot, p = cover.basis[i]
-        if slot != end_slot:
-            continue
-        prod = path.then(p)  # first path, then p
-        if prod is None:
-            continue
-        img = alg.nf_path(prod)
-        for pth, a in img.terms.items():
-            j = cover.index[(start_slot, pth)]
-            out[j] = f.add(out[j], f.mul(c, a))
-    return out
-
-
 def is_fully_invariant(alg: AlgebraPresentation, point: SubmodulePoint) -> InvarianceResult:
     """Whether the submodule is stable under every endomorphism of P.
 
     Endomorphisms of P are right multiplications by algebra elements running
-    between the top vertices; the first violating basis path (in path order)
-    and point row are returned as a witness.
+    between the top vertices, spanned by the triples of `cover.end_basis`;
+    for a squarefree top each basis path is one triple.  The first violating
+    basis path (in path order) and point row are returned as a witness.
     """
     cover = point.cover
     if not cover.squarefree:
         raise TopNotSquarefreeError("full invariance needs a squarefree top")
     ech = point.echelon()
     f = alg.field
-    for path in _endo_paths(alg, cover.slots):
-        if path.length == 0:
-            continue  # identity components always preserve C
+    # the unit triples are the identity, which preserves C
+    radical = [t for t in cover.end_basis if t[2].length >= 1]
+    for triple in sorted(radical, key=lambda t: alg.basis_index[t[2]]):
+        act = cover.right_action(triple)
         for row in point.rows:
-            full = cover.jp_to_full(row)
-            img = _right_multiply(alg, cover, full, path)
-            if any(c != f.zero for c in img):
-                jimg = [img[c] for c in cover.jp_cols]
-                if not ech.contains(jimg):
-                    return InvarianceResult(False, path, row)
+            img = [f.zero] * cover.dim_jp
+            for k, c in enumerate(row):
+                if c != f.zero:
+                    for j, a in act.get(k, ()):
+                        img[j] = f.add(img[j], f.mul(c, a))
+            if not ech.contains(img):
+                return InvarianceResult(False, triple[2], row)
     return InvarianceResult(True)
 
 

@@ -7,16 +7,17 @@ of JP is built one vertex block at a time, and a partial choice of blocks
 is dropped as soon as an arrow between two chosen blocks moves a row out of
 its target block, so no candidate subspace is ever tested as a whole.
 
-Aut(P) acts through the path basis of End(P): each basis triple (r, s, p)
-sends the generator of slot r to p times the generator of slot s, and acts
-on JP by a sparse right multiplication.  A group element is a coefficient
-vector over that basis.  One orbit loop moves a point's rows by such
-vectors: by every group element when the group fits the budget (exhaustive
-scan), else by the one-parameter generators 1 + c*b, closing each orbit
-breadth first (generator BFS).  Isomorphism is decided through Yoneda (see
-`iso_classes`), only between points with equal exact invariants (radical
-layering and path-action ranks).  Everything is exact and deterministic;
-budgets guard against blowups.
+Aut(P) acts through the path basis of End(P) that the projective cover
+owns: each basis triple (r, s, p) sends the generator of slot r to p times
+the generator of slot s, and acts on JP by a sparse right multiplication
+kept on the cover, so every orbit partition of one scene shares it.  A group
+element is a coefficient vector over that basis.  One orbit loop moves a
+point's rows by such vectors: by every group element when the group fits
+the budget (exhaustive scan), else by the one-parameter generators 1 + c*b,
+closing each orbit breadth first (generator BFS).  Isomorphism is decided
+through Yoneda (see `iso_classes`), only between points with equal exact
+invariants (radical layering and path-action ranks).  Everything is exact
+and deterministic; budgets guard against blowups.
 """
 
 from __future__ import annotations
@@ -295,38 +296,9 @@ def _compositions(total, bounds):
 # the automorphism group of P over F_q, through the path basis of End(P)
 
 
-def _end_basis(cover: ProjectiveCover):
-    """Path basis of End(P): triples (r, s, p) sending the generator of slot
-    r to p times the generator of slot s, for every basis path p from the
-    vertex of slot s to the vertex of slot r.  The unit triples (length 0)
-    come first, group by group of `cover.slot_groups`; the radical triples
-    follow in (r, s, path) order."""
-    triples = [
-        (r, s, p)
-        for r, vr in enumerate(cover.slots)
-        for s, vs_ in enumerate(cover.slots)
-        for p in cover.alg.basis
-        if p.start == vs_ and p.end == vr
-    ]
-    return sorted(triples, key=lambda t: t[2].length > 0)
-
-
-def _right_action(cover: ProjectiveCover, triple):
-    """Sparse action of a basis triple on JP: column -> JP coordinates of its
-    image (the column's path in slot r, with p put in front, in slot s)."""
-    r, s, p = triple
-    act = {}
-    for k, col in enumerate(cover.jp_cols):
-        slot, path = cover.basis[col]
-        if slot == r:
-            img = cover.alg.nf_path(p.then(path))
-            act[k] = [(cover.jp_index[cover.index[(s, q)]], c) for q, c in img.terms.items()]
-    return act
-
-
 def group_size(cover: ProjectiveCover) -> int:
     q = cover.alg.field.char
-    size = q ** sum(1 for _, _, p in _end_basis(cover) if p.length >= 1)
+    size = q ** sum(1 for _, _, p in cover.end_basis if p.length >= 1)
     for block in cover.slot_groups:
         t = len(block)
         gl = 1
@@ -349,7 +321,7 @@ def _all_invertible(field, n):
 def _orbit_partition(scene: OracleScene, unipotent_only: bool):
     """Orbits of Aut(P), or of its unipotent radical, in order of least point.
 
-    A group element is a coefficient vector over `_end_basis`: invertible
+    A group element is a coefficient vector over `cover.end_basis`: invertible
     unit blocks, then any radical values.  Within the group budget every
     element moves each orbit's least point (exhaustive scan).  Beyond it the
     orbit is closed under the generators 1 + c*b, for every basis triple b
@@ -360,8 +332,8 @@ def _orbit_partition(scene: OracleScene, unipotent_only: bool):
     """
     cover = scene.cover
     f = scene.alg.field
-    basis = _end_basis(cover)
-    actions = [_right_action(cover, b) for b in basis]
+    basis = cover.end_basis
+    actions = [cover.right_action(b) for b in basis]
     n_unit = sum(1 for _, _, p in basis if p.length == 0)
     n_rad = len(basis) - n_unit
     identity = tuple(f.one if r == s else f.zero for r, s, _ in basis[:n_unit])

@@ -11,21 +11,11 @@ from fractions import Fraction
 from math import gcd
 
 
-def zero():
-    return {}
-
-
 def const(nvars, field, value):
     c = field.coerce(value)
     if c == field.zero:
         return {}
     return {(0,) * nvars: c}
-
-
-def variable(nvars, field, idx):
-    exp = [0] * nvars
-    exp[idx] = 1
-    return {tuple(exp): field.one}
 
 
 def add(field, a, b):
@@ -37,10 +27,6 @@ def add(field, a, b):
         else:
             out[e] = s
     return out
-
-
-def sub(field, a, b):
-    return add(field, a, scale(field, b, field.neg(field.one)))
 
 
 def scale(field, a, c):
@@ -55,19 +41,6 @@ def mul_variable(field, a, idx):
         e2 = list(e)
         e2[idx] += 1
         out[tuple(e2)] = c
-    return out
-
-
-def mul(field, a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = field.add(out.get(e, field.zero), field.mul(ca, cb))
-            if s == field.zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
     return out
 
 

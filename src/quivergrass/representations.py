@@ -6,12 +6,14 @@ handled through an explicit path basis with one slot per top generator, so
 tops with repeated simples (needed by the brute-force oracle) work the same
 way as squarefree ones.  `ProjectiveCover` is the one owner of that layout:
 the coordinates of path images in P, the action of each arrow as a map from
-P into JP, and the test of whether a subspace of JP is a submodule.
+P into JP, the path basis of End(P) with its right action on JP, and the
+test of whether a subspace of JP is a submodule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, groupby
 from typing import Dict, List, Optional, Tuple
 
@@ -47,6 +49,7 @@ class ProjectiveCover:
         self.jp_cols = [i for i, (_, p) in enumerate(self.basis) if p.length >= 1]
         self.jp_index = {c: k for k, c in enumerate(self.jp_cols)}
         self._arrow_action: Dict[str, Dict[int, List[Tuple[int, object]]]] = {}
+        self._right_action: Dict[tuple, Dict[int, List[Tuple[int, object]]]] = {}
         self._rep = None
         self._radical_rows: Dict[int, Tuple[Tuple[object, ...], ...]] = {}
         self._jp_path_vectors: Dict[Path, Tuple[object, ...]] = {}
@@ -166,9 +169,37 @@ class ProjectiveCover:
             self._rep = representation_on_blocks(self.alg, blocks, column_action)
         return self._rep
 
-    def end_dim(self) -> int:
-        """dim End(P) = the sum over the slots s of dim P_{v_s} (Yoneda)."""
-        return sum(1 for v in self.slots for _, p in self.basis if p.end == v)
+    @cached_property
+    def end_basis(self) -> Tuple[Tuple[int, int, Path], ...]:
+        """Path basis of End(P): triples (r, s, p) sending the generator of
+        slot r to p times the generator of slot s, for every basis path p
+        from the vertex of slot s to the vertex of slot r.  The unit triples
+        (length 0) come first, group by group of `slot_groups`; the radical
+        triples follow in (r, s, path) order."""
+        triples = [
+            (r, s, p)
+            for r, vr in enumerate(self.slots)
+            for s, vs in enumerate(self.slots)
+            for p in self.alg.basis
+            if p.start == vs and p.end == vr
+        ]
+        return tuple(sorted(triples, key=lambda t: t[2].length > 0))
+
+    def right_action(self, triple) -> Dict[int, List[Tuple[int, object]]]:
+        """Sparse right action on JP of a triple (r, s, p) of `end_basis`: JP
+        column -> JP coordinates of its image (the column's path in slot r,
+        with p put in front, in slot s)."""
+        act = self._right_action.get(triple)
+        if act is None:
+            r, s, p = triple
+            act = {}
+            for k, col in enumerate(self.jp_cols):
+                slot, path = self.basis[col]
+                if slot == r:
+                    img = self.alg.nf_path(p.then(path))
+                    act[k] = [(self.jp_index[self.index[(s, q)]], c) for q, c in img.terms.items()]
+            self._right_action[triple] = act
+        return act
 
     def radical_rows(self, m: int):
         """Canonical echelon rows (JP coordinates) of J^m P, for m >= 1."""

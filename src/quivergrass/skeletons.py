@@ -54,11 +54,16 @@ class Skeleton:
         return max(self._layers)
 
     @cached_property
-    def lengths_by_end(self) -> Dict[int, Tuple[int, ...]]:
-        out: Dict[int, set] = {}
+    def paths_by_end(self) -> Dict[int, Tuple[Path, ...]]:
+        """The paths ending at each vertex, in path order."""
+        out: Dict[int, list] = {}
         for p in self.paths:
-            out.setdefault(p.end, set()).add(p.length)
-        return {v: tuple(sorted(ls)) for v, ls in out.items()}
+            out.setdefault(p.end, []).append(p)
+        return {v: tuple(ps) for v, ps in out.items()}
+
+    @cached_property
+    def lengths_by_end(self) -> Dict[int, Tuple[int, ...]]:
+        return {v: tuple(sorted({p.length for p in ps})) for v, ps in self.paths_by_end.items()}
 
     def render(self):
         return "{" + ", ".join(p.render() for p in self.paths) + "}"
@@ -231,9 +236,7 @@ def critical_pairs(alg: AlgebraPresentation, sk: Skeleton, omit_ideal: bool = Tr
                 continue
             if omit_ideal and alg.nf_path(ap).is_zero():
                 continue
-            targets = tuple(
-                q for q in sk.paths if q.length >= ap.length and q.end == ap.end
-            )
+            targets = tuple(q for q in sk.paths_by_end.get(ap.end, ()) if q.length >= ap.length)
             out.append(CriticalPair(a, p, targets, ap))
     out.sort(key=lambda cp: alg.path_key(cp.product))
     return out

@@ -1,10 +1,11 @@
-"""Prime fields: the primality test behind every F_p tag."""
+"""Fields: the primality test behind every F_p tag, and exact coercion."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
-from quivergrass.fields import GF, PRIME_BOUND, FieldError, is_prime
+from quivergrass.fields import GF, PRIME_BOUND, QQ, FieldError, is_prime
 
 
 def test_primality_matches_trial_division():
@@ -18,3 +19,12 @@ def test_primality_matches_trial_division():
     assert is_prime(10 ** 18 + 3) and is_prime(2 ** 61 - 1) and not is_prime(10 ** 18 + 1)
     with pytest.raises(FieldError):
         GF(PRIME_BOUND)
+
+
+def test_coercion_refuses_floats():
+    """A float is not exact, so no field truncates or expands it."""
+    for field, value in ((GF(3), 0.5), (GF(5), 2.7), (GF(2), 1.0), (QQ, 0.1), (QQ, 2.0)):
+        with pytest.raises(FieldError):
+            field.coerce(value)
+    assert GF(5).coerce(Fraction(1, 2)) == 3 and GF(5).coerce(-1) == 4
+    assert QQ.coerce("1/3") == Fraction(1, 3) and QQ.coerce(7) == Fraction(7)

@@ -64,12 +64,56 @@ def test_is_fully_invariant_examples():
     assert is_fully_invariant(alg, jp).holds
 
 
+def _right_multiply(alg, cover, vec, path):
+    """Reference: image of a full-P vector under right multiplication by a
+    path running between top vertices of a squarefree cover.  It moves the
+    component over the slot of the path's end vertex to the slot of its start
+    vertex."""
+    f = alg.field
+    out = [f.zero] * cover.dim
+    end_slot = cover.slots.index(path.end)
+    start_slot = cover.slots.index(path.start)
+    for i, c in enumerate(vec):
+        slot, p = cover.basis[i]
+        if c == f.zero or slot != end_slot:
+            continue
+        for pth, a in alg.nf_path(path.then(p)).terms.items():
+            j = cover.index[(start_slot, pth)]
+            out[j] = f.add(out[j], f.mul(c, a))
+    return out
+
+
+def _full_p_invariance(alg, point):
+    """Reference full invariance on full-P vectors: (holds, witness path,
+    witness row) for the first radical basis path between top vertices, in
+    path order, and then the first row of the point, that moves a row out of
+    the point."""
+    cover = point.cover
+    for path in alg.basis:
+        if path.length == 0 or path.start not in cover.slots or path.end not in cover.slots:
+            continue
+        for row in point.rows:
+            if not point.contains_full(_right_multiply(alg, cover, cover.jp_to_full(row), path)):
+                return False, path, row
+    return True, None, None
+
+
+def test_invariance_matches_full_p_reference(top_scenes):
+    checked = 0
+    for label, scene in top_scenes:
+        if not scene.squarefree:
+            continue
+        for point in scene.points:
+            res = is_fully_invariant(scene.alg, point)
+            assert (res.holds, res.witness_path, res.witness_row) == _full_p_invariance(scene.alg, point), label
+            checked += 1
+    assert checked > 100
+
+
 def test_invariance_witness_reverifies():
     alg = loop_arrow()
     _, span_a, _ = _loop_arrow_points(alg)
     res = is_fully_invariant(alg, span_a)
-    from quivergrass.moduli import _right_multiply
-
     cover = span_a.cover
     full = cover.jp_to_full(res.witness_row)
     image = _right_multiply(alg, cover, full, res.witness_path)
@@ -225,7 +269,7 @@ def test_yoneda_dimensions_match_hom_formulas(top_scenes, rational_points):
     for label, alg, points in groups:
         for point in points:
             values = [
-                point.cover.end_dim(),
+                len(point.cover.end_basis),
                 orbit_dim(alg, point),
                 unipotent_orbit_dim(alg, point),
             ]

@@ -9,6 +9,7 @@ from quivergrass import (
     GF,
     OracleConfig,
     OracleScaleError,
+    ProjectiveCover,
     TopNotSquarefreeError,
     compatible,
     cross_validate_chart,
@@ -330,8 +331,9 @@ def test_iso_classes_do_not_use_the_orbit_code(top_scenes, monkeypatch):
     def forbidden(*args):
         raise AssertionError("isomorphism test used the orbit code")
 
-    for name in ("_orbit_partition", "_end_basis", "_right_action"):
-        monkeypatch.setattr(oracle, name, forbidden)
+    monkeypatch.setattr(oracle, "_orbit_partition", forbidden)
+    monkeypatch.setattr(ProjectiveCover, "end_basis", property(forbidden))
+    monkeypatch.setattr(ProjectiveCover, "right_action", forbidden)
     for label, scene in top_scenes:
         fresh = enumerate_points(scene.alg, scene.tops, scene.d)
         assert iso_classes(fresh) == iso_classes(scene), label
