@@ -34,13 +34,10 @@ from .representations import (
     SubmodulePoint,
     dim_vector,
     hom_basis,
-    hom_dim,
     multiplicity_mu,
     quotient_rep,
     radical_layering,
-    radical_submodule,
     sseq_leq,
-    submodule_as_rep,
     validate_representation,
 )
 from .skeletons import (
@@ -57,7 +54,6 @@ from .charts import (
     ChartIdeal,
     chart_ideal,
     has_skeleton,
-    module_from_point,
     point_from_submodule,
     reduce,
     submodule_from_point,

@@ -4,9 +4,9 @@ The congruence rewriting expands any path element over the skeleton basis
 with polynomial coefficients in the chart variables X_{alpha p, q}; applied
 to a generating set of the relation ideal restricted to the top vertices it
 yields the defining polynomials of the chart.  Points of the chart convert
-both ways to submodules of JP and to explicit representations; the way back
-(`point_from_submodule`) and the membership test (`has_skeleton`) are one
-pass of `skeletons.skeleton_expander` over C.
+both ways to submodules of JP; the way back (`point_from_submodule`) and
+the membership test (`has_skeleton`) are one pass of
+`skeletons.skeleton_expander` over C.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from .errors import (
 )
 from .linalg import Echelon, Expander
 from .presentation import AlgElement, AlgebraPresentation, Path, all_paths
-from .representations import (
-    ProjectiveCover,
-    Representation,
-    SubmodulePoint,
-    representation_on_blocks,
-)
+from .representations import ProjectiveCover, SubmodulePoint
 from .skeletons import CriticalPair, Skeleton, critical_pairs, is_route, skeleton_expander
 
 
@@ -296,7 +291,9 @@ def submodule_from_point(alg, sk: Skeleton, point, cover: Optional[ProjectiveCov
         raise RankError(
             f"chart point generated codimension {cover.dim - len(rows)}, expected {sk.dim}"
         )
-    return SubmodulePoint.from_rows(cover, rows)
+    # canonical RREF, closed under the arrows, and graded by end vertex since
+    # every generator is (relations are split into uniform parts): a submodule
+    return SubmodulePoint(cover, rows)
 
 
 def _chart_expander(point: SubmodulePoint, sk: Skeleton, kind=Expander):
@@ -339,34 +336,6 @@ def point_from_submodule(alg, sk: Skeleton, point: SubmodulePoint):
                 )
             coords[ctx.var_index[(cp.product, p)]] = c
     return tuple(coords)
-
-
-def module_from_point(alg, sk: Skeleton, point) -> Representation:
-    """The quotient as a representation on the skeleton basis."""
-    ctx = chart_context(alg, sk)
-    f = alg.field
-    point = tuple(point)
-    ideal = chart_ideal(alg, sk)
-    if not point_on_chart(alg, ideal, point):
-        raise NotOnChartError("coordinates do not satisfy the chart equations")
-    blocks = {v: [] for v in alg.quiver.vertices}
-    for p in sk.paths:
-        blocks[p.end].append(p)
-
-    def column_action(arrow, p):
-        ap = p.extended_by(arrow)
-        if ap in ctx.path_set:
-            return [(ap, f.one)]
-        cp = ctx.pair_by_product.get(ap)
-        if cp is None:
-            return []
-        return [
-            (q, point[ctx.var_index[(ap, q)]])
-            for q in cp.targets
-            if point[ctx.var_index[(ap, q)]] != f.zero
-        ]
-
-    return representation_on_blocks(alg, blocks, column_action)
 
 
 def transition_matrix(alg, sk: Skeleton, sk2: Skeleton, point: SubmodulePoint):

@@ -37,7 +37,7 @@ from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from . import polynomials as poly
-from .charts import chart_context, chart_ideal, module_from_point, submodule_from_point
+from .charts import chart_context, chart_ideal, submodule_from_point
 from .errors import (
     AdmissibilityError,
     InputError,
@@ -69,7 +69,13 @@ from .presentation import (
     Quiver,
     build_algebra,
 )
-from .representations import ProjectiveCover, hom_dim, radical_layering
+from .representations import (
+    ProjectiveCover,
+    SubmodulePoint,
+    hom_from_quotient,
+    quotient_rep,
+    radical_layering,
+)
 from .skeletons import enumerate_skeletons, make_skeleton
 
 SCHEMA_VERSION = "quivergrass/1"
@@ -503,14 +509,15 @@ def cmd_layering(args, pf, out):
     alg = pf.algebra(args.field)
     tops = _tops_from(args, pf)
     if args.skeleton:
-        sk, pt, rep = _module_from_args(alg, tops, args.skeleton, args.point, "")
+        sk, pt, point = _module_from_args(alg, tops, args.skeleton, args.point, "")
         label = f"module at {list(pt)} on {sk.render()}"
     else:
         cover = ProjectiveCover(alg, tops)
         if not cover.squarefree:
             raise TopNotSquarefreeError(f"repeated top vertex in {tops}")
-        rep = cover.as_representation()
+        point = SubmodulePoint(cover, ())
         label = f"projective cover of top {list(tops)} (dim {cover.dim}, radical dim {cover.dim_jp})"
+    rep = quotient_rep(alg, point)
     lay = radical_layering(rep)
     if args.json:
         _print_json(args, out, {"module": label, "dims": list(rep.dims), "layering": _layering_json(lay)})
@@ -521,12 +528,12 @@ def cmd_layering(args, pf, out):
 
 
 def _module_from_args(alg, tops, skeleton_text, point_text, suffix):
-    """The module at a chart point given by --skeleton<suffix> and
-    --point<suffix>."""
+    """The submodule C of JP at a chart point given by --skeleton<suffix>
+    and --point<suffix>; its module is P/C."""
     sk = _parse_skeleton(alg, tops, skeleton_text, "--skeleton" + suffix)
     ideal = chart_ideal(alg, sk)
     pt = _parse_point(point_text, ideal.nvars, alg.field, "--point" + suffix)
-    return sk, pt, module_from_point(alg, sk, pt)
+    return sk, pt, submodule_from_point(alg, sk, pt)
 
 
 def cmd_hom(args, pf, out):
@@ -534,14 +541,14 @@ def cmd_hom(args, pf, out):
     tops = _tops_from(args, pf)
     if not args.skeleton:
         raise SemanticError("hom needs --skeleton (and optionally --skeleton2)")
-    sk, pt, m = _module_from_args(alg, tops, args.skeleton, args.point, "")
+    sk, pt, c_m = _module_from_args(alg, tops, args.skeleton, args.point, "")
     if args.skeleton2:
-        sk2, pt2, n = _module_from_args(alg, tops, args.skeleton2, args.point2, "2")
+        sk2, pt2, c_n = _module_from_args(alg, tops, args.skeleton2, args.point2, "2")
         label = "Hom(M, N)"
     else:
-        sk2, pt2, n = sk, pt, m
+        sk2, pt2, c_n = sk, pt, c_m
         label = "End(M)"
-    dim = hom_dim(m, n)
+    dim = len(hom_from_quotient(c_m, quotient_rep(alg, c_n)))
     if args.json:
         _print_json(args, out, {
             "dim": dim,

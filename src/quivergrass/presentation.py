@@ -351,6 +351,9 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
     reduced (pivot = largest path in the order); the surviving paths of
     length <= L form the basis.  Every path of length L+1 must land in the
     span, otherwise the bound (or admissibility) fails.
+
+    Each relation is first split into its parts e_j*rho*e_i, which generate
+    the same ideal; the stored relations are these uniform parts.
     """
     if loewy_bound < 0:
         raise ValueError("loewy bound must be non-negative")
@@ -362,7 +365,12 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
             rel = AlgElement(field, {p: field.coerce(c) for p, c in rel.terms.items()})
         if rel.min_length() < 2:
             raise AdmissibilityError(f"relation {rel.render()} has a term of length < 2")
-        rels.append(rel)
+        # the row reduction below multiplies on the left only by paths of
+        # positive length, which never separates the terms by end vertex
+        parts: Dict[Tuple[int, int], Dict[Path, object]] = {}
+        for p, c in rel.terms.items():
+            parts.setdefault((p.start, p.end), {})[p] = c
+        rels.extend(AlgElement(field, terms) for terms in parts.values())
 
     key = order_key if order_key is not None else default_order_key(quiver)
     alg = AlgebraPresentation(quiver, rels, loewy_bound, field, tops, key)

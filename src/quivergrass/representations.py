@@ -18,7 +18,7 @@ from itertools import accumulate, groupby
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotSubmoduleError, TopNotSquarefreeError
-from .linalg import Echelon, Expander, identity, mat_mul, mat_vec, nullspace, rref
+from .linalg import Echelon, identity, mat_mul, mat_vec, nullspace, rref
 from .presentation import AlgElement, AlgebraPresentation, Path, all_paths
 
 
@@ -50,7 +50,6 @@ class ProjectiveCover:
         self.jp_index = {c: k for k, c in enumerate(self.jp_cols)}
         self._arrow_action: Dict[str, Dict[int, List[Tuple[int, object]]]] = {}
         self._right_action: Dict[tuple, Dict[int, List[Tuple[int, object]]]] = {}
-        self._rep = None
         self._radical_rows: Dict[int, Tuple[Tuple[object, ...], ...]] = {}
         self._jp_path_vectors: Dict[Path, Tuple[object, ...]] = {}
 
@@ -155,19 +154,6 @@ class ProjectiveCover:
                 if img is not None and not ech.contains(img):
                     return arrow
         return None
-
-    def as_representation(self) -> "Representation":
-        """P itself as a representation (vertex blocks = basis items by end)."""
-        if self._rep is None:
-            blocks = {v: [] for v in self.alg.quiver.vertices}
-            for i, (_, p) in enumerate(self.basis):
-                blocks[p.end].append(i)
-
-            def column_action(arrow, col):
-                return [(self.jp_cols[k], c) for k, c in self.arrow_action(arrow).get(col, ())]
-
-            self._rep = representation_on_blocks(self.alg, blocks, column_action)
-        return self._rep
 
     @cached_property
     def end_basis(self) -> Tuple[Tuple[int, int, Path], ...]:
@@ -367,11 +353,10 @@ class SubmodulePoint:
         return self.cover.dim - self.rank
 
     def echelon(self) -> Echelon:
+        """The rows as an Echelon; every constructor passes canonical RREF
+        rows sorted by pivot, so they are filed as they are."""
         if self._ech is None:
-            ech = Echelon(self.alg.field, self.cover.dim_jp)
-            for r in self.rows:
-                ech.add(r)
-            self._ech = ech
+            self._ech = Echelon.of_reduced(self.alg.field, self.cover.dim_jp, self.rows)
         return self._ech
 
     def contains_full(self, vec) -> bool:
@@ -622,73 +607,3 @@ def hom_basis(m: Representation, n: Representation):
             mats[v] = tuple(rows)
         out.append(mats)
     return out
-
-
-def hom_dim(m: Representation, n: Representation) -> int:
-    """Dimension of the space of module homomorphisms M -> N."""
-    return len(hom_basis(m, n))
-
-
-def submodule_rep(rep: Representation, rows_per_vertex) -> Representation:
-    """A subrepresentation spanned by per-vertex rows (must be arrow stable)."""
-    alg = rep.alg
-    f = alg.field
-    expanders = {}
-    originals = {}
-    blocks = {}
-    for v in alg.quiver.vertices:
-        exp = Expander(f, rep.dim_at(v))
-        orig = []
-        for row in rows_per_vertex.get(v, []):
-            if exp.add(row):
-                orig.append(list(row))
-        expanders[v] = exp
-        originals[v] = orig
-        blocks[v] = [(v, k) for k in range(len(orig))]
-
-    def column_action(arrow, label):
-        v, k = label
-        img = mat_vec(f, rep.mat(arrow.name), originals[v][k])
-        coeffs = expanders[arrow.target].express(img)
-        if coeffs is None:
-            raise NotSubmoduleError("rows are not stable under the arrow action")
-        return [
-            (lab, c)
-            for lab, c in zip(blocks[arrow.target], coeffs)
-            if c != f.zero
-        ]
-
-    return representation_on_blocks(alg, blocks, column_action)
-
-
-def radical_submodule(rep: Representation) -> Representation:
-    """JM as a representation (basis: canonical echelon of the arrow images)."""
-    alg = rep.alg
-    f = alg.field
-    per_vertex = {}
-    collected = {v: Echelon(f, rep.dim_at(v)) for v in alg.quiver.vertices}
-    for arrow in alg.quiver.arrows:
-        m = rep.mat(arrow.name)
-        for i in range(rep.dim_at(arrow.source)):
-            col = [m[r][i] for r in range(rep.dim_at(arrow.target))]
-            collected[arrow.target].add(col)
-    for v in alg.quiver.vertices:
-        per_vertex[v] = [list(r) for r in collected[v].snapshot()]
-    return submodule_rep(rep, per_vertex)
-
-
-def submodule_as_rep(point: SubmodulePoint) -> Representation:
-    """A submodule point C of JP as a representation in its own right."""
-    cover = point.cover
-    f = point.alg.field
-    per_vertex: Dict[int, list] = {}
-    for r in point.rows:
-        full = cover.jp_to_full(r)
-        ends = {cover.basis[i][1].end for i, c in enumerate(full) if c != f.zero}
-        if len(ends) != 1:
-            raise NotSubmoduleError("non-homogeneous row in a submodule point")
-        v = ends.pop()
-        per_vertex.setdefault(v, []).append(
-            [c for (_, p), c in zip(cover.basis, full) if p.end == v]
-        )
-    return submodule_rep(cover.as_representation(), per_vertex)

@@ -14,15 +14,16 @@ from quivergrass import (
     Path,
     ProjectiveCover,
     QQ,
+    Quiver,
     SkeletonMismatchError,
     SubmodulePoint,
+    build_algebra,
     chart_ideal,
     cross_validate_chart,
     enumerate_points,
     enumerate_skeletons,
     has_skeleton,
     make_skeleton,
-    module_from_point,
     point_from_submodule,
     quotient_rep,
     reduce,
@@ -38,6 +39,7 @@ from quivergrass.presentation import all_paths
 from quivergrass.skeletons import skeleton_expander
 
 from algebras import catalogue, loop_arrow, merge, path_of, simple_tops, two_loop_fork
+from vertexwise import module_from_point
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,35 @@ def test_zero_point_on_free_chart():
         pt.cover, [(0, AlgElement.of_path(QQ, path_of(q, "a")))]
     )
     assert pt.rows == expected.rows
+
+
+def test_chart_points_are_canonical_submodules(top_scenes, rational_points):
+    """submodule_from_point files its rows without a check: at every
+    catalogue chart point, from_rows (which re-reduces the rows and checks
+    the grading and the arrows) returns them unchanged."""
+    from quivergrass.oracle import chart_solutions
+
+    points = [pt for _, _, pts in rational_points for pt in pts]
+    for label, scene in top_scenes:
+        if not scene.squarefree:
+            continue
+        for sk in enumerate_skeletons(scene.alg, scene.tops, scene.d, prune=True):
+            for c in chart_solutions(scene.alg, sk):
+                points.append(submodule_from_point(scene.alg, sk, c, cover=scene.cover))
+    # b*a + d*c + f*e ends at three vertices; build_algebra splits it, so
+    # the normal forms, and with them the chart generators, stay homogeneous
+    q = Quiver(range(1, 8), [("a", 1, 2), ("b", 2, 3), ("c", 1, 4), ("d", 4, 5), ("e", 1, 6), ("f", 6, 7)])
+    rel = AlgElement(QQ, {path_of(q, *names): QQ.one for names in (("a", "b"), ("c", "d"), ("e", "f"))})
+    for prime in (2, 3):
+        alg = build_algebra(q, [rel], 2, GF(prime))
+        cover = ProjectiveCover(alg, (1,))
+        for d in range(1, cover.dim + 1):
+            for sk in enumerate_skeletons(alg, (1,), d, prune=True):
+                for c in chart_solutions(alg, sk):
+                    points.append(submodule_from_point(alg, sk, c, cover=cover))
+    assert len(points) > 800  # some 900 chart points
+    for pt in points:
+        assert SubmodulePoint.from_rows(pt.cover, pt.rows).rows == pt.rows, pt
 
 
 def test_point_from_submodule_examples():

@@ -14,9 +14,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quivergrass import cli
+from quivergrass import GF, cli, enumerate_skeletons, radical_layering, representations, with_field
 from quivergrass.cli import main, parse_problem, render_problem
 from quivergrass.errors import AdmissibilityError, ParseError, SemanticError
+from quivergrass.oracle import chart_solutions
+from quivergrass.presentation import all_paths
+
+from algebras import catalogue, simple_tops
+from vertexwise import hom_dim, module_from_point
 
 LOOP_ARROW_TEXT = """\
 # loop with square zero feeding an arrow
@@ -662,3 +667,87 @@ def test_parse_fractional_coefficients():
     assert coeff == Fraction(7, 2)
     again = parse_problem(render_problem(pf))
     assert again.relations == pf.relations
+
+
+NON_UNIFORM_TEXT = """\
+field: Q
+loewy: 2
+vertices: 1 2 3 4 5
+arrows: a: 1 -> 2, b: 2 -> 3, c: 1 -> 4, d: 4 -> 5
+relations:
+  b*a + d*c
+top: 1
+"""
+
+
+def test_non_uniform_relation_builds_the_algebra_of_its_parts(problem_file):
+    """b*a + d*c ends at two vertices, so e3*(b*a + d*c) = b*a and the
+    relation generates the same ideal as its parts b*a and d*c."""
+    mixed = parse_problem(NON_UNIFORM_TEXT).algebra()
+    split = parse_problem(NON_UNIFORM_TEXT.replace("b*a + d*c", "b*a, d*c")).algebra()
+    assert mixed.dim == split.dim == 9
+    assert mixed.basis == split.basis
+    for p in all_paths(mixed.quiver, mixed.loewy_bound + 1):
+        assert mixed.nf_path(p) == split.nf_path(p), p
+    assert all(len({(p.start, p.end) for p in rel.terms}) == 1 for rel in mixed.relations)
+    path = problem_file(NON_UNIFORM_TEXT)
+    assert run_cli(["layering", path]) == (
+        0, "projective cover of top [1] (dim 3, radical dim 2)\nradical layering: (S1, S2 + S4, 0)\n"
+    )
+
+
+def _catalogue_chart_modules(max_dim=4, per_chart=3):
+    """(label, problem text, field tag, top, [(--skeleton, --point, module
+    on the skeleton basis)]) for each catalogue problem over F2 and F3, at
+    its first simple top and every d <= max_dim, up to per_chart solutions
+    per chart."""
+    out = []
+    for name, alg in catalogue().items():
+        text = render_problem(cli.ProblemFile(alg.quiver, list(alg.relations), alg.loewy_bound, "Q"))
+        for prime in (2, 3):
+            alg_p = with_field(alg, GF(prime))
+            top = simple_tops(alg_p)[0]
+            for d in range(1, max_dim + 1):
+                modules = []
+                for sk in enumerate_skeletons(alg_p, (top,), d, prune=True):
+                    for c in chart_solutions(alg_p, sk)[:per_chart]:
+                        flags = (",".join(p.render() for p in sk.paths), ",".join(str(x) for x in c))
+                        modules.append((*flags, module_from_point(alg_p, sk, c)))
+                if modules:
+                    out.append((f"{name} F{prime} top {top} d={d}", text, f"F{prime}", top, modules))
+    return out
+
+
+def test_cli_hom_and_layering_match_the_skeleton_basis_modules(problem_file):
+    """At catalogue chart points, `hom` and `layering --skeleton` print the
+    Hom dimensions and layerings of the modules built on the skeleton basis,
+    as computed by the vertex-wise references."""
+    for label, text, field, top, modules in _catalogue_chart_modules():
+        path = problem_file(text)
+        base = ["--top", str(top), "--field", field]
+        for i, (sk, pt, m) in enumerate(modules):
+            lay = radical_layering(m)
+            code, out = run_cli(["layering", path, "--skeleton", sk, "--point", pt, *base])
+            assert code == 0 and out.endswith(f"\nradical layering: {lay.render(m.alg.quiver.vertices)}\n"), label
+            code, out = run_cli(["layering", path, "--skeleton", sk, "--point", pt, *base, "--json"])
+            doc = json.loads(out)
+            assert code == 0 and (doc["dims"], doc["layering"]) == (list(m.dims), [list(l) for l in lay.layers]), label
+            code, out = run_cli(["hom", path, "--skeleton", sk, "--point", pt, *base])
+            assert (code, out) == (0, f"dim End(M) = {hom_dim(m, m)}\n"), label
+            sk2, pt2, n = modules[(i + 1) % len(modules)]
+            code, out = run_cli(["hom", path, "--skeleton", sk, "--point", pt,
+                                 "--skeleton2", sk2, "--point2", pt2, *base, "--json"])
+            assert code == 0 and json.loads(out)["dim"] == hom_dim(m, n), label
+
+
+def test_cli_hom_and_layering_do_not_use_the_vertex_wise_hom(problem_file, monkeypatch):
+    def refuse(m, n):
+        raise AssertionError("vertex-wise Hom called")
+
+    monkeypatch.setattr(representations, "hom_basis", refuse)
+    path = problem_file(LOOP_ARROW_TEXT)
+    sk = ["--skeleton", "e1,w,a*w", "--point", "0"]
+    assert run_cli(["hom", path, *sk]) == (0, "dim End(M) = 1\n")
+    assert run_cli(["hom", path, *sk, "--skeleton2", "e1,w,a", "--point2", ""]) == (0, "dim Hom(M, N) = 1\n")
+    assert run_cli(["layering", path, *sk])[0] == 0
+    assert run_cli(["layering", path])[0] == 0

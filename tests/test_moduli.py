@@ -21,13 +21,7 @@ from quivergrass import (
     Quiver,
 )
 from quivergrass.moduli import verify_moduli_witness
-from quivergrass.representations import (
-    hom_dim,
-    multiplicity_mu,
-    quotient_rep,
-    radical_submodule,
-    submodule_as_rep,
-)
+from quivergrass.representations import multiplicity_mu, quotient_rep
 
 from algebras import (
     a2,
@@ -36,6 +30,7 @@ from algebras import (
     path_of,
     triple_arrow,
 )
+from vertexwise import cover_rep, hom_dim, radical_submodule, submodule_as_rep
 
 
 def _loop_arrow_points(alg):
@@ -250,7 +245,7 @@ def _hom_formulas(alg, point):
     dim End(P) - dim Hom(P, C) - dim End(M), dim Hom(P, JM) - dim Hom(M, JM)
     and, for a squarefree top, mu(M) == t + dim Hom(M, JM)."""
     cover = point.cover
-    rep_p = cover.as_representation()
+    rep_p = cover_rep(cover)
     m = quotient_rep(alg, point)
     jm = radical_submodule(m)
     end_p = hom_dim(rep_p, rep_p)

@@ -29,7 +29,7 @@ from quivergrass import oracle
 from quivergrass import polynomials as poly
 from quivergrass.linalg import is_invertible
 from quivergrass.oracle import _modules_isomorphic, chart_solutions, group_size
-from quivergrass.representations import hom_basis, hom_dim, hom_from_quotient, path_ranks, quotient_rep
+from quivergrass.representations import hom_basis, hom_from_quotient, path_ranks, quotient_rep
 
 from algebras import (
     catalogue,
@@ -42,6 +42,7 @@ from algebras import (
     triple_arrow,
     two_loop_fork,
 )
+from vertexwise import hom_dim
 
 
 def test_gaussian_binomial():

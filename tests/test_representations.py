@@ -22,19 +22,17 @@ from quivergrass import (
     Quiver,
     dim_vector,
     hom_basis,
-    hom_dim,
     multiplicity_mu,
     quotient_rep,
     radical_layering,
-    radical_submodule,
     sseq_leq,
-    submodule_as_rep,
     validate_representation,
     with_field,
 )
 from quivergrass.linalg import is_invertible, mat_mul
 
 from algebras import loop_arrow, nilpotent_loop_arrow, path_of, random_presentation, two_loop_fork
+from vertexwise import cover_rep, hom_dim, radical_submodule, submodule_as_rep
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +96,7 @@ def test_not_submodule_error(la):
 
 def test_hom_dim_examples(la):
     cover = ProjectiveCover(la, (1,))
-    rep_p = cover.as_representation()
+    rep_p = cover_rep(cover)
     assert hom_dim(rep_p, rep_p) == 2
     jp = radical_submodule(rep_p)
     # Hom(P, JP) is the e1-component of JP, spanned by w alone
@@ -235,7 +233,7 @@ def test_hom_dim_base_change_invariance():
     f = alg.field
     rng = random.Random(11)
     cover = ProjectiveCover(alg, (alg.quiver.vertices[0],))
-    rep = cover.as_representation()
+    rep = cover_rep(cover)
     jp = radical_submodule(rep)
     base = hom_dim(rep, jp)
     change = {v: _random_invertible(f, rep.dim_at(v), rng) for v in alg.quiver.vertices}
@@ -264,7 +262,7 @@ def test_hom_dim_base_change_invariance():
 
 def test_hom_basis_matrices_intertwine(la):
     cover = ProjectiveCover(la, (1,))
-    rep = cover.as_representation()
+    rep = cover_rep(cover)
     for h in hom_basis(rep, rep):
         for arrow in la.quiver.arrows:
             src, tgt = arrow.source, arrow.target
