@@ -4,7 +4,8 @@ The congruence rewriting expands any path element over the skeleton basis
 with polynomial coefficients in the chart variables X_{alpha p, q}; applied
 to a generating set of the relation ideal restricted to the top vertices it
 yields the defining polynomials of the chart.  Points of the chart convert
-both ways to submodules of JP; the way back (`point_from_submodule`) and
+both ways to submodules C of JP, written like every vector here in the
+basis of the projective cover P; the way back (`point_from_submodule`) and
 the membership test (`has_skeleton`) are one pass of
 `skeletons.skeleton_expander` over C.
 """
@@ -70,11 +71,10 @@ class ChartContext:
         return [f"X{i + 1}" for i in range(self.nvars)]
 
     def _longest_prefix_in(self, path: Path) -> int:
-        best = -1
         for k in range(path.length, -1, -1):
             if path.prefix(k) in self.path_set:
                 return k
-        return best
+        return -1
 
     def reduce_path(self, path: Path, route_prune: bool = True) -> Dict[Path, dict]:
         """Expansion of a single path over the skeleton, memoized.
@@ -266,23 +266,23 @@ def submodule_from_point(alg, sk: Skeleton, point, cover: Optional[ProjectiveCov
         raise NotOnChartError("coordinates do not satisfy the chart equations")
     if cover is None:
         cover = ProjectiveCover(alg, sk.tops)
-    ech = Echelon(f, cover.dim_jp)
+    ech = Echelon(f, cover.dim)
     frontier = []
     for cp in ctx.pairs:
         # the generator mixes summands: alpha*p sits over the slot of p while
         # the target paths sit over their own start vertices; all lie in JP
-        vec = cover.jp_path_vector(cp.product)
+        vec = cover.path_vector(cp.product)
         for q in cp.targets:
             c = point[ctx.var_index[(cp.product, q)]]
             if c != f.zero:
-                vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, cover.jp_path_vector(q))]
+                vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, cover.path_vector(q))]
         if ech.add(vec):
             frontier.append(vec)
     while frontier:
         nxt = []
         for vec in frontier:
             for arrow in alg.quiver.arrows:
-                img = cover.jp_image(arrow, vec)
+                img = cover.image(arrow, vec)
                 if img is not None and ech.add(img):
                     nxt.append(img)
         frontier = nxt
@@ -323,7 +323,7 @@ def point_from_submodule(alg, sk: Skeleton, point: SubmodulePoint):
     order = [p for l in range(sk.max_length(), 0, -1) for p in sk.of_length(l)]
     coords = [f.zero] * ctx.nvars
     for cp in ctx.pairs:
-        combo = exp.express(point.cover.jp_path_vector(cp.product))
+        combo = exp.express(point.cover.path_vector(cp.product))
         if combo is None:
             raise SkeletonMismatchError("critical product escapes the basis")
         eligible = set(cp.targets)
@@ -348,7 +348,7 @@ def transition_matrix(alg, sk: Skeleton, sk2: Skeleton, point: SubmodulePoint):
     f = alg.field
     exp = Expander(f, cover.dim)
     for row in point.rows:
-        exp.add(cover.jp_to_full(row))
+        exp.add(row)
     n_c = exp.rank
     if not all(exp.add(cover.path_vector(p)) for p in sk.paths):
         raise SkeletonMismatchError("first path set is not a basis of the quotient")

@@ -415,10 +415,13 @@ def _parse_skeleton(alg, tops, text, flag):
         raise SemanticError(f"bad {flag} {_shown(text)}: {exc}")
 
 
-def _skeleton_from(args, alg, tops):
-    if not args.skeleton:
-        raise SemanticError("this command needs --skeleton")
-    return _parse_skeleton(alg, tops, args.skeleton, "--skeleton")
+def _skeleton_from(args, alg, tops, suffix="", missing=None):
+    """The skeleton given by --skeleton<suffix>; `missing` is the message
+    when it is absent."""
+    text = getattr(args, "skeleton" + suffix)
+    if not text:
+        raise SemanticError(missing or "this command needs --skeleton")
+    return _parse_skeleton(alg, tops, text, "--skeleton" + suffix)
 
 
 def _layering_json(s):
@@ -435,7 +438,7 @@ def _scene(args, alg, tops, d):
     """Every point over the command's finite field, within --budget."""
     if alg.field.char == 0:
         raise SemanticError(f"{args.command} needs a finite field (--field F<p>)")
-    return enumerate_points(alg, tops, d, OracleConfig(*[args.budget] * 3))
+    return enumerate_points(alg, tops, d, OracleConfig(args.budget))
 
 
 def cmd_skeletons(args, pf, out):
@@ -509,14 +512,14 @@ def cmd_layering(args, pf, out):
     alg = pf.algebra(args.field)
     tops = _tops_from(args, pf)
     if args.skeleton:
-        sk, pt, point = _module_from_args(alg, tops, args.skeleton, args.point, "")
-        label = f"module at {list(pt)} on {sk.render()}"
+        sk, pt, point = _module_from_args(args, alg, tops)
+        label = f"module at [{', '.join(str(c) for c in pt)}] on {sk.render()}"
     else:
         cover = ProjectiveCover(alg, tops)
         if not cover.squarefree:
             raise TopNotSquarefreeError(f"repeated top vertex in {tops}")
         point = SubmodulePoint(cover, ())
-        label = f"projective cover of top {list(tops)} (dim {cover.dim}, radical dim {cover.dim_jp})"
+        label = f"projective cover of top {list(tops)} (dim {cover.dim}, radical dim {cover.dim - len(cover.slots)})"
     rep = quotient_rep(alg, point)
     lay = radical_layering(rep)
     if args.json:
@@ -527,23 +530,21 @@ def cmd_layering(args, pf, out):
     return 0
 
 
-def _module_from_args(alg, tops, skeleton_text, point_text, suffix):
+def _module_from_args(args, alg, tops, suffix="", missing=None):
     """The submodule C of JP at a chart point given by --skeleton<suffix>
     and --point<suffix>; its module is P/C."""
-    sk = _parse_skeleton(alg, tops, skeleton_text, "--skeleton" + suffix)
+    sk = _skeleton_from(args, alg, tops, suffix, missing)
     ideal = chart_ideal(alg, sk)
-    pt = _parse_point(point_text, ideal.nvars, alg.field, "--point" + suffix)
+    pt = _parse_point(getattr(args, "point" + suffix), ideal.nvars, alg.field, "--point" + suffix)
     return sk, pt, submodule_from_point(alg, sk, pt)
 
 
 def cmd_hom(args, pf, out):
     alg = pf.algebra(args.field)
     tops = _tops_from(args, pf)
-    if not args.skeleton:
-        raise SemanticError("hom needs --skeleton (and optionally --skeleton2)")
-    sk, pt, c_m = _module_from_args(alg, tops, args.skeleton, args.point, "")
+    sk, pt, c_m = _module_from_args(args, alg, tops, missing="hom needs --skeleton (and optionally --skeleton2)")
     if args.skeleton2:
-        sk2, pt2, c_n = _module_from_args(alg, tops, args.skeleton2, args.point2, "2")
+        sk2, pt2, c_n = _module_from_args(args, alg, tops, "2")
         label = "Hom(M, N)"
     else:
         sk2, pt2, c_n = sk, pt, c_m
@@ -563,10 +564,7 @@ def cmd_hom(args, pf, out):
 def cmd_invariant_check(args, pf, out):
     alg = pf.algebra(args.field)
     tops = _tops_from(args, pf)
-    sk = _skeleton_from(args, alg, tops)
-    ideal = chart_ideal(alg, sk)
-    pt = _parse_point(args.point, ideal.nvars, alg.field, "--point")
-    point = submodule_from_point(alg, sk, pt)
+    _, _, point = _module_from_args(args, alg, tops)
     report = point_report(alg, point)
     if args.json:
         _print_json(args, out, {
@@ -717,7 +715,7 @@ def cmd_local_type(args, pf, out):
     tops = _tops_from(args, pf)
     if len(tops) != 1:
         raise SemanticError("local-type needs a simple top (one vertex)")
-    report = finite_local_type_check(alg, tops[0], args.q, OracleConfig(*[args.budget] * 3))
+    report = finite_local_type_check(alg, tops[0], args.q, OracleConfig(args.budget))
     if args.json:
         _print_json(args, out, {
             "top": tops[0],
@@ -820,7 +818,13 @@ def build_parser():
 
 def _parse_args(argv):
     """The parsed command line.  A flag the command does not read, and one
-    whose partner is missing, are refused with an InputError naming them."""
+    whose partner is missing, are refused with an InputError naming them.
+    A point list that starts with a negative coordinate, such as -1,2, is
+    joined to its flag, since argparse would read it as a flag."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--point", "--point2") and re.match(r"-[\d.]", argv[i + 1]):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args, extra = build_parser().parse_known_args(argv)
     reads = COMMANDS[args.command][1]
     stray = next((a.split("=")[0] for a in extra if a.startswith("-") and a != "-"), None)

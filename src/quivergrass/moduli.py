@@ -58,10 +58,10 @@ def is_fully_invariant(alg: AlgebraPresentation, point: SubmodulePoint) -> Invar
     for triple in sorted(radical, key=lambda t: alg.basis_index[t[2]]):
         act = cover.right_action(triple)
         for row in point.rows:
-            img = [f.zero] * cover.dim_jp
-            for k, c in enumerate(row):
+            img = [f.zero] * cover.dim
+            for i, c in enumerate(row):
                 if c != f.zero:
-                    for j, a in act.get(k, ()):
+                    for j, a in act.get(i, ()):
                         img[j] = f.add(img[j], f.mul(c, a))
             if not ech.contains(img):
                 return InvarianceResult(False, triple[2], row)

@@ -9,7 +9,7 @@ its target block, so no candidate subspace is ever tested as a whole.
 
 Aut(P) acts through the path basis of End(P) that the projective cover
 owns: each basis triple (r, s, p) sends the generator of slot r to p times
-the generator of slot s, and acts on JP by a sparse right multiplication
+the generator of slot s, and acts on P by a sparse right multiplication
 kept on the cover, so every orbit partition of one scene shares it.  A group
 element is a coefficient vector over that basis.  One orbit loop moves a
 point's rows by such vectors: by every group element when the group fits
@@ -52,9 +52,11 @@ from .skeletons import Skeleton, compatible
 
 @dataclass
 class OracleConfig:
-    subspace_budget: int = 10 ** 6
-    group_budget: int = 10 ** 6
-    hom_budget: int = 10 ** 6
+    """budget bounds every exponential scan: the candidate subspaces, the
+    chart scan over F_q^n, the group elements of an exhaustive orbit scan
+    (beyond it, orbits are closed by generator BFS) and the Hom-space scan."""
+
+    budget: int = 10 ** 6
 
 
 def gaussian_binomial(n, k, q):
@@ -174,10 +176,8 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleC
     if dp < 0:
         return OracleScene(alg, cover.slots, d, cover, (), config)
     vs = alg.quiver.vertices
-    block_cols = [
-        [k for k, c in enumerate(cover.jp_cols) if cover.basis[c][1].end == v]
-        for v in vs
-    ]
+    # the columns of (JP)_v: the pairs of positive length ending at v
+    block_cols = [[i for i, (_, p) in enumerate(cover.basis) if p.length and p.end == v] for v in vs]
     block_dims = [len(cols) for cols in block_cols]
 
     total = 0
@@ -189,10 +189,8 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleC
         if count:
             compositions.append(split)
             total += count
-    if total > config.subspace_budget:
-        raise OracleScaleError(
-            f"{total} candidate subspaces exceed the budget {config.subspace_budget}"
-        )
+    if total > config.budget:
+        raise OracleScaleError(f"{total} candidate subspaces exceed the budget {config.budget}")
 
     # per vertex position j, the arrows between block j and an earlier block
     # i, as (i, arrow name, whether the arrow points into block j)
@@ -205,7 +203,6 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleC
         elif i > j:
             links[i].append((j, a.name, False))
     choices = {}  # (vertex position, dim) -> loop-stable block choices
-    width = cover.dim_jp
     points = []
     for split in compositions:
         partial = [()]
@@ -222,7 +219,7 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleC
             rows = []
             for cols, ch in zip(block_cols, chosen):
                 for piv, r in zip(ch.ech.pivots, ch.ech.rows):
-                    row = [f.zero] * width
+                    row = [f.zero] * cover.dim
                     for c, x in zip(cols, r):
                         row[c] = x
                     rows.append((cols[piv], row))
@@ -260,10 +257,10 @@ def _block_choices(cover: ProjectiveCover, block_cols, j, k):
         for a, tcols in zip(arrows, targets):
             moved = images[a.name] = []
             for r in rows:
-                vec = [f.zero] * cover.dim_jp
+                vec = [f.zero] * cover.dim
                 for c, x in zip(cols, r):
                     vec[c] = x
-                img = cover.jp_image(a, vec)
+                img = cover.image(a, vec)
                 if img is not None:
                     moved.append([img[c] for c in tcols])
         if all(ech.contains(x) for a in arrows if a.target == v for x in images[a.name]):
@@ -339,7 +336,7 @@ def _orbit_partition(scene: OracleScene, unipotent_only: bool):
     identity = tuple(f.one if r == s else f.zero for r, s, _ in basis[:n_unit])
     elems = list(f.elements())
     size = f.char ** n_rad if unipotent_only else group_size(cover)
-    grow = size > scene.config.group_budget
+    grow = size > scene.config.budget
     if grow:
         one = identity + (f.zero,) * n_rad
         gens = [
@@ -378,9 +375,9 @@ def _orbit_partition(scene: OracleScene, unipotent_only: bool):
                 for row in rows
             ]
             for coeffs in moves():
-                ech = Echelon(f, cover.dim_jp)
+                ech = Echelon(f, cover.dim)
                 for images in moved:
-                    vec = [f.zero] * cover.dim_jp
+                    vec = [f.zero] * cover.dim
                     for c, terms in zip(coeffs, images):
                         if c != f.zero:
                             for j, x in terms:
@@ -428,7 +425,7 @@ def _modules_isomorphic(scene: OracleScene, i, j) -> bool:
         return False
     kernel = hom_from_quotient(scene.points[i], scene.quotient(j))
     tops = generator_coordinates(scene.points[i], scene.points[j])
-    return _generates(scene.alg.field, kernel, tops, scene.squarefree, scene.config.hom_budget)
+    return _generates(scene.alg.field, kernel, tops, scene.squarefree, scene.config.budget)
 
 
 def _generates(f, kernel, tops, squarefree, budget) -> bool:
@@ -503,7 +500,7 @@ def chart_solutions(alg, sk: Skeleton, config: Optional[OracleConfig] = None):
     f = alg.field
     ideal = chart_ideal(alg, sk)
     n = ideal.nvars
-    if f.char ** n > config.subspace_budget:
+    if f.char ** n > config.budget:
         raise OracleScaleError(f"chart scan q^{n} exceeds the budget")
     return _solutions(f, n, ideal.poly_dicts())
 

@@ -4,10 +4,11 @@ A representation assigns a vector space dimension to each vertex and a
 (target x source) matrix to each arrow.  The projective cover of a top is
 handled through an explicit path basis with one slot per top generator, so
 tops with repeated simples (needed by the brute-force oracle) work the same
-way as squarefree ones.  `ProjectiveCover` is the one owner of that layout:
-the coordinates of path images in P, the action of each arrow as a map from
-P into JP, the path basis of End(P) with its right action on JP, and the
-test of whether a subspace of JP is a submodule.
+way as squarefree ones.  `ProjectiveCover` is the one owner of that basis,
+and every vector, row and action is written in it: the coordinates of path
+images, the action of each arrow, the path basis of End(P) with its right
+action, and the test of whether a subspace is a submodule.  A submodule C
+of JP is a subspace of P whose rows vanish at the length-0 pairs.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ class ProjectiveCover:
     """P = direct sum of Lambda*e_v over the slots (vertices, repeats allowed).
 
     The basis consists of pairs (slot, path) with the path a basis path
-    starting at the slot's vertex, ordered by (slot, path order).  Columns of
-    the radical JP are the pairs of positive length.
+    starting at the slot's vertex, ordered by (slot, path order).  The
+    radical JP is spanned by the pairs of positive length.
     """
 
     def __init__(self, alg: AlgebraPresentation, slots):
@@ -46,27 +47,21 @@ class ProjectiveCover:
                 if p.start == v:
                     self.basis.append((s, p))
         self.index = {bp: i for i, bp in enumerate(self.basis)}
-        self.jp_cols = [i for i, (_, p) in enumerate(self.basis) if p.length >= 1]
-        self.jp_index = {c: k for k, c in enumerate(self.jp_cols)}
         self._arrow_action: Dict[str, Dict[int, List[Tuple[int, object]]]] = {}
         self._right_action: Dict[tuple, Dict[int, List[Tuple[int, object]]]] = {}
         self._radical_rows: Dict[int, Tuple[Tuple[object, ...], ...]] = {}
-        self._jp_path_vectors: Dict[Path, Tuple[object, ...]] = {}
+        self._path_vectors: Dict[Path, Tuple[object, ...]] = {}
 
     @property
     def dim(self):
         return len(self.basis)
 
     @property
-    def dim_jp(self):
-        return len(self.jp_cols)
-
-    @property
     def squarefree(self):
         return len(self.slot_groups) == len(self.slots)
 
     def vector_of(self, slot: int, x: AlgElement):
-        """Full-P coordinates of an element of Lambda*e_{slot} (basis support)."""
+        """P coordinates of an element of Lambda*e_{slot} (basis support)."""
         f = self.alg.field
         vec = [f.zero] * self.dim
         for p, c in x.terms.items():
@@ -74,21 +69,16 @@ class ProjectiveCover:
         return vec
 
     def path_vector(self, p: Path):
-        """Full-P coordinates of the normal form of a path starting at a top
-        vertex, in the (last) slot of that vertex."""
-        return self.vector_of(self.slot_of[p.start], self.alg.nf_path(p))
-
-    def jp_path_vector(self, p: Path):
-        """JP coordinates of the normal form of a path of positive length
-        starting at a top vertex, as a tuple computed once per path."""
-        out = self._jp_path_vectors.get(p)
+        """P coordinates of the normal form of a path starting at a top
+        vertex, in the (last) slot of that vertex, as a tuple computed once
+        per path."""
+        out = self._path_vectors.get(p)
         if out is None:
-            vec = self.path_vector(p)
-            out = self._jp_path_vectors[p] = tuple(vec[c] for c in self.jp_cols)
+            out = self._path_vectors[p] = tuple(self.vector_of(self.slot_of[p.start], self.alg.nf_path(p)))
         return out
 
     def element_of(self, vec) -> List[Tuple[int, AlgElement]]:
-        """Per-slot algebra elements of a full-P vector."""
+        """Per-slot algebra elements of a vector of P."""
         f = self.alg.field
         per: Dict[int, Dict[Path, object]] = {}
         for i, c in enumerate(vec):
@@ -97,23 +87,9 @@ class ProjectiveCover:
                 per.setdefault(s, {})[p] = c
         return [(s, AlgElement(f, terms)) for s, terms in sorted(per.items())]
 
-    def jp_to_full(self, jvec):
-        f = self.alg.field
-        vec = [f.zero] * self.dim
-        for k, c in enumerate(jvec):
-            vec[self.jp_cols[k]] = c
-        return vec
-
-    def full_to_jp(self, vec):
-        f = self.alg.field
-        for i, c in enumerate(vec):
-            if c != f.zero and self.basis[i][1].length == 0:
-                raise ValueError("vector has a component outside JP")
-        return [vec[c] for c in self.jp_cols]
-
     def arrow_action(self, arrow) -> Dict[int, List[Tuple[int, object]]]:
-        """Sparse left action of an arrow: P basis column -> JP coordinates
-        of its image (arrow images lie in JP because I is inside J^2)."""
+        """Sparse left action of an arrow: P basis column -> P coordinates
+        of its image."""
         act = self._arrow_action.get(arrow.name)
         if act is None:
             act = {}
@@ -122,35 +98,32 @@ class ProjectiveCover:
                     continue
                 img = self.alg.nf_path(p.extended_by(arrow))
                 if not img.is_zero():
-                    act[i] = [
-                        (self.jp_index[self.index[(s, q)]], c)
-                        for q, c in img.terms.items()
-                    ]
+                    act[i] = [(self.index[(s, q)], c) for q, c in img.terms.items()]
             self._arrow_action[arrow.name] = act
         return act
 
-    def jp_image(self, arrow, jvec):
-        """JP coordinates of arrow * v for v in JP coordinates, or None when
-        the image is zero because no column of v is moved."""
+    def image(self, arrow, vec):
+        """Coordinates of arrow * v for a vector v of P, or None when the
+        image is zero because no column of v is moved."""
         f = self.alg.field
         act = self.arrow_action(arrow)
         out = None
-        for k, c in enumerate(jvec):
+        for i, c in enumerate(vec):
             if c != f.zero:
-                img = act.get(self.jp_cols[k])
+                img = act.get(i)
                 if img:
                     if out is None:
-                        out = [f.zero] * self.dim_jp
+                        out = [f.zero] * self.dim
                     for j, a in img:
                         out[j] = f.add(out[j], f.mul(c, a))
         return out
 
     def escaping_arrow(self, ech: Echelon):
-        """The first arrow, scanning the rows of the JP echelon ech and then
+        """The first arrow, scanning the rows of the echelon ech and then
         the arrows, that moves a row out of the span; None for a submodule."""
         for r in ech.rows:
             for arrow in self.alg.quiver.arrows:
-                img = self.jp_image(arrow, r)
+                img = self.image(arrow, r)
                 if img is not None and not ech.contains(img):
                     return arrow
         return None
@@ -172,31 +145,30 @@ class ProjectiveCover:
         return tuple(sorted(triples, key=lambda t: t[2].length > 0))
 
     def right_action(self, triple) -> Dict[int, List[Tuple[int, object]]]:
-        """Sparse right action on JP of a triple (r, s, p) of `end_basis`: JP
-        column -> JP coordinates of its image (the column's path in slot r,
+        """Sparse right action of a triple (r, s, p) of `end_basis`: P basis
+        column -> P coordinates of its image (the column's path in slot r,
         with p put in front, in slot s)."""
         act = self._right_action.get(triple)
         if act is None:
             r, s, p = triple
             act = {}
-            for k, col in enumerate(self.jp_cols):
-                slot, path = self.basis[col]
+            for i, (slot, path) in enumerate(self.basis):
                 if slot == r:
                     img = self.alg.nf_path(p.then(path))
-                    act[k] = [(self.jp_index[self.index[(s, q)]], c) for q, c in img.terms.items()]
+                    act[i] = [(self.index[(s, q)], c) for q, c in img.terms.items()]
             self._right_action[triple] = act
         return act
 
     def radical_rows(self, m: int):
-        """Canonical echelon rows (JP coordinates) of J^m P, for m >= 1."""
+        """Canonical echelon rows of J^m P, for m >= 1."""
         rows = self._radical_rows.get(m)
         if rows is None:
-            ech = Echelon(self.alg.field, self.dim_jp)
+            ech = Echelon(self.alg.field, self.dim)
             if m <= self.alg.loewy_bound:
                 for s, v in enumerate(self.slots):
                     for q in all_paths(self.alg.quiver, self.alg.loewy_bound, start=v):
                         if q.length >= m:
-                            ech.add(self.full_to_jp(self.vector_of(s, self.alg.nf_path(q))))
+                            ech.add(self.vector_of(s, self.alg.nf_path(q)))
             rows = ech.snapshot()
             self._radical_rows[m] = rows
         return rows
@@ -297,7 +269,8 @@ def validate_representation(rep: Representation):
 
 
 class SubmodulePoint:
-    """A submodule C of JP, stored as canonical RREF rows over the JP basis.
+    """A submodule C of JP, stored as canonical RREF rows over the basis of
+    the cover; every row is zero at the length-0 pairs.
 
     Rows of a submodule are homogeneous for the end-vertex grading, so the
     RREF over the (slot, path)-ordered columns doubles as a per-vertex
@@ -314,19 +287,20 @@ class SubmodulePoint:
 
     @classmethod
     def from_rows(cls, cover: ProjectiveCover, raw_rows):
-        """Validate and canonicalize spanning rows (JP coordinates)."""
+        """Validate and canonicalize spanning rows (P coordinates)."""
         alg = cover.alg
         f = alg.field
-        ech = Echelon(f, cover.dim_jp)
+        ech = Echelon(f, cover.dim)
         for r in raw_rows:
+            if len(r) != cover.dim:
+                raise NotSubmoduleError(f"a row of length {len(r)} is not a vector of P (dim {cover.dim})")
             ech.add(r)
         rows = ech.snapshot()
         for r in rows:
+            if any(c != f.zero and cover.basis[i][1].length == 0 for i, c in enumerate(r)):
+                raise NotSubmoduleError("row space is not inside JP")
             for v in alg.quiver.vertices:
-                proj = [
-                    c if cover.basis[cover.jp_cols[k]][1].end == v else f.zero
-                    for k, c in enumerate(r)
-                ]
+                proj = [c if cover.basis[i][1].end == v else f.zero for i, c in enumerate(r)]
                 if not ech.contains(proj):
                     raise NotSubmoduleError("row space is not graded by vertices")
         arrow = cover.escaping_arrow(ech)
@@ -337,8 +311,7 @@ class SubmodulePoint:
     @classmethod
     def from_elements(cls, cover: ProjectiveCover, slot_elements):
         """Spanning set given as (slot, AlgElement) pairs inside JP."""
-        raw = [cover.full_to_jp(cover.vector_of(s, x)) for s, x in slot_elements]
-        return cls.from_rows(cover, raw)
+        return cls.from_rows(cover, [cover.vector_of(s, x) for s, x in slot_elements])
 
     @property
     def alg(self):
@@ -356,15 +329,8 @@ class SubmodulePoint:
         """The rows as an Echelon; every constructor passes canonical RREF
         rows sorted by pivot, so they are filed as they are."""
         if self._ech is None:
-            self._ech = Echelon.of_reduced(self.alg.field, self.cover.dim_jp, self.rows)
+            self._ech = Echelon.of_reduced(self.alg.field, self.cover.dim, self.rows)
         return self._ech
-
-    def contains_full(self, vec) -> bool:
-        f = self.alg.field
-        for i, c in enumerate(vec):
-            if c != f.zero and self.cover.basis[i][1].length == 0:
-                return False
-        return self.echelon().contains([vec[c] for c in self.cover.jp_cols])
 
     def __eq__(self, other):
         return (
@@ -379,7 +345,7 @@ class SubmodulePoint:
     def __repr__(self):
         elems = []
         for r in self.rows:
-            parts = self.cover.element_of(self.cover.jp_to_full(r))
+            parts = self.cover.element_of(r)
             elems.append(" (+) ".join(f"[{s}] {x.render()}" for s, x in parts))
         return "SubmodulePoint<" + "; ".join(elems) + ">"
 
@@ -387,7 +353,7 @@ class SubmodulePoint:
 def _quotient_blocks(point: SubmodulePoint):
     """Per vertex, the columns of P off the pivots of C: the basis of P/C."""
     cover = point.cover
-    pivot_cols = {cover.jp_cols[k] for k in point.echelon().pivots}
+    pivot_cols = set(point.echelon().pivots)
     blocks = {v: [] for v in cover.alg.quiver.vertices}
     for i, (_, p) in enumerate(cover.basis):
         if i not in pivot_cols:
@@ -406,11 +372,11 @@ def quotient_rep(alg: AlgebraPresentation, point) -> Representation:
     ech = point.echelon()
 
     def column_action(arrow, col):
-        img = [f.zero] * cover.dim_jp
-        for k, c in cover.arrow_action(arrow).get(col, ()):
-            img[k] = c
+        img = [f.zero] * cover.dim
+        for i, c in cover.arrow_action(arrow).get(col, ()):
+            img[i] = c
         res = ech.residual(img)
-        return [(cover.jp_cols[k], c) for k, c in enumerate(res) if c != f.zero]
+        return [(i, c) for i, c in enumerate(res) if c != f.zero]
 
     point._quotient = representation_on_blocks(alg, _quotient_blocks(point), column_action)
     point._end_kernel = None
@@ -428,9 +394,9 @@ def hom_from_quotient(point: SubmodulePoint, n: Representation):
     equations = []
     for row in point.rows:
         block = None  # dim N_w equations, w the end vertex of the row
-        for k, c in enumerate(row):
+        for i, c in enumerate(row):
             if c != f.zero:
-                s, p = cover.basis[cover.jp_cols[k]]
+                s, p = cover.basis[i]
                 mat = n.path_matrix(p)
                 block = block or [[f.zero] * offsets[-1] for _ in mat]
                 for eq, mrow in zip(block, mat):

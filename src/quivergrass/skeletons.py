@@ -171,17 +171,17 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
 
 
 def _block_rows(cover: ProjectiveCover, below: Dict, rows, q: Path):
-    """Echelon rows (JP coordinates) modulo J^{l+1}P of a block's paths with
-    rows `rows` and the path q of length l, or None if q depends on them."""
+    """Echelon rows modulo J^{l+1}P of a block's paths with rows `rows` and
+    the path q of length l, or None if q depends on them."""
     f, l = cover.alg.field, q.length
     if l not in below:
-        below[l] = Echelon.of_reduced(f, cover.dim_jp, cover.radical_rows(l + 1))
-    ech = Echelon.of_reduced(f, cover.dim_jp, rows)
-    return ech.rows if ech.add(below[l].residual(cover.jp_path_vector(q))) else None
+        below[l] = Echelon.of_reduced(f, cover.dim, cover.radical_rows(l + 1))
+    ech = Echelon.of_reduced(f, cover.dim, rows)
+    return ech.rows if ech.add(below[l].residual(cover.path_vector(q))) else None
 
 
 def skeleton_expander(cover: ProjectiveCover, sk: Skeleton, c_rows: Sequence = (), kind=Expander) -> Optional[Echelon]:
-    """One elimination over JP deciding whether sk is a skeleton of P/C.
+    """One elimination over P deciding whether sk is a skeleton of P/C.
 
     Adds the rows of C, then for l from the longest length down to 1 the rows
     of J^{l+1}P and the length-l paths.  Longer paths lie in J^{l+1}P, so a
@@ -192,14 +192,14 @@ def skeleton_expander(cover: ProjectiveCover, sk: Skeleton, c_rows: Sequence = (
     Membership alone runs with kind=Echelon, which pivots on the same
     columns without carrying the combinations.
     """
-    exp = kind(cover.alg.field, cover.dim_jp)
+    exp = kind(cover.alg.field, cover.dim)
     for row in c_rows:
         exp.add(row)
     for l in range(sk.max_length(), 0, -1):
         for row in cover.radical_rows(l + 1):
             exp.add(row)
         for p in sk.of_length(l):
-            if not exp.add(cover.jp_path_vector(p)):
+            if not exp.add(cover.path_vector(p)):
                 return None
     return exp
 

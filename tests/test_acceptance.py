@@ -135,9 +135,7 @@ def test_acceptance_02_loop_arrow_suite():
         assert len(invariant_points) == 1
         aw_span = [
             (s, x.render())
-            for s, x in invariant_points[0].cover.element_of(
-                invariant_points[0].cover.jp_to_full(invariant_points[0].rows[0])
-            )
+            for s, x in invariant_points[0].cover.element_of(invariant_points[0].rows[0])
         ]
         assert aw_span == [(0, "a*w")]
 

@@ -269,7 +269,7 @@ def _sigma_to_complement(alg, sk, point):
     f = alg.field
     cover = point.cover
     ech = point.echelon()
-    pivot_cols = {cover.jp_cols[k] for k in ech.pivots}
+    pivot_cols = set(ech.pivots)
     complement = [i for i in range(cover.dim) if i not in pivot_cols]
     by_vertex_cols = {v: [] for v in alg.quiver.vertices}
     for i in complement:
@@ -281,12 +281,8 @@ def _sigma_to_complement(alg, sk, point):
     for v in alg.quiver.vertices:
         cols = []
         for p in blocks[v]:
-            vec = cover.path_vector(p)
-            res = ech.residual([vec[c] for c in cover.jp_cols])
-            full = list(vec)
-            for k, c in enumerate(cover.jp_cols):
-                full[c] = res[k]
-            cols.append([full[i] for i in by_vertex_cols[v]])
+            res = ech.residual(cover.path_vector(p))
+            cols.append([res[i] for i in by_vertex_cols[v]])
         mats[v] = tuple(
             tuple(cols[j][i] for j in range(len(cols)))
             for i in range(len(by_vertex_cols[v]))
@@ -429,7 +425,7 @@ def test_chart_soundness_at_points():
                         vec = cover.vector_of(0, AlgElement.of_path(f, p, cc))
                         gvec = [f.add(a, b) for a, b in zip(gvec, vec)]
                     diff = [f.sub(a, b) for a, b in zip(gvec, acc)]
-                    assert pt.contains_full(diff) or all(x == f.zero for x in diff)
+                    assert pt.echelon().contains(diff)
 
 
 # Reference for chart membership and chart coordinates, by the definition:
@@ -487,7 +483,7 @@ def _reference_coordinates(alg, sk, point, layers_independent):
         return None
     exp = Expander(f, cover.dim)
     for row in point.rows:
-        exp.add(cover.jp_to_full(row))
+        exp.add(row)
     n_c = exp.rank
     assert all(exp.add(cover.path_vector(p)) for p in sk.paths)
     ctx = chart_context(alg, sk)
@@ -521,8 +517,7 @@ def test_chart_membership_and_coordinates_match_layer_definition():
                 sks = enumerate_skeletons(alg_p, tops, d)
                 radical_rows = _radical_rows_full(scene.cover)
                 for i, pt in enumerate(scene.points):
-                    c_rows = [scene.cover.jp_to_full(row) for row in pt.rows]
-                    layers_independent = _layer_test(scene.cover, c_rows, radical_rows)
+                    layers_independent = _layer_test(scene.cover, pt.rows, radical_rows)
                     for j, sk in enumerate(sks):
                         label = (name, tops, prime, d, i, j)
                         ref = _reference_coordinates(alg_p, sk, pt, layers_independent)

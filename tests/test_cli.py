@@ -618,6 +618,11 @@ def test_cli_hom_and_layering(problem_file):
     )
     assert code == 0
     assert "(S1, S1, S2)" in out
+    # the label shows the coordinates as they are written, over Q and F_p
+    code, out = run_cli(["layering", path, "--skeleton", "e1,w,a*w", "--point=-3/2"])
+    assert code == 0 and out.splitlines()[0] == "module at [-3/2] on {e1, w, a*w}"
+    code, out = run_cli(["layering", path, "--field", "F3", "--skeleton", "e1,w,a*w", "--point", "2"])
+    assert code == 0 and out.splitlines()[0] == "module at [2] on {e1, w, a*w}"
 
 
 def test_cli_orbit_dims(problem_file):
@@ -655,6 +660,34 @@ def test_cli_hom_between_two_modules(problem_file):
     )
     assert code == 0
     assert out == "dim Hom(M, N) = 1\n"
+
+
+TRIPLE_ARROW_TEXT = """\
+field: Q
+loewy: 1
+vertices: 1 2
+arrows: a1: 1 -> 2, a2: 1 -> 2, a3: 1 -> 2
+top: 1
+"""
+
+
+def test_cli_point_may_start_with_a_negative_coordinate(problem_file, capsys):
+    """A point list such as -1,2 is read as the value of --point or
+    --point2, as if written --point=-1,2."""
+    path = problem_file(TRIPLE_ARROW_TEXT)
+    hom = ["hom", path, "--skeleton", "e1,a1", "--skeleton2", "e1,a2", "--json"]
+    joined = run_cli(hom + ["--point=-1,2", "--point2=-1/2,3"])
+    assert joined[0] == 0
+    assert run_cli(hom + ["--point", "-1,2", "--point2", "-1/2,3"]) == joined
+    assert json.loads(joined[1])["target"]["point"] == ["-1/2", "3"]
+    layering = ["layering", path, "--skeleton", "e1,a1"]
+    assert run_cli(layering + ["--point", "-1/2,3"]) == run_cli(layering + ["--point=-1/2,3"])
+    capsys.readouterr()
+    # a value that is no number, and an undeclared flag, are still refused
+    assert run_cli(layering + ["--point", "-x"]) == (2, "")
+    assert capsys.readouterr().err == "input error: argument --point: expected one argument\n"
+    assert run_cli(layering + ["--point", "-1,2", "--zzz"]) == (2, "")
+    assert capsys.readouterr().err.startswith("input error: layering does not read '--zzz'")
 
 
 def test_parse_fractional_coefficients():

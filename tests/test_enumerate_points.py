@@ -44,11 +44,11 @@ CAP = 10 ** 4  # the reference filter tests each candidate: a second or so per 1
 
 
 def _candidates(alg, tops, d):
-    """The cover, the JP columns of each vertex block, the compositions of
+    """The cover, the columns of (JP)_v for each vertex v, the compositions of
     dim P - d over the blocks that have candidates, and the candidate count."""
     cover = ProjectiveCover(alg, tops)
     vs = alg.quiver.vertices
-    block_cols = {v: [k for k, c in enumerate(cover.jp_cols) if cover.basis[c][1].end == v] for v in vs}
+    block_cols = {v: [i for i, (_, p) in enumerate(cover.basis) if p.length and p.end == v] for v in vs}
     dims = [len(block_cols[v]) for v in vs]
     compositions = []
     total = 0
@@ -70,17 +70,17 @@ def _filtered_rows(alg, tops, d, config):
     cover, block_cols, compositions, total = _candidates(alg, tops, d)
     if cover.dim < d:
         return ()
-    if total > config.subspace_budget:
-        raise OracleScaleError(f"{total} candidate subspaces exceed the budget {config.subspace_budget}")
+    if total > config.budget:
+        raise OracleScaleError(f"{total} candidate subspaces exceed the budget {config.budget}")
     dims = [len(cols) for cols in block_cols.values()]
     points = []
     for split in compositions:
         per_block = [list(oracle._echelon_block_matrices(f, k, n)) for n, k in zip(dims, split)]
         for combo in itertools.product(*per_block):
-            ech = Echelon(f, cover.dim_jp)
+            ech = Echelon(f, cover.dim)
             for cols, mats in zip(block_cols.values(), combo):
                 for brow in mats:
-                    row = [f.zero] * cover.dim_jp
+                    row = [f.zero] * cover.dim
                     for c, x in zip(cols, brow):
                         row[c] = x
                     ech.add(row)
@@ -96,7 +96,7 @@ def _enumerated_rows(alg, tops, d, config):
 def _outcome(enumerate_rows, alg, tops, d, budget):
     """The rows, or the refusal message, under the given candidate budget."""
     try:
-        return enumerate_rows(alg, tops, d, OracleConfig(subspace_budget=budget))
+        return enumerate_rows(alg, tops, d, OracleConfig(budget=budget))
     except OracleScaleError as exc:
         return str(exc)
 

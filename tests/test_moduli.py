@@ -88,7 +88,7 @@ def _full_p_invariance(alg, point):
         if path.length == 0 or path.start not in cover.slots or path.end not in cover.slots:
             continue
         for row in point.rows:
-            if not point.contains_full(_right_multiply(alg, cover, cover.jp_to_full(row), path)):
+            if not point.echelon().contains(_right_multiply(alg, cover, row, path)):
                 return False, path, row
     return True, None, None
 
@@ -110,9 +110,8 @@ def test_invariance_witness_reverifies():
     _, span_a, _ = _loop_arrow_points(alg)
     res = is_fully_invariant(alg, span_a)
     cover = span_a.cover
-    full = cover.jp_to_full(res.witness_row)
-    image = _right_multiply(alg, cover, full, res.witness_path)
-    assert not span_a.contains_full(image)
+    image = _right_multiply(alg, cover, res.witness_row, res.witness_path)
+    assert not span_a.echelon().contains(image)
 
 
 def test_orbit_dim_examples():

@@ -28,7 +28,7 @@ from quivergrass import (
 from quivergrass import oracle
 from quivergrass import polynomials as poly
 from quivergrass.linalg import is_invertible
-from quivergrass.oracle import _modules_isomorphic, chart_solutions, group_size
+from quivergrass.oracle import OracleScene, _modules_isomorphic, chart_solutions, group_size
 from quivergrass.representations import hom_basis, hom_from_quotient, path_ranks, quotient_rep
 
 from algebras import (
@@ -82,7 +82,7 @@ def test_enumerate_double_triple_count():
 def test_enumerate_budget():
     alg = with_field(double_triple(), GF(2))
     with pytest.raises(OracleScaleError):
-        enumerate_points(alg, (1,), 4, OracleConfig(subspace_budget=10))
+        enumerate_points(alg, (1,), 4, OracleConfig(budget=10))
 
 
 def test_orbits_loop_arrow():
@@ -242,7 +242,9 @@ def test_unipotent_orbits_sizes():
 def test_orbit_bfs_fallback_matches_exhaustive(small_scenes):
     """The generator BFS finds the exhaustive orbits, of Aut(P) and of its
     unipotent radical, also on the repeated top (1, 1) of the fork, where
-    the GL_2 scalings and transvections act."""
+    the GL_2 scalings and transvections act.  The BFS runs on the same
+    points under a budget of 1, which forces it whenever the group is not
+    trivial."""
     from quivergrass.oracle import orbit_provenance
 
     scenes = list(small_scenes)
@@ -252,7 +254,7 @@ def test_orbit_bfs_fallback_matches_exhaustive(small_scenes):
             scenes.append((f"fork (1, 1) F{prime} d={d}", enumerate_points(alg, (1, 1), d)))
     for label, full in scenes:
         assert orbit_provenance(full) == "exhaustive", label
-        small = enumerate_points(full.alg, full.tops, full.d, OracleConfig(group_budget=1))
+        small = OracleScene(full.alg, full.tops, full.d, full.cover, full.points, OracleConfig(budget=1))
         assert orbits(small) == orbits(full), label
         bfs = "generator-bfs" if group_size(small.cover) > 1 else "exhaustive"
         assert orbit_provenance(small) == bfs, label

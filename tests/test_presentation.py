@@ -84,16 +84,16 @@ def test_normal_form_rejects_long_support():
 def test_projective_cover_dimensions():
     alg = loop_arrow()
     cover = ProjectiveCover(alg, (1,))
-    assert cover.dim == 4 and cover.dim_jp == 3
+    assert cover.dim == 4 and sum(1 for _, p in cover.basis if p.length) == 3
 
     q = Quiver([1], [])
     semi = build_algebra(q, [], 0, QQ)
     cover = ProjectiveCover(semi, (1,))
-    assert cover.dim == 1 and cover.dim_jp == 0
+    assert cover.dim == 1 and sum(1 for _, p in cover.basis if p.length) == 0
 
     dt = double_triple()
     cover = ProjectiveCover(dt, (1,))
-    assert cover.dim == 7 and cover.dim_jp == 6
+    assert cover.dim == 7 and sum(1 for _, p in cover.basis if p.length) == 6
 
 
 def test_admissibility_error():

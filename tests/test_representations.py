@@ -31,7 +31,7 @@ from quivergrass import (
 )
 from quivergrass.linalg import is_invertible, mat_mul
 
-from algebras import loop_arrow, nilpotent_loop_arrow, path_of, random_presentation, two_loop_fork
+from algebras import fork, loop_arrow, nilpotent_loop_arrow, path_of, random_presentation, two_loop_fork
 from vertexwise import cover_rep, hom_dim, radical_submodule, submodule_as_rep
 
 
@@ -92,6 +92,52 @@ def test_not_submodule_error(la):
         SubmodulePoint.from_elements(
             cover, [(0, AlgElement.of_path(QQ, path_of(la.quiver, "w")))]
         )
+
+
+def _assert_rows_in_jp(point, label):
+    """The rows of a point are vectors of P that vanish at the length-0 pairs."""
+    cover = point.cover
+    f = cover.alg.field
+    for row in point.rows:
+        assert len(row) == cover.dim, label
+        assert all(c == f.zero for (_, p), c in zip(cover.basis, row) if p.length == 0), label
+
+
+def test_point_rows_are_vectors_of_p_inside_jp(top_scenes, rational_points):
+    """Points from enumerate_points (tops of several and repeated vertices
+    too), from submodule_from_point at rational chart points and from
+    from_elements all have rows in the cover's basis, inside JP."""
+    for label, scene in top_scenes:
+        for point in scene.points:
+            _assert_rows_in_jp(point, label)
+    for label, _, points in rational_points:
+        for point in points:
+            _assert_rows_in_jp(point, label)
+    for alg, tops in ((loop_arrow(), (1,)), (loop_arrow(), (1, 2)), (two_loop_fork(), (1,)), (fork(), (1, 1))):
+        cover = ProjectiveCover(alg, tops)
+        for m in range(1, alg.loewy_bound + 2):
+            # J^m P, spanned by the paths of length >= m over every slot
+            elems = [(s, AlgElement.of_path(alg.field, p)) for s, p in cover.basis if p.length >= m]
+            point = SubmodulePoint.from_elements(cover, elems)
+            assert point.rank == sum(1 for _, p in cover.basis if p.length >= m)
+            _assert_rows_in_jp(point, (tops, m))
+
+
+def test_from_rows_refuses_rows_outside_jp_and_rows_of_another_length(la):
+    cover = ProjectiveCover(la, (1,))
+    f = la.field
+    # all of P is graded and arrow-stable, but not inside JP
+    every = [[f.one if j == i else f.zero for j in range(cover.dim)] for i in range(cover.dim)]
+    with pytest.raises(NotSubmoduleError, match="not inside JP"):
+        SubmodulePoint.from_rows(cover, every)
+    with pytest.raises(NotSubmoduleError, match="not inside JP"):
+        SubmodulePoint.from_elements(cover, [(0, AlgElement.of_path(f, Path(1)))])
+    # a row over the basis of JP alone is one column short
+    for width in (cover.dim - 1, cover.dim + 1):
+        with pytest.raises(NotSubmoduleError, match="not a vector of P"):
+            SubmodulePoint.from_rows(cover, [[f.zero] * (width - 1) + [f.one]])
+    radical = [row for row, (_, p) in zip(every, cover.basis) if p.length]
+    assert SubmodulePoint.from_rows(cover, radical).rank == cover.dim - 1
 
 
 def test_hom_dim_examples(la):

@@ -27,10 +27,7 @@ def cover_rep(cover: ProjectiveCover) -> Representation:
     for i, (_, p) in enumerate(cover.basis):
         blocks[p.end].append(i)
 
-    def column_action(arrow, col):
-        return [(cover.jp_cols[k], c) for k, c in cover.arrow_action(arrow).get(col, ())]
-
-    return representation_on_blocks(cover.alg, blocks, column_action)
+    return representation_on_blocks(cover.alg, blocks, lambda arrow, col: cover.arrow_action(arrow).get(col, ()))
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
@@ -92,13 +89,12 @@ def submodule_as_rep(point: SubmodulePoint) -> Representation:
     f = point.alg.field
     per_vertex: Dict[int, list] = {}
     for r in point.rows:
-        full = cover.jp_to_full(r)
-        ends = {cover.basis[i][1].end for i, c in enumerate(full) if c != f.zero}
+        ends = {cover.basis[i][1].end for i, c in enumerate(r) if c != f.zero}
         if len(ends) != 1:
             raise NotSubmoduleError("non-homogeneous row in a submodule point")
         v = ends.pop()
         per_vertex.setdefault(v, []).append(
-            [c for (_, p), c in zip(cover.basis, full) if p.end == v]
+            [c for (_, p), c in zip(cover.basis, r) if p.end == v]
         )
     return submodule_rep(cover_rep(cover), per_vertex)
 
