@@ -126,40 +126,6 @@ class ChartContext:
                 out[q] = poly.add(f, out.get(q, {}), poly.scale(f, coeff, c))
         return {q: c for q, c in out.items() if c}
 
-    def reduce_element_worklist(self, z: AlgElement, rng=None, route_prune: bool = True):
-        """Unmemoized worklist variant; the processing order may be shuffled.
-
-        Used to check that the expansion does not depend on the order in
-        which pending terms are rewritten.
-        """
-        f = self.field
-        pending: List[Tuple[Path, dict]] = [
-            (p, poly.const(self.nvars, f, c)) for p, c in z.terms.items()
-        ]
-        out: Dict[Path, dict] = {}
-        while pending:
-            idx = rng.randrange(len(pending)) if rng is not None else 0
-            path, coeff = pending.pop(idx)
-            if path.start not in self.sk.tops:
-                continue
-            if path in self.path_set:
-                out[path] = poly.add(f, out.get(path, {}), coeff)
-                continue
-            if route_prune and not is_route(path, self.sk):
-                continue
-            k = self._longest_prefix_in(path)
-            if k < 0:
-                continue
-            product = path.prefix(k).extended_by(path.arrows[k])
-            tail = Path(product.end, path.arrows[k + 1 :])
-            cp = self.pair_by_product.get(product)
-            if cp is None:
-                continue
-            for q in cp.targets:
-                vidx = self.var_index[(product, q)]
-                pending.append((q.then(tail), poly.mul_variable(f, coeff, vidx)))
-        return {q: c for q, c in out.items() if c}
-
 
 def chart_context(alg, sk: Skeleton) -> ChartContext:
     """The chart context of sk, memoized on the algebra."""

@@ -32,7 +32,6 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
@@ -123,7 +122,10 @@ class LongPath:
         return "*".join(name for name, n in reversed(self.runs) for _ in range(n))
 
 
-_TERM_RE = re.compile(r"^(?:(-?\d+(?:/\d+)?)\s*\*\s*)?([A-Za-z_][A-Za-z_0-9]*(?:\s*(?:\*|\^)\s*[A-Za-z_0-9]+)*)$")
+# an exact coefficient: of a relation term, and a --point coordinate
+_COEFF = r"-?\d+(?:/\d+)?"
+_COEFF_RE = re.compile(_COEFF)
+_TERM_RE = re.compile(rf"^(?:({_COEFF})\s*\*\s*)?([A-Za-z_][A-Za-z_0-9]*(?:\s*(?:\*|\^)\s*[A-Za-z_0-9]+)*)$")
 
 
 def _shown(text: str, limit: int = 40) -> str:
@@ -237,13 +239,13 @@ def _parse_relation(text: str, quiver: Quiver, lineno: int, loewy: int) -> AlgEl
         terms.append((sign, buf.strip()))
     if not terms:
         raise ParseError(f"no terms in relation {text!r}", lineno)
-    out: Dict[Path, Fraction] = {}
+    out: Dict[Path, object] = {}
     for sgn, term in terms:
         m = _TERM_RE.match(term)
         if not m:
             raise ParseError(f"bad term {term!r}", lineno)
         try:
-            coeff = Fraction(m.group(1) or 1)
+            coeff = QQ.coerce(m.group(1) or 1)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad coefficient {_shown(m.group(1))}", lineno)
         start, runs = _path_runs(m.group(2).replace(" ", ""), quiver, lineno, None)
@@ -252,7 +254,7 @@ def _parse_relation(text: str, quiver: Quiver, lineno: int, loewy: int) -> AlgEl
             path = LongPath(start, merged)
         else:
             path = _expanded(start, runs)
-        out[path] = out.get(path, Fraction(0)) + sgn * coeff
+        out[path] = QQ.add(out.get(path, QQ.zero), sgn * coeff)
     return AlgElement(QQ, out)
 
 
@@ -395,13 +397,13 @@ def _dim_from(args, pf: ProblemFile):
 
 
 def _parse_point(text, nvars, field, flag):
-    if not text:
-        coords = []
-    else:
-        try:
-            coords = [field.coerce(Fraction(tok)) for tok in text.split(",") if tok != ""]
-        except (ValueError, ZeroDivisionError):
-            raise SemanticError(f"bad {flag} coordinates {_shown(text)}")
+    toks = [tok.strip() for tok in text.split(",") if tok != ""] if text else []
+    try:
+        if not all(_COEFF_RE.fullmatch(tok) for tok in toks):
+            raise ValueError("not a coefficient")
+        coords = [field.coerce(QQ.coerce(tok)) for tok in toks]
+    except (ValueError, ZeroDivisionError):
+        raise SemanticError(f"bad {flag} coordinates {_shown(text)}")
     if len(coords) != nvars:
         raise SemanticError(f"{flag} expects {nvars} coordinates, got {len(coords)}")
     return tuple(coords)

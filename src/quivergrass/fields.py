@@ -1,7 +1,10 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Every scalar in this package is either a `fractions.Fraction` (over Q) or an
-int in ``range(p)`` (over F_p).  No floating point anywhere.
+Every scalar in this package is exact.  Over Q it is an int when it is
+integral and a `fractions.Fraction` otherwise; an int and a Fraction of the
+same value compare and hash alike, so the two forms are interchangeable as
+dict keys.  Over F_p it is an int in ``range(p)``.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -20,26 +23,33 @@ def _refuse_float(value):
         raise FieldError(f"the float {value!r} is not an exact scalar")
 
 
+def _integral(q):
+    """q as an int when it is integral: int arithmetic is the cheaper one,
+    and most coefficients met over Q are integers."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
 class Rationals:
-    """The field Q; elements are Fraction."""
+    """The field Q; an element is an int when integral, else a Fraction, and
+    never a float."""
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
     tag = "Q"
 
     def coerce(self, value):
         _refuse_float(value)
-        return Fraction(value)
+        return _integral(Fraction(value))
 
     def add(self, a, b):
-        return a + b
+        return _integral(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _integral(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _integral(a * b)
 
     def neg(self, a):
         return -a
@@ -47,7 +57,7 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        return _integral(Fraction(1) / a)
 
     @property
     def finite(self):

@@ -34,7 +34,7 @@ class Echelon:
         sub, mul = self.field.sub, self.field.mul
         for row, piv in zip(rows, pivots):
             c = out[piv]
-            if c:  # field zeros (0 and Fraction(0)) are falsy
+            if c:  # a zero is falsy: the int 0, or a Fraction(0) given from outside
                 for j in range(piv, len(out)):
                     out[j] = sub(out[j], mul(c, row[j]))
         return out

@@ -192,21 +192,6 @@ def _basis_vec(alg, x: AlgElement):
     return vec
 
 
-def verify_moduli_witness(alg: AlgebraPresentation, report: ModuliCriterionReport) -> bool:
-    """Re-check a negative witness: lambda*omega must escape Lambda*lambda."""
-    if report.holds or report.witness_lambda is None:
-        return False
-    f = report.witness_lambda.field
-    alg_p = with_field(alg, f)
-    lam = report.witness_lambda
-    lam_om = alg_p.normal_form(
-        lam.mul(AlgElement.of_path(f, report.witness_omega), maxlen=alg_p.loewy_bound + 1)
-    )
-    return not lam_om.is_zero() and not _cyclic_span(alg_p, lam).contains(
-        _basis_vec(alg_p, lam_om)
-    )
-
-
 @dataclass(frozen=True)
 class ModuliReport:
     """Per-point verdicts for one submodule point."""

@@ -146,12 +146,6 @@ class OracleScene:
             for i in members
         ))
 
-    def index_of(self, point: SubmodulePoint) -> Optional[int]:
-        for i, p in enumerate(self.points):
-            if p.rows == point.rows:
-                return i
-        return None
-
 
 def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleConfig] = None) -> OracleScene:
     """All submodules of JP of codimension d in P, as canonical points.

@@ -81,7 +81,7 @@ def canonicalize(field, a):
         unit = Fraction(denom_lcm, g if g else 1)
         if a[lead] < 0:
             unit = -unit
-        return {e: c * unit for e, c in a.items()}
+        return {e: field.mul(c, unit) for e, c in a.items()}
     unit = field.inv(a[lead])
     return {e: field.mul(unit, c) for e, c in a.items()}
 

@@ -247,8 +247,8 @@ class AlgebraPresentation:
     """The algebra KQ/I with its path basis and normal-form map.
 
     Built by :func:`build_algebra`; immutable afterwards (the normal-form
-    cache and the chart contexts only memoize, so sharing between tasks is
-    safe).
+    and extension caches and the chart contexts only memoize, so sharing
+    between tasks is safe).
     """
 
     def __init__(self, quiver, relations, loewy_bound, field, tops, order_key):
@@ -263,6 +263,7 @@ class AlgebraPresentation:
         self.basis_index: Dict[Path, int] = {}
         self._rows: Dict[Path, AlgElement] = {}
         self._nf_cache: Dict[Path, AlgElement] = {}
+        self._extensions: Dict[Path, Tuple[tuple, ...]] = {}
         # charts.ChartContext per skeleton, filled by charts.chart_context,
         # and the ideal generators per tops tuple, by charts.ideal_generators
         self.chart_contexts: Dict[object, object] = {}
@@ -274,9 +275,6 @@ class AlgebraPresentation:
     @property
     def dim(self):
         return len(self.basis)
-
-    def is_basis_path(self, path: Path) -> bool:
-        return path in self.basis_index
 
     def normal_form(self, x: AlgElement) -> AlgElement:
         """The unique representative of x + I supported on the basis."""
@@ -308,6 +306,19 @@ class AlgebraPresentation:
             cached = self.normal_form(AlgElement.of_path(self.field, path))
             self._nf_cache[path] = cached
         return cached
+
+    def arrow_extensions(self, path: Path) -> Tuple[tuple, ...]:
+        """Memoized one-arrow extensions of a path: per arrow from its end,
+        in quiver order, (arrow, path*arrow, its order key, whether its
+        normal form is zero)."""
+        out = self._extensions.get(path)
+        if out is None:
+            out = []
+            for a in self.quiver.arrows_from(path.end):
+                ap = path.extended_by(a)
+                out.append((a, ap, self._order_key(ap), self.nf_path(ap).is_zero()))
+            out = self._extensions[path] = tuple(out)
+        return out
 
     def nf_mul_path(self, arrow_or_path, x: AlgElement) -> AlgElement:
         """Normal form of (left path multiple of x)."""

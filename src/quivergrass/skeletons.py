@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import TopMismatchError, TopNotSquarefreeError
@@ -225,21 +226,20 @@ def critical_pairs(alg: AlgebraPresentation, sk: Skeleton, omit_ideal: bool = Tr
     """All critical pairs of the skeleton, in path order of alpha*p.
 
     With omit_ideal on, pairs whose product vanishes in the algebra are
-    dropped (their coordinates would be forced to zero anyway).
+    dropped (their coordinates would be forced to zero anyway).  The
+    products, their order keys and whether they vanish are read from the
+    algebra's memo, `arrow_extensions`.
     """
     pset = set(sk.paths)
-    out = []
+    keyed = []
     for p in sk.paths:
-        for a in alg.quiver.arrows_from(p.end):
-            ap = p.extended_by(a)
-            if ap in pset:
-                continue
-            if omit_ideal and alg.nf_path(ap).is_zero():
+        for a, ap, key, vanishes in alg.arrow_extensions(p):
+            if ap in pset or (omit_ideal and vanishes):
                 continue
             targets = tuple(q for q in sk.paths_by_end.get(ap.end, ()) if q.length >= ap.length)
-            out.append(CriticalPair(a, p, targets, ap))
-    out.sort(key=lambda cp: alg.path_key(cp.product))
-    return out
+            keyed.append((key, CriticalPair(a, p, targets, ap)))
+    keyed.sort(key=itemgetter(0))
+    return [cp for _, cp in keyed]
 
 
 def is_route(path: Path, sk: Skeleton) -> bool:

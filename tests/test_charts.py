@@ -39,6 +39,7 @@ from quivergrass.presentation import all_paths
 from quivergrass.skeletons import skeleton_expander
 
 from algebras import catalogue, loop_arrow, merge, path_of, simple_tops, two_loop_fork
+from references import reduce_element_worklist
 from vertexwise import module_from_point
 
 
@@ -377,7 +378,7 @@ def test_reduce_confluence_randomized():
             for z in (gens + extra)[:20]:
                 baseline = ctx.reduce_element(z)
                 for _ in range(5):
-                    shuffled = ctx.reduce_element_worklist(z, rng=rng)
+                    shuffled = reduce_element_worklist(ctx, z, rng=rng)
                     assert shuffled == baseline
 
 

@@ -690,6 +690,24 @@ def test_cli_point_may_start_with_a_negative_coordinate(problem_file, capsys):
     assert capsys.readouterr().err.startswith("input error: layering does not read '--zzz'")
 
 
+def test_cli_point_reads_the_coefficient_grammar(problem_file, capsys):
+    """--point and --point2 coordinates are written as the coefficients of a
+    relation, -?d+(/d+)?, around optional spaces: an exponent, a decimal
+    point or a plus sign is refused, so 1e99999 never builds a number too
+    long to print."""
+    path = problem_file(LOOP_ARROW_TEXT)
+    sk = ["--skeleton", "e1,w,a*w"]
+    for bad in ("1e99999", "1e3", "1.5", "+3"):
+        layering = ["layering", path] + sk + [f"--point={bad}"]
+        hom = ["hom", path] + sk + ["--point", "0", "--skeleton2", "e1,w,a*w", f"--point2={bad}"]
+        for flag, argv in (("--point", layering), ("--point2", hom)):
+            assert run_cli(argv) == (2, "")
+            assert capsys.readouterr().err == f"input error: bad {flag} coordinates '{bad}'\n"
+    code, out = run_cli(["layering", path] + sk + ["--point=-3"])
+    assert code == 0 and out.splitlines()[0] == "module at [-3] on {e1, w, a*w}"
+    assert run_cli(["layering", path] + sk + ["--point", " 5 "]) == run_cli(["layering", path] + sk + ["--point", "5"])
+
+
 def test_parse_fractional_coefficients():
     text = LOOP_ARROW_TEXT.replace("w^2", "1/2*w^2 + 3*w*w")
     pf = parse_problem(text)

@@ -28,3 +28,31 @@ def test_coercion_refuses_floats():
             field.coerce(value)
     assert GF(5).coerce(Fraction(1, 2)) == 3 and GF(5).coerce(-1) == 4
     assert QQ.coerce("1/3") == Fraction(1, 3) and QQ.coerce(7) == Fraction(7)
+
+
+def test_rationals_keep_integral_values_as_ints():
+    """A Q scalar is an int when integral and a Fraction otherwise; the two
+    forms of one value compare and hash alike, so dict keys do not change."""
+    assert type(QQ.zero) is int and QQ.zero == 0
+    assert type(QQ.one) is int and QQ.one == 1
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    integral = [
+        QQ.coerce(7), QQ.coerce(Fraction(6, 3)), QQ.coerce("-4/2"), QQ.coerce("0"),
+        QQ.add(half, half), QQ.add(2, 3), QQ.sub(half, half), QQ.sub(Fraction(5, 2), half),
+        QQ.mul(half, 4), QQ.mul(-3, 5), QQ.inv(1), QQ.inv(-1), QQ.inv(half), QQ.inv(Fraction(-1, 3)),
+        QQ.neg(4),
+    ]
+    assert integral == [7, 2, -2, 0, 1, 5, 0, 2, 2, -15, 1, -1, 2, -3, -4]
+    assert all(type(c) is int for c in integral)
+    fractional = [
+        QQ.coerce("1/3"), QQ.coerce(Fraction(3, 6)), QQ.add(half, third), QQ.add(1, half),
+        QQ.sub(1, third), QQ.mul(half, third), QQ.mul(3, Fraction(1, 9)), QQ.inv(3), QQ.inv(Fraction(2, 3)),
+        QQ.neg(half),
+    ]
+    assert fractional == [third, half, Fraction(5, 6), Fraction(3, 2), Fraction(2, 3), Fraction(1, 6),
+                          third, third, Fraction(3, 2), -half]
+    assert all(type(c) is Fraction for c in fractional)
+    assert 3 == Fraction(3) and hash(3) == hash(Fraction(3)) and hash(-1) == hash(Fraction(-1))
+    assert {Fraction(3): "x"}[3] == "x" and str(3) == str(Fraction(3))
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)

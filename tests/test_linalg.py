@@ -5,8 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivergrass.fields import GF, QQ
-from quivergrass.linalg import Echelon, Expander, rref
+from quivergrass.fields import GF, QQ, Rationals
+from quivergrass.linalg import Echelon, Expander, nullspace, rref
 
 FIELDS = [GF(2), GF(3), QQ]
 
@@ -18,10 +18,10 @@ def scalars(field):
 
 
 @st.composite
-def systems(draw):
+def systems(draw, fields=FIELDS):
     """A field, a width and a list of vectors, with repeats and sums mixed in
     so that dependent vectors are common."""
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(fields))
     width = draw(st.integers(0, 5))
     vec = st.lists(scalars(field), min_size=width, max_size=width)
     vecs = draw(st.lists(vec, max_size=6))
@@ -80,3 +80,43 @@ def test_expander_and_echelon_agree(system):
         assert ech.rank == exp.rank and ech.snapshot() == exp.snapshot()
     for v in vecs:
         assert exp.contains(v) and exp.residual(v) == [field.zero] * width
+
+
+class FractionRationals(Rationals):
+    """Q with every value a Fraction, integral or not: the field as it was
+    before integral values became ints, kept as the reference."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def coerce(self, value):
+        return Fraction(value)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return Fraction(1) / a
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems([QQ]))
+def test_rationals_as_ints_reduce_like_fractions(system):
+    """rref and nullspace over QQ equal those over the all-Fraction field,
+    and every integral entry over QQ is an int."""
+    _, width, vecs = system
+    ref = FractionRationals()
+    ech, ref_ech = rref(QQ, vecs, width), rref(ref, vecs, width)
+    assert ech.pivots == ref_ech.pivots and ech.snapshot() == ref_ech.snapshot()
+    basis = nullspace(QQ, vecs, width)
+    assert basis == nullspace(ref, vecs, width)
+    entries = [c for row in ech.snapshot() + tuple(basis) for c in row]
+    assert all(type(c) is int for c in entries if Fraction(c).denominator == 1)

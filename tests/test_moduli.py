@@ -20,7 +20,7 @@ from quivergrass import (
     build_algebra,
     Quiver,
 )
-from quivergrass.moduli import verify_moduli_witness
+from quivergrass.moduli import _basis_vec, _cyclic_span
 from quivergrass.representations import multiplicity_mu, quotient_rep
 
 from algebras import (
@@ -31,6 +31,21 @@ from algebras import (
     triple_arrow,
 )
 from vertexwise import cover_rep, hom_dim, radical_submodule, submodule_as_rep
+
+
+def verify_moduli_witness(alg, report) -> bool:
+    """Re-check a negative witness: lambda*omega must escape Lambda*lambda."""
+    if report.holds or report.witness_lambda is None:
+        return False
+    f = report.witness_lambda.field
+    alg_p = with_field(alg, f)
+    lam = report.witness_lambda
+    lam_om = alg_p.normal_form(
+        lam.mul(AlgElement.of_path(f, report.witness_omega), maxlen=alg_p.loewy_bound + 1)
+    )
+    return not lam_om.is_zero() and not _cyclic_span(alg_p, lam).contains(
+        _basis_vec(alg_p, lam_om)
+    )
 
 
 def _loop_arrow_points(alg):

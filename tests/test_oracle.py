@@ -42,6 +42,7 @@ from algebras import (
     triple_arrow,
     two_loop_fork,
 )
+from references import index_of
 from vertexwise import hom_dim
 
 
@@ -506,7 +507,7 @@ def test_perturbed_chart_coordinates_are_reported_as_before(monkeypatch):
     assert report == _two_loop_cross_validate_chart(scene, sk)
     assert report.mismatches == (
         f"round trip failed for chart point {sols[0]}",
-        f"round trip failed for enumerated point {scene.index_of(victim)}",
+        f"round trip failed for enumerated point {index_of(scene, victim)}",
     )
 
 
@@ -526,7 +527,7 @@ def test_perturbed_chart_submodules_are_reported_as_before(monkeypatch):
         f"round trip failed for chart point {sols[0]}",
         "chart image has 17 points, enumeration has 18",
         "chart map is not injective on solutions",
-        f"round trip failed for enumerated point {scene.index_of(lost)}",
+        f"round trip failed for enumerated point {index_of(scene, lost)}",
     )
 
 

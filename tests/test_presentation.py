@@ -50,8 +50,8 @@ def test_semisimple_algebra():
 def test_two_loop_fork_basis_pivot_choice():
     alg = two_loop_fork()
     q = alg.quiver
-    assert alg.is_basis_path(path_of(q, "w1", "a1"))
-    assert not alg.is_basis_path(path_of(q, "w2", "a2"))
+    assert path_of(q, "w1", "a1") in alg.basis_index
+    assert path_of(q, "w2", "a2") not in alg.basis_index
 
 
 def test_normal_form_examples():

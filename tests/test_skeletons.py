@@ -31,7 +31,7 @@ from quivergrass import (
 from quivergrass import cli, skeletons
 from quivergrass.linalg import Echelon
 from quivergrass.presentation import default_order_key
-from quivergrass.skeletons import _block_rows, skeleton_expander
+from quivergrass.skeletons import CriticalPair, _block_rows, skeleton_expander
 
 from algebras import (
     catalogue,
@@ -306,6 +306,82 @@ def test_critical_pairs_loop_arrow():
         ("w", "w"),
         ("a", "w"),
     ]
+
+
+def rebuilt_critical_pairs(alg, sk, omit_ideal=True):
+    """critical_pairs before the algebra memoised the one-arrow extensions,
+    kept as the reference: every call extends each path by each arrow, and
+    keys and reduces each product again."""
+    pset = set(sk.paths)
+    out = []
+    for p in sk.paths:
+        for a in alg.quiver.arrows_from(p.end):
+            ap = p.extended_by(a)
+            if ap in pset:
+                continue
+            if omit_ideal and alg.nf_path(ap).is_zero():
+                continue
+            targets = tuple(q for q in sk.paths_by_end.get(ap.end, ()) if q.length >= ap.length)
+            out.append(CriticalPair(a, p, targets, ap))
+    out.sort(key=lambda cp: alg.path_key(cp.product))
+    return out
+
+
+def assert_pairs_match_the_rebuilt_ones(alg, tops, label):
+    """Every skeleton of every dimension at these tops, with omit_ideal on
+    and off, twice (the second call reads the memo only): the same pairs,
+    with the same products, in the same order."""
+    for d in range(len(tops), ProjectiveCover(alg, tops).dim + 1):
+        for sk in enumerate_skeletons(alg, tops, d):
+            for omit_ideal in (True, False):
+                want = [(cp, cp.product) for cp in rebuilt_critical_pairs(alg, sk, omit_ideal)]
+                for _ in range(2):
+                    got = [(cp, cp.product) for cp in critical_pairs(alg, sk, omit_ideal)]
+                    assert got == want, (label, tops, sk, omit_ideal)
+
+
+def test_memoised_critical_pairs_match_the_rebuilt_ones():
+    """Every catalogue algebra over F2 and Q, and two with a reversed path
+    order, at each single-vertex top and the first two vertices."""
+    scenes = [(f"{name} {f!r}", with_field(alg, f)) for name, alg in catalogue().items() for f in (GF(2), QQ)]
+    scenes += [("two_loop_fork reversed", reversed_key_algebra(two_loop_fork())),
+               ("loop_arrow reversed", reversed_key_algebra(loop_arrow()))]
+    for label, alg in scenes:
+        vs = alg.quiver.vertices
+        for tops in [(v,) for v in vs] + [vs[:2]]:
+            assert_pairs_match_the_rebuilt_ones(alg, tops, label)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), large=st.booleans())
+def test_memoised_critical_pairs_match_on_random_presentations(seed, large):
+    """Random presentations of the benchmark's shapes (LARGE_Q over Q, SMALL
+    over F2), at the generated top and at (1, 2)."""
+    family, tag = (workloads.LARGE_Q, "Q") if large else (workloads.SMALL, "F2")
+    [(text, top)] = inputs.random_problems(seed, 1, family)
+    alg = cli.parse_problem(text).algebra(tag)
+    for tops in (top, (1, 2)):
+        assert_pairs_match_the_rebuilt_ones(alg, tops, text)
+
+
+def test_critical_pairs_extend_each_path_once_per_algebra(monkeypatch):
+    """A second critical_pairs call on the same algebra builds no path: the
+    extensions, their keys and whether they vanish are memoised on it."""
+    built = []
+    extended_by = Path.extended_by
+
+    def counted(path, arrow):
+        built.append(extended_by(path, arrow))
+        return built[-1]
+
+    alg = two_loop_fork()
+    sks = [sk for d in range(1, 6) for sk in enumerate_skeletons(alg, (1,), d)]
+    monkeypatch.setattr(Path, "extended_by", counted)
+    first = [critical_pairs(alg, sk, omit_ideal) for sk in sks for omit_ideal in (True, False)]
+    assert 0 < len(built) == len(set(built))
+    built.clear()
+    assert [critical_pairs(alg, sk, omit_ideal) for sk in sks for omit_ideal in (True, False)] == first
+    assert built == []
 
 
 def test_critical_pair_targets_strictly_longer():
