@@ -522,10 +522,11 @@ def cmd_layering(args, pf, out):
             raise TopNotSquarefreeError(f"repeated top vertex in {tops}")
         point = SubmodulePoint(cover, ())
         label = f"projective cover of top {list(tops)} (dim {cover.dim}, radical dim {cover.dim - len(cover.slots)})"
-    rep = quotient_rep(alg, point)
-    lay = radical_layering(rep)
+    lay = radical_layering(point)
     if args.json:
-        _print_json(args, out, {"module": label, "dims": list(rep.dims), "layering": _layering_json(lay)})
+        _print_json(args, out, {
+            "module": label, "dims": list(lay.totals_per_vertex()), "layering": _layering_json(lay),
+        })
     else:
         out(label)
         out("radical layering: " + lay.render(alg.quiver.vertices))

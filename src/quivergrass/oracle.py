@@ -16,8 +16,11 @@ point's rows by such vectors: by every group element when the group fits
 the budget (exhaustive scan), else by the one-parameter generators 1 + c*b,
 closing each orbit breadth first (generator BFS).  Isomorphism is decided
 through Yoneda (see `iso_classes`), only between points with equal exact
-invariants (radical layering and path-action ranks).  Everything is exact
-and deterministic; budgets guard against blowups.
+invariants (radical layering and path-action ranks).  The layering of P/C
+is read from C's rows in P's basis; P/C is built as matrices
+(`quotient_rep`) only for the path ranks and as the target of a Hom space,
+so cross-validation builds none.  Everything is exact and deterministic;
+budgets guard against blowups.
 """
 
 from __future__ import annotations
@@ -121,9 +124,7 @@ class OracleScene:
 
     def layerings(self) -> List[SemisimpleSequence]:
         if self._layerings is None:
-            self._layerings = [
-                radical_layering(self.quotient(i)) for i in range(len(self.points))
-            ]
+            self._layerings = [radical_layering(p) for p in self.points]
         return self._layerings
 
     def layering_classes(self) -> Dict[SemisimpleSequence, Tuple[int, ...]]:
@@ -413,10 +414,9 @@ def unipotent_orbits(scene: OracleScene):
 
 
 def _modules_isomorphic(scene: OracleScene, i, j) -> bool:
-    """Whether P/C_i is isomorphic to N = P/C_j: of equal dimension, with some
-    x in K(C_i, N) whose generator matrices are all invertible."""
-    if scene.quotient(i).dim != scene.quotient(j).dim:
-        return False
+    """Whether P/C_i is isomorphic to N = P/C_j: some x in K(C_i, N) has all
+    its generator matrices invertible.  The points of a scene share their
+    codimension d, so the modules have equal dimension."""
     kernel = hom_from_quotient(scene.points[i], scene.quotient(j))
     tops = generator_coordinates(scene.points[i], scene.points[j])
     return _generates(scene.alg.field, kernel, tops, scene.squarefree, scene.config.budget)

@@ -19,7 +19,7 @@ from itertools import accumulate, groupby
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotSubmoduleError, TopNotSquarefreeError
-from .linalg import Echelon, identity, mat_mul, mat_vec, nullspace, rref
+from .linalg import Echelon, identity, mat_mul, nullspace, rref
 from .presentation import AlgElement, AlgebraPresentation, Path, all_paths
 
 
@@ -428,36 +428,28 @@ def generator_coordinates(point: SubmodulePoint, target: SubmodulePoint):
     return [[[offsets[s] + gens[s2] for s2 in g] for s in g] for g in cover.slot_groups]
 
 
-def radical_filtration(rep: Representation) -> List[Dict[int, Echelon]]:
-    """Echelons of J^l M per vertex (block coordinates), for l = 0..L+1."""
-    alg = rep.alg
-    f = alg.field
-    vs = alg.quiver.vertices
-    current = {v: rref(f, identity(f, rep.dim_at(v)), rep.dim_at(v)) for v in vs}
-    filtration = [current]
-    for _ in range(alg.loewy_bound + 1):
-        nxt = {v: Echelon(f, rep.dim_at(v)) for v in vs}
-        for arrow in alg.quiver.arrows:
-            m = rep.mat(arrow.name)
-            for row in current[arrow.source].rows:
-                nxt[arrow.target].add(mat_vec(f, m, row))
-        filtration.append(nxt)
-        current = nxt
-    return filtration
+def radical_layering(point: SubmodulePoint) -> "SemisimpleSequence":
+    """Multiplicity matrix of the radical layers J^l M / J^{l+1} M of
+    M = P/C, read from C's rows in one elimination over P.
 
-
-def radical_layering(rep: Representation) -> "SemisimpleSequence":
-    """Multiplicity matrix of the radical layers J^l M / J^{l+1} M."""
-    vs = rep.alg.quiver.vertices
-    filtration = radical_filtration(rep)
-    if any(filtration[-1][v].rank for v in vs):
-        raise ValueError("radical filtration does not terminate at the bound")
-    return SemisimpleSequence(
-        tuple(
-            tuple(jl[v].rank - jl1[v].rank for v in vs)
-            for jl, jl1 in zip(filtration, filtration[1:])
-        )
-    )
+    The rows of C are filed, then the rows of J^l P for l = L down to 1, so
+    the rows accepted while J^l P is added span J^l M / J^{l+1} M.  C and
+    every J^l P are graded by end vertex, and so is each accepted row: it
+    counts once in layer l under the end vertex of its leading column.  C
+    lies in JP, so layer 0, the top of M, is the cover's top.
+    """
+    cover = point.cover
+    alg = cover.alg
+    vi = alg.quiver.vertex_index
+    ech = Echelon.of_reduced(alg.field, cover.dim, point.rows)
+    layers = [[0] * len(vi) for _ in range(alg.loewy_bound + 1)]
+    for v in cover.slots:
+        layers[0][vi[v]] += 1
+    for l in range(alg.loewy_bound, 0, -1):
+        for row in cover.radical_rows(l):
+            if ech.add(row):
+                layers[l][vi[cover.basis[row.index(alg.field.one)][1].end]] += 1
+    return SemisimpleSequence(tuple(map(tuple, layers)))
 
 
 def path_ranks(rep: Representation) -> Tuple[int, ...]:

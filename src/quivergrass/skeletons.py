@@ -20,14 +20,9 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import TopMismatchError, TopNotSquarefreeError
-from .linalg import Echelon, Expander, identity, mat_vec
+from .linalg import Echelon, Expander
 from .presentation import AlgebraPresentation, Path
-from .representations import (
-    ProjectiveCover,
-    Representation,
-    SemisimpleSequence,
-    radical_filtration,
-)
+from .representations import ProjectiveCover, SemisimpleSequence, SubmodulePoint
 
 
 @dataclass(frozen=True)
@@ -277,70 +272,28 @@ def compatible(sk: Skeleton, sseq: SemisimpleSequence, vertices) -> bool:
     return True
 
 
-def skeleton_of(alg: AlgebraPresentation, rep: Representation, tops) -> Skeleton:
-    """A canonical skeleton of a module with squarefree top.
+def skeleton_of(point: SubmodulePoint) -> Skeleton:
+    """The canonical skeleton of M = P/C, for a cover with squarefree top.
 
-    Layer by layer, extensions alpha*p of already chosen paths are scanned in
-    path order; a path is kept when its image extends a basis of the layer
-    modulo the next radical power.
+    Read from C's rows in P's basis.  C lies in JP, so the top of M is the
+    cover's.  Layer by layer, for l >= 1, the one-arrow extensions q of the
+    paths chosen in layer l - 1 are scanned in path order, and q is kept when
+    its vector extends a basis of the layer modulo C + J^{l+1}P.
     """
-    tops = tuple(sorted(set(tops), key=alg.quiver.vertex_index.__getitem__))
-    f = alg.field
-    vs = alg.quiver.vertices
-    filtration = radical_filtration(rep)  # J^l M per vertex, l = 0..L+1
-    top = tuple(filtration[0][v].rank - filtration[1][v].rank for v in vs)
-    if top != tuple(1 if v in tops else 0 for v in vs):
-        raise TopMismatchError(f"module top {top} does not match {tops}")
-
-    n_total = rep.dim
-    offsets = {}
-    run = 0
-    for v in vs:
-        offsets[v] = run
-        run += rep.dim_at(v)
-
-    def embed(v, block_vec):
-        out = [f.zero] * n_total
-        for k, c in enumerate(block_vec):
-            out[offsets[v] + k] = c
-        return out
-
-    # deterministic top elements: first standard vector outside JM per top vertex
-    gen_vec = {}
-    for v in tops:
-        for cand in identity(f, rep.dim_at(v)):
-            if not filtration[1][v].contains(cand):
-                gen_vec[v] = embed(v, cand)
-                break
-
-    def act(path: Path):
-        vec = gen_vec[path.start]
-        for a in path.arrows:
-            block = [
-                vec[offsets[a.source] + k] for k in range(rep.dim_at(a.source))
-            ]
-            img = mat_vec(f, rep.mat(a.name), block)
-            vec = embed(a.target, img)
-        return vec
-
-    chosen_paths = [Path(v) for v in tops]
-    layer_paths = list(chosen_paths)
+    cover = point.cover
+    alg = cover.alg
+    if not cover.squarefree:
+        raise TopNotSquarefreeError(f"repeated top vertex in {cover.slots}")
+    layer = [Path(v) for v in cover.slots]
+    chosen = list(layer)
     for l in range(1, alg.loewy_bound + 1):
-        ech = Echelon(f, n_total)
-        for v in vs:
-            for row in filtration[l + 1][v].rows:
-                ech.add(embed(v, row))
-        new_layer = []
-        candidates = []
-        for p in layer_paths:
-            for a in alg.quiver.arrows_from(p.end):
-                candidates.append(p.extended_by(a))
-        for q in sorted(set(candidates), key=alg.path_key):
-            if ech.add(act(q)):
-                new_layer.append(q)
-        chosen_paths.extend(new_layer)
-        layer_paths = new_layer
-    sk = Skeleton(tuple(tops), tuple(sorted(chosen_paths, key=alg.path_key)))
-    if sk.dim != rep.dim:
+        ech = Echelon.of_reduced(alg.field, cover.dim, point.rows)
+        for row in cover.radical_rows(l + 1):
+            ech.add(row)
+        candidates = sorted({p.extended_by(a) for p in layer for a in alg.quiver.arrows_from(p.end)}, key=alg.path_key)
+        layer = [q for q in candidates if ech.add(cover.path_vector(q))]
+        chosen += layer
+    sk = Skeleton(cover.slots, tuple(sorted(chosen, key=alg.path_key)))
+    if sk.dim != point.quotient_dim:
         raise TopMismatchError("greedy growth did not exhaust the module")
     return sk

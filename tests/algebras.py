@@ -134,9 +134,10 @@ def _random_candidate(rng):
     return build_algebra(quiver, rels, loewy, QQ)
 
 
-def random_presentation(max_dim_p=8, max_paths=40):
-    """Deterministic seed search for a small random admissible presentation."""
-    for seed in itertools.count():
+def random_presentation(max_dim_p=8, max_paths=40, start=0):
+    """Deterministic seed search, from the seed start on, for a small random
+    admissible presentation."""
+    for seed in itertools.count(start):
         rng = random.Random(seed)
         try:
             alg = _random_candidate(rng)

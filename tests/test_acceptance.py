@@ -166,11 +166,11 @@ def test_acceptance_04_nilpotent_loop_orbit_chain():
         orbs = orbits(scene)
         # the (m+1, 1) dimension-vector locus carries the affine orbit chain
         locus = [
-            i for i in range(len(scene.points)) if scene.quotient(i).dims == (3, 1)
+            i for i in range(len(scene.points)) if scene.layerings()[i].totals_per_vertex() == (3, 1)
         ]
         chain_orbits = [o for o in orbs if set(o) <= set(locus)]
         assert sorted(len(o) for o in chain_orbits) == [1, 2, 4]
-        assert all(scene.quotient(i).dims == (3, 1) for i in locus)
+        assert all(scene.layerings()[i].totals_per_vertex() == (3, 1) for i in locus)
         assert len(locus) == 7
 
         # orbit dimensions 0, 1, 2 on the monomial submodules C_0, C_1, C_2
@@ -197,7 +197,7 @@ def test_acceptance_04_nilpotent_loop_orbit_chain():
         assert sorted(len(o) for o in orbs) == [1, 1, 2, 4]
         outside = [i for i in range(len(scene.points)) if i not in locus]
         assert len(outside) == 1
-        assert scene.quotient(outside[0]).dims == (2, 2)
+        assert scene.layerings()[outside[0]].totals_per_vertex() == (2, 2)
         assert is_fully_invariant(alg2, scene.points[outside[0]]).holds
 
         report = finite_local_type_check(alg, 1, 2)

@@ -14,14 +14,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quivergrass import GF, cli, enumerate_skeletons, radical_layering, representations, with_field
+from quivergrass import GF, cli, enumerate_skeletons, moduli, oracle, representations, with_field
 from quivergrass.cli import main, parse_problem, render_problem
 from quivergrass.errors import AdmissibilityError, ParseError, SemanticError
 from quivergrass.oracle import chart_solutions
 from quivergrass.presentation import all_paths
 
 from algebras import catalogue, simple_tops
-from vertexwise import hom_dim, module_from_point
+from vertexwise import hom_dim, layering_of_rep, module_from_point
 
 LOOP_ARROW_TEXT = """\
 # loop with square zero feeding an arrow
@@ -334,6 +334,21 @@ def test_cli_cross_validate_exit_codes(problem_file):
     code, out = run_cli(["cross-validate", path, "--field", "F2"])
     assert code == 0
     assert "all charts consistent" in out
+
+
+def test_cli_cross_validate_builds_no_quotient_rep(problem_file, monkeypatch):
+    """cross-validate reads each point's layering from its rows in P's
+    basis, so it builds no module as matrices."""
+    def refuse(*args):
+        raise AssertionError("quotient_rep called")
+
+    for module in (representations, oracle, moduli, cli):
+        monkeypatch.setattr(module, "quotient_rep", refuse)
+    path = problem_file(TWO_LOOP_FORK_TEXT)
+    for d in range(1, 6):
+        for field in ("F2", "F3"):
+            code, out = run_cli(["cross-validate", path, "--dim", str(d), "--field", field])
+            assert code == 0 and "all charts consistent" in out, (d, field)
 
 
 def test_cli_local_type(problem_file):
@@ -777,7 +792,7 @@ def test_cli_hom_and_layering_match_the_skeleton_basis_modules(problem_file):
         path = problem_file(text)
         base = ["--top", str(top), "--field", field]
         for i, (sk, pt, m) in enumerate(modules):
-            lay = radical_layering(m)
+            lay = layering_of_rep(m)
             code, out = run_cli(["layering", path, "--skeleton", sk, "--point", pt, *base])
             assert code == 0 and out.endswith(f"\nradical layering: {lay.render(m.alg.quiver.vertices)}\n"), label
             code, out = run_cli(["layering", path, "--skeleton", sk, "--point", pt, *base, "--json"])

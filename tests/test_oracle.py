@@ -105,7 +105,7 @@ def test_orbits_nilpotent_loop():
     locus = {
         i
         for i in range(len(scene.points))
-        if scene.quotient(i).dims == (3, 1)
+        if scene.layerings()[i].totals_per_vertex() == (3, 1)
     }
     inside = [o for o in orbs if set(o) <= locus]
     assert sorted(len(o) for o in inside) == [1, 2, 4]

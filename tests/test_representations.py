@@ -32,7 +32,7 @@ from quivergrass import (
 from quivergrass.linalg import is_invertible, mat_mul
 
 from algebras import fork, loop_arrow, nilpotent_loop_arrow, path_of, random_presentation, two_loop_fork
-from vertexwise import cover_rep, hom_dim, radical_submodule, submodule_as_rep
+from vertexwise import cover_rep, hom_dim, layering_of_rep, radical_submodule, submodule_as_rep
 
 
 @pytest.fixture(scope="module")
@@ -163,13 +163,13 @@ def test_hom_simples_delta():
 def test_radical_layering_examples(la):
     q = la.quiver
     _, point_aw = _point(la, [path_of(q, "w", "a")])
-    assert radical_layering(quotient_rep(la, point_aw)).layers == (
+    assert radical_layering(point_aw).layers == (
         (1, 0),
         (1, 1),
         (0, 0),
     )
     _, point_a = _point(la, [path_of(q, "a")])
-    assert radical_layering(quotient_rep(la, point_a)).layers == (
+    assert radical_layering(point_a).layers == (
         (1, 0),
         (1, 0),
         (0, 1),
@@ -180,7 +180,10 @@ def test_layering_of_semisimple():
     q = Quiver([1, 2], [("a", 1, 2)])
     alg = build_algebra(q, [], 1, QQ)
     semi = Representation(alg, (1, 1), {"a": ((QQ.zero,),)})
-    assert radical_layering(semi).layers == ((1, 1), (0, 0))
+    assert layering_of_rep(semi).layers == ((1, 1), (0, 0))
+    cover = ProjectiveCover(alg, (1, 2))
+    jp = [(s, AlgElement.of_path(QQ, p)) for s, p in cover.basis if p.length >= 1]
+    assert radical_layering(SubmodulePoint.from_elements(cover, jp)).layers == ((1, 1), (0, 0))
 
 
 def test_sseq_leq_examples():
@@ -226,8 +229,8 @@ def test_top_stable_degeneration_dim_vectors(la):
     q = la.quiver
     _, point_a = _point(la, [path_of(q, "a")])
     _, point_aw = _point(la, [path_of(q, "w", "a")])
-    s = radical_layering(quotient_rep(la, point_a))
-    t = radical_layering(quotient_rep(la, point_aw))
+    s = radical_layering(point_a)
+    t = radical_layering(point_aw)
     assert sseq_leq(s, t)
     assert dim_vector(s) < dim_vector(t)
 

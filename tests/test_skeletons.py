@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from quivergrass import (
     AlgElement,
     GF,
+    OracleConfig,
+    OracleScaleError,
     Path,
     ProjectiveCover,
     QQ,
@@ -38,9 +40,11 @@ from algebras import (
     loop_arrow,
     merge,
     path_of,
+    random_presentation,
     simple_tops,
     two_loop_fork,
 )
+from vertexwise import layering_of_rep, skeleton_of_rep
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 import inputs  # noqa: E402
@@ -461,20 +465,52 @@ def test_skeleton_of_examples():
     point_aw = SubmodulePoint.from_elements(
         cover, [(0, AlgElement.of_path(QQ, path_of(q, "w", "a")))]
     )
-    got = skeleton_of(alg, quotient_rep(alg, point_aw), (1,))
+    got = skeleton_of(point_aw)
     assert got.render() == "{e1, w, a}"
 
     point_a = SubmodulePoint.from_elements(
         cover, [(0, AlgElement.of_path(QQ, path_of(q, "a")))]
     )
-    got = skeleton_of(alg, quotient_rep(alg, point_a), (1,))
+    got = skeleton_of(point_a)
     assert got.render() == "{e1, w, a*w}"
 
     jp = SubmodulePoint.from_elements(
         cover, [(0, AlgElement.of_path(QQ, p)) for _, p in cover.basis if p.length >= 1]
     )
-    got = skeleton_of(alg, quotient_rep(alg, jp), (1,))
+    got = skeleton_of(jp)
     assert got.paths == (Path(1),)
+
+
+def test_skeleton_of_refuses_a_repeated_top():
+    alg = with_field(loop_arrow(), GF(2))
+    scene = enumerate_points(alg, (1, 1), 5)
+    assert scene.points
+    for point in (SubmodulePoint(scene.cover, ()), scene.points[0]):
+        with pytest.raises(TopNotSquarefreeError):
+            skeleton_of(point)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_layering_and_skeleton_match_the_matrix_references(seed):
+    """Random admissible presentations of the catalogue's random shape over
+    F2, at the tops (v,) and (v, v) for each vertex v and at the first two
+    vertices, every d within the candidate budget: the layering and skeleton
+    read in P's basis are those read from the matrices of P/C.  A failing
+    presentation joins the catalogue in algebras.py."""
+    alg = with_field(random_presentation(start=seed), GF(2))
+    vs = alg.quiver.vertices
+    for tops in [(v,) for v in vs] + [(v, v) for v in vs] + [vs[:2]]:
+        for d in range(ProjectiveCover(alg, tops).dim + 1):
+            try:
+                scene = enumerate_points(alg, tops, d, OracleConfig(budget=2000))
+            except OracleScaleError:
+                continue
+            for point in scene.points:
+                rep = quotient_rep(alg, point)
+                assert radical_layering(point) == layering_of_rep(rep), (point, tops, d)
+                if point.cover.squarefree:
+                    assert skeleton_of(point) == skeleton_of_rep(alg, rep, tops), (point, tops, d)
 
 
 def test_skeleton_of_is_compatible_with_layering():
@@ -486,7 +522,6 @@ def test_skeleton_of_is_compatible_with_layering():
         cover_dim = sum(1 for p in algp.basis if p.start == v)
         for d in range(1, cover_dim + 1):
             scene = enumerate_points(algp, (v,), d)
-            for i in range(len(scene.points)):
-                rep = scene.quotient(i)
-                sk = skeleton_of(algp, rep, (v,))
-                assert compatible(sk, radical_layering(rep), algp.quiver.vertices)
+            for point in scene.points:
+                sk = skeleton_of(point)
+                assert compatible(sk, radical_layering(point), algp.quiver.vertices)

@@ -1,24 +1,29 @@
-"""Vertex-wise module builders and Hom, kept as test references.
+"""Vertex-wise module builders, Hom and radical layers, kept as test references.
 
-The library builds every module as a quotient P/C (`quotient_rep`) and
-every Hom space from one Yoneda kernel (`hom_from_quotient`).  The code here
-builds the same modules on other bases (the cover's path basis, a chart's
-skeleton basis, submodules on their own echelon bases) and measures Hom
-vertex-wise through `hom_basis`, so the tests can compare the two routes.
+The library builds every module as a quotient P/C (`quotient_rep`), reads
+every Hom space from one Yoneda kernel (`hom_from_quotient`), and reads the
+radical layering and skeleton of P/C from C's rows in P's basis.  The code
+here builds the same modules on other bases (the cover's path basis, a
+chart's skeleton basis, submodules on their own echelon bases), measures Hom
+vertex-wise through `hom_basis`, and reads the radical layers of any
+representation from its matrices, so the tests can compare the two routes.
 """
 
-from typing import Dict
+from typing import Dict, List
 
 from quivergrass.charts import chart_context, chart_ideal, point_on_chart
-from quivergrass.errors import NotOnChartError, NotSubmoduleError
-from quivergrass.linalg import Echelon, Expander, mat_vec
+from quivergrass.errors import NotOnChartError, NotSubmoduleError, TopMismatchError
+from quivergrass.linalg import Echelon, Expander, identity, mat_vec, rref
+from quivergrass.presentation import Path
 from quivergrass.representations import (
     ProjectiveCover,
     Representation,
+    SemisimpleSequence,
     SubmodulePoint,
     hom_basis,
     representation_on_blocks,
 )
+from quivergrass.skeletons import Skeleton
 
 
 def cover_rep(cover: ProjectiveCover) -> Representation:
@@ -127,3 +132,104 @@ def module_from_point(alg, sk, point) -> Representation:
         ]
 
     return representation_on_blocks(alg, blocks, column_action)
+
+
+def radical_filtration(rep: Representation) -> List[Dict[int, Echelon]]:
+    """Echelons of J^l M per vertex (block coordinates), for l = 0..L+1."""
+    alg = rep.alg
+    f = alg.field
+    vs = alg.quiver.vertices
+    current = {v: rref(f, identity(f, rep.dim_at(v)), rep.dim_at(v)) for v in vs}
+    filtration = [current]
+    for _ in range(alg.loewy_bound + 1):
+        nxt = {v: Echelon(f, rep.dim_at(v)) for v in vs}
+        for arrow in alg.quiver.arrows:
+            m = rep.mat(arrow.name)
+            for row in current[arrow.source].rows:
+                nxt[arrow.target].add(mat_vec(f, m, row))
+        filtration.append(nxt)
+        current = nxt
+    return filtration
+
+
+def layering_of_rep(rep: Representation) -> SemisimpleSequence:
+    """Multiplicity matrix of the radical layers J^l M / J^{l+1} M."""
+    vs = rep.alg.quiver.vertices
+    filtration = radical_filtration(rep)
+    if any(filtration[-1][v].rank for v in vs):
+        raise ValueError("radical filtration does not terminate at the bound")
+    return SemisimpleSequence(
+        tuple(
+            tuple(jl[v].rank - jl1[v].rank for v in vs)
+            for jl, jl1 in zip(filtration, filtration[1:])
+        )
+    )
+
+
+def skeleton_of_rep(alg, rep: Representation, tops) -> Skeleton:
+    """A canonical skeleton of a module with squarefree top.
+
+    Layer by layer, extensions alpha*p of already chosen paths are scanned in
+    path order; a path is kept when its image extends a basis of the layer
+    modulo the next radical power.
+    """
+    tops = tuple(sorted(set(tops), key=alg.quiver.vertex_index.__getitem__))
+    f = alg.field
+    vs = alg.quiver.vertices
+    filtration = radical_filtration(rep)  # J^l M per vertex, l = 0..L+1
+    top = tuple(filtration[0][v].rank - filtration[1][v].rank for v in vs)
+    if top != tuple(1 if v in tops else 0 for v in vs):
+        raise TopMismatchError(f"module top {top} does not match {tops}")
+
+    n_total = rep.dim
+    offsets = {}
+    run = 0
+    for v in vs:
+        offsets[v] = run
+        run += rep.dim_at(v)
+
+    def embed(v, block_vec):
+        out = [f.zero] * n_total
+        for k, c in enumerate(block_vec):
+            out[offsets[v] + k] = c
+        return out
+
+    # deterministic top elements: first standard vector outside JM per top vertex
+    gen_vec = {}
+    for v in tops:
+        for cand in identity(f, rep.dim_at(v)):
+            if not filtration[1][v].contains(cand):
+                gen_vec[v] = embed(v, cand)
+                break
+
+    def act(path: Path):
+        vec = gen_vec[path.start]
+        for a in path.arrows:
+            block = [
+                vec[offsets[a.source] + k] for k in range(rep.dim_at(a.source))
+            ]
+            img = mat_vec(f, rep.mat(a.name), block)
+            vec = embed(a.target, img)
+        return vec
+
+    chosen_paths = [Path(v) for v in tops]
+    layer_paths = list(chosen_paths)
+    for l in range(1, alg.loewy_bound + 1):
+        ech = Echelon(f, n_total)
+        for v in vs:
+            for row in filtration[l + 1][v].rows:
+                ech.add(embed(v, row))
+        new_layer = []
+        candidates = []
+        for p in layer_paths:
+            for a in alg.quiver.arrows_from(p.end):
+                candidates.append(p.extended_by(a))
+        for q in sorted(set(candidates), key=alg.path_key):
+            if ech.add(act(q)):
+                new_layer.append(q)
+        chosen_paths.extend(new_layer)
+        layer_paths = new_layer
+    sk = Skeleton(tuple(tops), tuple(sorted(chosen_paths, key=alg.path_key)))
+    if sk.dim != rep.dim:
+        raise TopMismatchError("greedy growth did not exhaust the module")
+    return sk
