@@ -76,53 +76,35 @@ class ChartContext:
                 return k
         return -1
 
-    def reduce_path(self, path: Path, route_prune: bool = True) -> Dict[Path, dict]:
-        """Expansion of a single path over the skeleton, memoized.
-
-        The cache only serves the pruned variant, so the unpruned one stays
-        an independent computation.
-        """
-        if route_prune and path in self._memo:
+    def reduce_path(self, path: Path) -> Dict[Path, dict]:
+        """Expansion of a single path over the skeleton, memoized; a path
+        that is not a route of the skeleton expands to zero."""
+        if path in self._memo:
             return self._memo[path]
-        out = self._reduce_path_uncached(path, route_prune)
-        if route_prune:
-            self._memo[path] = out
+        f = self.field
+        out: Dict[Path, dict] = {}
+        if path in self.path_set:
+            out[path] = poly.const(self.nvars, f, 1)
+        elif is_route(path, self.sk) and (k := self._longest_prefix_in(path)) >= 0:
+            product = path.prefix(k).extended_by(path.arrows[k])
+            tail = Path(product.end, path.arrows[k + 1 :])
+            # a critical pair dropped (product vanishes in the algebra) or
+            # without targets: the congruence sends the whole term to zero
+            cp = self.pair_by_product.get(product)
+            for q in cp.targets if cp is not None else ():
+                idx = self.var_index[(product, q)]
+                for final_q, coeff in self.reduce_path(q.then(tail)).items():
+                    term = poly.mul_variable(f, coeff, idx)
+                    out[final_q] = poly.add(f, out.get(final_q, {}), term)
+            out = {q: c for q, c in out.items() if c}
+        self._memo[path] = out
         return out
 
-    def _reduce_path_uncached(self, path: Path, route_prune: bool) -> Dict[Path, dict]:
-        f = self.field
-        if path.start not in self.sk.tops:
-            return {}
-        if path in self.path_set:
-            return {path: poly.const(self.nvars, f, 1)}
-        if route_prune and not is_route(path, self.sk):
-            return {}
-        k = self._longest_prefix_in(path)
-        if k < 0:
-            return {}
-        prefix = path.prefix(k)
-        arrow = path.arrows[k]
-        product = prefix.extended_by(arrow)
-        tail = Path(product.end, path.arrows[k + 1 :])
-        cp = self.pair_by_product.get(product)
-        if cp is None:
-            # critical pair dropped (product vanishes in the algebra) or has
-            # no targets: the congruence sends the whole term to zero
-            return {}
-        out: Dict[Path, dict] = {}
-        for q in cp.targets:
-            idx = self.var_index[(product, q)]
-            rest = q.then(tail)
-            for final_q, coeff in self.reduce_path(rest, route_prune).items():
-                term = poly.mul_variable(f, coeff, idx)
-                out[final_q] = poly.add(f, out.get(final_q, {}), term)
-        return {q: c for q, c in out.items() if c}
-
-    def reduce_element(self, z: AlgElement, route_prune: bool = True) -> Dict[Path, dict]:
+    def reduce_element(self, z: AlgElement) -> Dict[Path, dict]:
         f = self.field
         out: Dict[Path, dict] = {}
         for p, c in z.terms.items():
-            for q, coeff in self.reduce_path(p, route_prune).items():
+            for q, coeff in self.reduce_path(p).items():
                 out[q] = poly.add(f, out.get(q, {}), poly.scale(f, coeff, c))
         return {q: c for q, c in out.items() if c}
 
@@ -135,9 +117,9 @@ def chart_context(alg, sk: Skeleton) -> ChartContext:
     return ctx
 
 
-def reduce(alg, sk: Skeleton, z: AlgElement, route_prune: bool = True) -> Dict[Path, dict]:
+def reduce(alg, sk: Skeleton, z: AlgElement) -> Dict[Path, dict]:
     """Expansion of z over the skeleton paths with polynomial coefficients."""
-    return chart_context(alg, sk).reduce_element(z, route_prune=route_prune)
+    return chart_context(alg, sk).reduce_element(z)
 
 
 @dataclass(frozen=True)
@@ -232,8 +214,7 @@ def submodule_from_point(alg, sk: Skeleton, point, cover: Optional[ProjectiveCov
         raise NotOnChartError("coordinates do not satisfy the chart equations")
     if cover is None:
         cover = ProjectiveCover(alg, sk.tops)
-    ech = Echelon(f, cover.dim)
-    frontier = []
+    gens = []
     for cp in ctx.pairs:
         # the generator mixes summands: alpha*p sits over the slot of p while
         # the target paths sit over their own start vertices; all lie in JP
@@ -242,17 +223,8 @@ def submodule_from_point(alg, sk: Skeleton, point, cover: Optional[ProjectiveCov
             c = point[ctx.var_index[(cp.product, q)]]
             if c != f.zero:
                 vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, cover.path_vector(q))]
-        if ech.add(vec):
-            frontier.append(vec)
-    while frontier:
-        nxt = []
-        for vec in frontier:
-            for arrow in alg.quiver.arrows:
-                img = cover.image(arrow, vec)
-                if img is not None and ech.add(img):
-                    nxt.append(img)
-        frontier = nxt
-    rows = ech.snapshot()
+        gens.append(vec)
+    rows = cover.closure(Echelon(f, cover.dim), gens).snapshot()
     if cover.dim - len(rows) != sk.dim:
         raise RankError(
             f"chart point generated codimension {cover.dim - len(rows)}, expected {sk.dim}"

@@ -593,6 +593,9 @@ def cmd_moduli_check(args, pf, out):
     tops = _tops_from(args, pf)
     if len(tops) != 1:
         raise SemanticError("moduli-check needs a simple top (one vertex)")
+    if alg.field.char not in (0, args.q):
+        # the check runs over F_q, and F_p coefficients do not move there
+        raise SemanticError(f"moduli-check over {alg.field.tag} needs -q {alg.field.char}")
     rep = simple_top_moduli_criterion(alg, tops[0], prime=args.q, budget=args.budget)
     if args.json:
         _print_json(args, out, {

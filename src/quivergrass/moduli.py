@@ -4,10 +4,11 @@ Full invariance of a submodule point decides the absence of proper
 top-stable degenerations of its quotient; it applies the right action of the
 End(P) path basis that the projective cover owns, the same action the oracle
 orbits use, to the rows of the point.  The quiver-level test for a simple
-top checks whether products lambda*omega stay in the cyclic left module of
-lambda.  Orbit dimensions come from Yoneda: End(M) for M = P/C is the
-space K of tuples (x_s), x_s in M_{v_s}, that C kills, and Hom(M, JM) is
-its part with zero length-0 coordinates.
+top S_e, lambda*omega in Lambda*lambda for every lambda in Je and omega in
+eJe, is the same test in the basis of P = Lambda*e: each cyclic submodule
+Lambda*lambda of JP must be fully invariant.  Orbit dimensions come from
+Yoneda: End(M) for M = P/C is the space K of tuples (x_s), x_s in M_{v_s},
+that C kills, and Hom(M, JM) is its part with zero length-0 coordinates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Tuple
 
 from .errors import OracleScaleError, TopNotSquarefreeError
 from .linalg import Echelon, rref
-from .presentation import AlgElement, AlgebraPresentation, Path, all_paths, with_field
+from .presentation import AlgElement, AlgebraPresentation, Path, with_field
 from .fields import GF
 from .representations import (
     ProjectiveCover,
@@ -52,18 +53,13 @@ def is_fully_invariant(alg: AlgebraPresentation, point: SubmodulePoint) -> Invar
     if not cover.squarefree:
         raise TopNotSquarefreeError("full invariance needs a squarefree top")
     ech = point.echelon()
-    f = alg.field
     # the unit triples are the identity, which preserves C
     radical = [t for t in cover.end_basis if t[2].length >= 1]
     for triple in sorted(radical, key=lambda t: alg.basis_index[t[2]]):
         act = cover.right_action(triple)
         for row in point.rows:
-            img = [f.zero] * cover.dim
-            for i, c in enumerate(row):
-                if c != f.zero:
-                    for j, a in act.get(i, ()):
-                        img[j] = f.add(img[j], f.mul(c, a))
-            if not ech.contains(img):
+            img = cover.image(act, row)  # None: the image is zero, in C
+            if img is not None and not ech.contains(img):
                 return InvarianceResult(False, triple[2], row)
     return InvarianceResult(True)
 
@@ -121,7 +117,9 @@ def simple_top_moduli_criterion(alg: AlgebraPresentation, e, prime: int = 2, bud
     The sufficient conditions eJe = 0 and (Je)^2 = 0 are decided exactly;
     otherwise the defining condition (lambda*omega in Lambda*lambda for all
     lambda in Je and omega in eJe) is checked exhaustively over F_p, with
-    the provenance recorded.
+    the provenance recorded: lambda runs over the nonzero vectors of JP, in
+    the basis of P = Lambda*e, and Lambda*lambda, the closure of lambda
+    under the arrows, must be fully invariant.
     """
     if e not in alg.quiver.vertex_index:
         raise ValueError(f"unknown vertex {e}")
@@ -144,52 +142,34 @@ def simple_top_moduli_criterion(alg: AlgebraPresentation, e, prime: int = 2, bud
 
     f = GF(prime)
     alg_p = with_field(alg, f)
-    je_p = [p for p in alg_p.basis if p.length >= 1 and p.start == e]
-    eje_p = [p for p in je_p if p.end == e]
-    if prime ** len(je_p) > budget:
+    cover = ProjectiveCover(alg_p, (e,))
+    je_cols = [i for i, (_, p) in enumerate(cover.basis) if p.length >= 1]
+    if prime ** len(je_cols) > budget:
         raise OracleScaleError(
-            f"{prime}^{len(je_p)} candidates for lambda exceed the budget {budget}"
+            f"{prime}^{len(je_cols)} candidates for lambda exceed the budget {budget}"
         )
-    for coeffs in itertools.product(list(f.elements()), repeat=len(je_p)):
-        lam = AlgElement(f, dict(zip(je_p, coeffs)))
-        if lam.is_zero():
+    for coeffs in itertools.product(list(f.elements()), repeat=len(je_cols)):
+        if not any(coeffs):
             continue
-        ech = _cyclic_span(alg_p, lam)
-        for omega in eje_p:
-            lam_om = lam.mul(
-                AlgElement.of_path(f, omega), maxlen=alg_p.loewy_bound + 1
+        lam = [f.zero] * cover.dim
+        for i, c in zip(je_cols, coeffs):
+            lam[i] = c
+        span = cover.closure(Echelon(f, cover.dim), [lam])
+        # Lambda*lambda*omega = Lambda*(lambda*omega): the first omega that
+        # moves a row of Lambda*lambda out of it moves lambda out of it
+        inv = is_fully_invariant(alg_p, SubmodulePoint(cover, span.snapshot()))
+        if not inv:
+            [(_, witness)] = cover.element_of(lam)
+            return ModuliCriterionReport(
+                False,
+                "finite-field",
+                False,
+                False,
+                prime=prime,
+                witness_lambda=witness,
+                witness_omega=inv.witness_path,
             )
-            lam_om = alg_p.normal_form(lam_om)
-            if lam_om.is_zero():
-                continue
-            if not ech.contains(_basis_vec(alg_p, lam_om)):
-                return ModuliCriterionReport(
-                    False,
-                    "finite-field",
-                    False,
-                    False,
-                    prime=prime,
-                    witness_lambda=lam,
-                    witness_omega=omega,
-                )
     return ModuliCriterionReport(True, "finite-field", False, False, prime=prime)
-
-
-def _cyclic_span(alg_p, lam: AlgElement) -> Echelon:
-    """Echelon of Lambda*lambda, the span of the left path multiples of lam."""
-    ech = Echelon(alg_p.field, len(alg_p.basis))
-    for u in all_paths(alg_p.quiver, alg_p.loewy_bound):
-        img = alg_p.nf_mul_path(u, lam)
-        if not img.is_zero():
-            ech.add(_basis_vec(alg_p, img))
-    return ech
-
-
-def _basis_vec(alg, x: AlgElement):
-    vec = [alg.field.zero] * len(alg.basis)
-    for p, c in x.terms.items():
-        vec[alg.basis_index[p]] = c
-    return vec
 
 
 @dataclass(frozen=True)

@@ -245,17 +245,18 @@ def _block_choices(cover: ProjectiveCover, block_cols, j, k):
     cols = block_cols[j]
     arrows = alg.quiver.arrows_from(v)
     targets = [block_cols[alg.quiver.vertex_index[a.target]] for a in arrows]
+    actions = [cover.arrow_action(a) for a in arrows]
     out = []
     for rows in _echelon_block_matrices(f, k, len(cols)):
         ech = Echelon.of_reduced(f, len(cols), rows)
         images = {}
-        for a, tcols in zip(arrows, targets):
+        for a, act, tcols in zip(arrows, actions, targets):
             moved = images[a.name] = []
             for r in rows:
                 vec = [f.zero] * cover.dim
                 for c, x in zip(cols, r):
                     vec[c] = x
-                img = cover.image(a, vec)
+                img = cover.image(act, vec)
                 if img is not None:
                     moved.append([img[c] for c in tcols])
         if all(ech.contains(x) for a in arrows if a.target == v for x in images[a.name]):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import AdmissibilityError, LoewyBoundError
-from .fields import QQ
+from .fields import QQ, FieldError
 
 
 @dataclass(frozen=True, slots=True)
@@ -320,20 +320,6 @@ class AlgebraPresentation:
             out = self._extensions[path] = tuple(out)
         return out
 
-    def nf_mul_path(self, arrow_or_path, x: AlgElement) -> AlgElement:
-        """Normal form of (left path multiple of x)."""
-        left = arrow_or_path
-        if isinstance(left, Arrow):
-            left = Path(left.source, (left,))
-        f = self.field
-        out = AlgElement.zero(f)
-        for p, c in x.terms.items():
-            joined = p.then(left)
-            if joined is None:
-                continue
-            out = out.add(self.nf_path(joined).scale(c))
-        return out
-
     def __repr__(self):
         return (
             f"AlgebraPresentation(dim={self.dim}, L={self.loewy_bound}, "
@@ -437,9 +423,13 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
 
 
 def with_field(alg: AlgebraPresentation, field):
-    """The same presentation with coefficients coerced into another field."""
+    """The same presentation with rational coefficients coerced into another
+    field.  A residue mod p stands for no one rational, so the coefficients
+    of a finite field move into no other field."""
     if field == alg.field:
         return alg
+    if alg.field.char != 0:
+        raise FieldError(f"cannot move the coefficients of {alg.field.tag} into {field.tag}")
     rels = [
         AlgElement(field, {p: field.coerce(c) for p, c in r.terms.items()})
         for r in alg.relations

@@ -7,8 +7,10 @@ tops with repeated simples (needed by the brute-force oracle) work the same
 way as squarefree ones.  `ProjectiveCover` is the one owner of that basis,
 and every vector, row and action is written in it: the coordinates of path
 images, the action of each arrow, the path basis of End(P) with its right
-action, and the test of whether a subspace is a submodule.  A submodule C
-of JP is a subspace of P whose rows vanish at the length-0 pairs.
+action, and the test of whether a subspace is a submodule.  `image`
+applies such an action to a vector, and `closure` closes a span under the
+arrows.  A submodule C of JP is a subspace of P whose rows vanish at the
+length-0 pairs.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ class ProjectiveCover:
                 if p.start == v:
                     self.basis.append((s, p))
         self.index = {bp: i for i, bp in enumerate(self.basis)}
-        self._arrow_action: Dict[str, Dict[int, List[Tuple[int, object]]]] = {}
-        self._right_action: Dict[tuple, Dict[int, List[Tuple[int, object]]]] = {}
+        # sparse actions, keyed by arrow name or by end_basis triple
+        self._actions: Dict[object, Dict[int, List[Tuple[int, object]]]] = {}
         self._radical_rows: Dict[int, Tuple[Tuple[object, ...], ...]] = {}
         self._path_vectors: Dict[Path, Tuple[object, ...]] = {}
 
@@ -87,30 +89,38 @@ class ProjectiveCover:
                 per.setdefault(s, {})[p] = c
         return [(s, AlgElement(f, terms)) for s, terms in sorted(per.items())]
 
-    def arrow_action(self, arrow) -> Dict[int, List[Tuple[int, object]]]:
-        """Sparse left action of an arrow: P basis column -> P coordinates
-        of its image."""
-        act = self._arrow_action.get(arrow.name)
-        if act is None:
-            act = {}
-            for i, (s, p) in enumerate(self.basis):
-                if p.end != arrow.source:
-                    continue
-                img = self.alg.nf_path(p.extended_by(arrow))
-                if not img.is_zero():
-                    act[i] = [(self.index[(s, q)], c) for q, c in img.terms.items()]
-            self._arrow_action[arrow.name] = act
+    def _sparse_action(self, key, moves) -> Dict[int, List[Tuple[int, object]]]:
+        """Build and memoise under key the action sending a P basis column to
+        the P coordinates of the normal form of a path in a slot, read from
+        the (column, slot, path) triples of moves; a column whose image
+        vanishes is left out."""
+        act = {}
+        for i, s, path in moves:
+            img = self.alg.nf_path(path)
+            if not img.is_zero():
+                act[i] = [(self.index[(s, q)], c) for q, c in img.terms.items()]
+        self._actions[key] = act
         return act
 
-    def image(self, arrow, vec):
-        """Coordinates of arrow * v for a vector v of P, or None when the
-        image is zero because no column of v is moved."""
+    def arrow_action(self, arrow) -> Dict[int, List[Tuple[int, object]]]:
+        """Sparse left action of an arrow: the column (s, p) goes to
+        arrow*p in slot s."""
+        act = self._actions.get(arrow.name)
+        if act is None:
+            act = self._sparse_action(arrow.name, (
+                (i, s, p.extended_by(arrow)) for i, (s, p) in enumerate(self.basis) if p.end == arrow.source
+            ))
+        return act
+
+    def image(self, action, vec):
+        """Coordinates of the image of a vector v of P under a sparse action
+        (of `arrow_action` or `right_action`), or None when the image is
+        zero because no column of v is moved."""
         f = self.alg.field
-        act = self.arrow_action(arrow)
         out = None
         for i, c in enumerate(vec):
             if c != f.zero:
-                img = act.get(i)
+                img = action.get(i)
                 if img:
                     if out is None:
                         out = [f.zero] * self.dim
@@ -121,12 +131,28 @@ class ProjectiveCover:
     def escaping_arrow(self, ech: Echelon):
         """The first arrow, scanning the rows of the echelon ech and then
         the arrows, that moves a row out of the span; None for a submodule."""
+        actions = [(arrow, self.arrow_action(arrow)) for arrow in self.alg.quiver.arrows]
         for r in ech.rows:
-            for arrow in self.alg.quiver.arrows:
-                img = self.image(arrow, r)
+            for arrow, act in actions:
+                img = self.image(act, r)
                 if img is not None and not ech.contains(img):
                     return arrow
         return None
+
+    def closure(self, ech: Echelon, vectors) -> Echelon:
+        """File the vectors in the echelon ech and close its span under the
+        arrows, breadth first; returns ech."""
+        actions = [self.arrow_action(arrow) for arrow in self.alg.quiver.arrows]
+        frontier = [vec for vec in vectors if ech.add(vec)]
+        while frontier:
+            nxt = []
+            for vec in frontier:
+                for act in actions:
+                    img = self.image(act, vec)
+                    if img is not None and ech.add(img):
+                        nxt.append(img)
+            frontier = nxt
+        return ech
 
     @cached_property
     def end_basis(self) -> Tuple[Tuple[int, int, Path], ...]:
@@ -145,18 +171,14 @@ class ProjectiveCover:
         return tuple(sorted(triples, key=lambda t: t[2].length > 0))
 
     def right_action(self, triple) -> Dict[int, List[Tuple[int, object]]]:
-        """Sparse right action of a triple (r, s, p) of `end_basis`: P basis
-        column -> P coordinates of its image (the column's path in slot r,
-        with p put in front, in slot s)."""
-        act = self._right_action.get(triple)
+        """Sparse right action of a triple (r, s, p) of `end_basis`: the
+        column (r, q) goes to q*p (first p, then q) in slot s."""
+        act = self._actions.get(triple)
         if act is None:
             r, s, p = triple
-            act = {}
-            for i, (slot, path) in enumerate(self.basis):
-                if slot == r:
-                    img = self.alg.nf_path(p.then(path))
-                    act[i] = [(self.index[(s, q)], c) for q, c in img.terms.items()]
-            self._right_action[triple] = act
+            act = self._sparse_action(triple, (
+                (i, s, p.then(q)) for i, (slot, q) in enumerate(self.basis) if slot == r
+            ))
         return act
 
     def radical_rows(self, m: int):

@@ -217,19 +217,19 @@ class CriticalPair:
         return f"({self.arrow.name}, {self.path.render()})"
 
 
-def critical_pairs(alg: AlgebraPresentation, sk: Skeleton, omit_ideal: bool = True) -> List[CriticalPair]:
+def critical_pairs(alg: AlgebraPresentation, sk: Skeleton) -> List[CriticalPair]:
     """All critical pairs of the skeleton, in path order of alpha*p.
 
-    With omit_ideal on, pairs whose product vanishes in the algebra are
-    dropped (their coordinates would be forced to zero anyway).  The
-    products, their order keys and whether they vanish are read from the
-    algebra's memo, `arrow_extensions`.
+    Pairs whose product vanishes in the algebra are dropped (their
+    coordinates would be forced to zero anyway).  The products, their order
+    keys and whether they vanish are read from the algebra's memo,
+    `arrow_extensions`.
     """
     pset = set(sk.paths)
     keyed = []
     for p in sk.paths:
         for a, ap, key, vanishes in alg.arrow_extensions(p):
-            if ap in pset or (omit_ideal and vanishes):
+            if ap in pset or vanishes:
                 continue
             targets = tuple(q for q in sk.paths_by_end.get(ap.end, ()) if q.length >= ap.length)
             keyed.append((key, CriticalPair(a, p, targets, ap)))

@@ -1,7 +1,9 @@
 """Helpers that only the tests use, kept out of the library.
 
 `reduce_element_worklist` is the unmemoized rewriting, kept as the reference
-for `ChartContext.reduce_element`; `index_of` finds a point of a scene.
+for `ChartContext.reduce_element`; with `route_prune=False` it also rewrites
+the paths that are not routes, the reference for the route pruning.
+`index_of` finds a point of a scene.
 """
 
 from typing import Dict, List, Optional, Tuple

@@ -389,14 +389,10 @@ def test_route_pruning_is_conservative():
             for sk in enumerate_skeletons(alg, tops, d)[:6]:
                 ctx = chart_context(alg, sk)
                 for z in ideal_generators(alg, sk.tops):
-                    assert ctx.reduce_element(z, route_prune=True) == ctx.reduce_element(
-                        z, route_prune=False
-                    )
+                    assert ctx.reduce_element(z) == reduce_element_worklist(ctx, z, route_prune=False)
                 for p in all_paths(alg.quiver, alg.loewy_bound + 1, start=tops[0]):
                     z = AlgElement.of_path(alg.field, p)
-                    assert ctx.reduce_element(z, route_prune=True) == ctx.reduce_element(
-                        z, route_prune=False
-                    )
+                    assert ctx.reduce_element(z) == reduce_element_worklist(ctx, z, route_prune=False)
 
 
 def test_chart_soundness_at_points():
@@ -571,8 +567,8 @@ def test_skipped_generators_rewrite_to_zero():
                     for g in ideal_generators(alg, sk.tops):
                         if g.min_length() > sk.max_length():
                             skipped += 1
-                            assert ctx.reduce_element(g, route_prune=True) == {}, (name, sk, g)
-                            assert ctx.reduce_element(g, route_prune=False) == {}, (name, sk, g)
+                            assert ctx.reduce_element(g) == {}, (name, sk, g)
+                            assert reduce_element_worklist(ctx, g, route_prune=False) == {}, (name, sk, g)
                     assert chart_ideal(alg, sk).polynomials == reference_chart_ideal(alg, sk), (name, sk)
     assert skipped > 100
 

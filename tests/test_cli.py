@@ -418,6 +418,7 @@ def test_cli_layering_repeated_top_exit_2(problem_file, capsys):
         ["skeletons", "--dim", "x"],
         ["enumerate", "--field", "F2", "--dim", "2", "--budget", "x"],
         ["moduli-check", "-q", "4"],
+        ["moduli-check", "--field", "F3"],
         ["enumerate", "--field", "F4", "--dim", "2"],
         ["chart", "--skel", "e1,w,a"],
         ["frobnicate"],
@@ -430,8 +431,8 @@ def test_cli_layering_repeated_top_exit_2(problem_file, capsys):
          "skeleton-not-prefix-closed", "skeleton-misses-lazy-path", "zero-exponent",
          "huge-exponent", "huger-exponent", "local-type-field", "negative-budget",
          "zero-budget", "exponent-past-digit-limit", "non-integer-dim",
-         "non-integer-budget", "composite-q", "composite-field", "abbreviated-flag",
-         "unknown-command", "missing-problem", "point-without-skeleton",
+         "non-integer-budget", "composite-q", "moduli-check-field-not-q", "composite-field",
+         "abbreviated-flag", "unknown-command", "missing-problem", "point-without-skeleton",
          "point2-without-skeleton2"],
 )
 def test_cli_bad_flag_values_exit_2(problem_file, capsys, argv):

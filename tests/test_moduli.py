@@ -1,8 +1,16 @@
 """Moduli criteria: invariance, orbit dimensions, finite local type."""
 
+import itertools
+import os
+import sys
+
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
 from quivergrass import (
     AlgElement,
     GF,
+    OracleScaleError,
     Path,
     ProjectiveCover,
     QQ,
@@ -20,7 +28,10 @@ from quivergrass import (
     build_algebra,
     Quiver,
 )
-from quivergrass.moduli import _basis_vec, _cyclic_span
+from quivergrass import cli
+from quivergrass.linalg import Echelon
+from quivergrass.moduli import ModuliCriterionReport
+from quivergrass.presentation import all_paths
 from quivergrass.representations import multiplicity_mu, quotient_rep
 
 from algebras import (
@@ -28,9 +39,64 @@ from algebras import (
     loop_arrow,
     nilpotent_loop_arrow,
     path_of,
+    random_presentation,
     triple_arrow,
 )
 from vertexwise import cover_rep, hom_dim, radical_submodule, submodule_as_rep
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import inputs  # noqa: E402
+import workloads  # noqa: E402
+
+
+def _basis_vec(alg, x: AlgElement):
+    """Coordinates of x in the basis of the algebra."""
+    vec = [alg.field.zero] * len(alg.basis)
+    for p, c in x.terms.items():
+        vec[alg.basis_index[p]] = c
+    return vec
+
+
+def _cyclic_span(alg_p, lam: AlgElement) -> Echelon:
+    """Echelon of Lambda*lambda in the basis of the algebra: the span of the
+    normal forms of the left path multiples u*lam."""
+    ech = Echelon(alg_p.field, len(alg_p.basis))
+    for u in all_paths(alg_p.quiver, alg_p.loewy_bound):
+        img = alg_p.normal_form(AlgElement.of_path(alg_p.field, u).mul(lam, maxlen=alg_p.loewy_bound + 1))
+        if not img.is_zero():
+            ech.add(_basis_vec(alg_p, img))
+    return ech
+
+
+def algebra_basis_criterion(alg, e, prime=2, budget=10 ** 6) -> ModuliCriterionReport:
+    """Reference for `simple_top_moduli_criterion`, read in the basis of the
+    algebra: the symbolic branches as the library has them, then, per
+    nonzero lambda in Je over F_p in basis order, the first omega in eJe
+    with lambda*omega outside the span of the left multiples of lambda."""
+    je = [p for p in alg.basis if p.length >= 1 and p.start == e]
+    eje = [p for p in je if p.end == e]
+    if not eje:
+        return ModuliCriterionReport(True, "symbolic", True, True)
+    if all(y.then(x) is None or alg.nf_path(y.then(x)).is_zero() for y in eje for x in je):
+        return ModuliCriterionReport(True, "symbolic", False, True)
+    f = GF(prime)
+    alg_p = with_field(alg, f)
+    je_p = [p for p in alg_p.basis if p.length >= 1 and p.start == e]
+    eje_p = [p for p in je_p if p.end == e]
+    if prime ** len(je_p) > budget:
+        raise OracleScaleError(f"{prime}^{len(je_p)} candidates for lambda exceed the budget {budget}")
+    for coeffs in itertools.product(list(f.elements()), repeat=len(je_p)):
+        lam = AlgElement(f, dict(zip(je_p, coeffs)))
+        if lam.is_zero():
+            continue
+        span = _cyclic_span(alg_p, lam)
+        for omega in eje_p:
+            lam_om = alg_p.normal_form(lam.mul(AlgElement.of_path(f, omega), maxlen=alg_p.loewy_bound + 1))
+            if not lam_om.is_zero() and not span.contains(_basis_vec(alg_p, lam_om)):
+                return ModuliCriterionReport(
+                    False, "finite-field", False, False, prime=prime, witness_lambda=lam, witness_omega=omega
+                )
+    return ModuliCriterionReport(True, "finite-field", False, False, prime=prime)
 
 
 def verify_moduli_witness(alg, report) -> bool:
@@ -191,6 +257,39 @@ def test_moduli_criterion_je_squared_zero():
     rep = simple_top_moduli_criterion(alg, 1)
     assert rep.holds and rep.provenance == "symbolic"
     assert not rep.eje_zero and rep.je_squared_zero
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from(["random", "SMALL", "LARGE_Q"]), seed=st.integers(0, 2 ** 32 - 1))
+@example(family="random", seed=6)  # the condition holds at vertex 1 over F2 and F3
+@example(family="LARGE_Q", seed=44)  # at vertex 2 over F2, two omegas move the witness lambda
+def test_moduli_criterion_matches_the_algebra_basis_reference(family, seed):
+    """Random presentations of the catalogue's random shape and of the
+    benchmark's SMALL and LARGE_Q shapes, over Q, at every vertex, over F2
+    and F3 within a budget of 2 000 candidates for lambda: the criterion
+    decided in P's basis gives the verdict, provenance and witnesses of the
+    algebra-basis reference, and every negative witness re-verifies.  A
+    failing presentation joins the catalogue in algebras.py."""
+    if family == "random":
+        alg = random_presentation(start=seed)
+    else:
+        [(text, _)] = inputs.random_problems(seed, 1, getattr(workloads, family))
+        alg = cli.parse_problem(text).algebra("Q")
+    checked = 0
+    for v in alg.quiver.vertices:
+        for prime in (2, 3):
+            try:
+                want = algebra_basis_criterion(alg, v, prime, budget=2000)
+            except OracleScaleError:
+                with pytest.raises(OracleScaleError):
+                    simple_top_moduli_criterion(alg, v, prime, budget=2000)
+                continue
+            rep = simple_top_moduli_criterion(alg, v, prime, budget=2000)
+            assert rep == want, (v, prime)
+            if not rep.holds:
+                assert verify_moduli_witness(alg, rep), (v, prime)
+            checked += 1
+    assume(checked)
 
 
 def test_moduli_criterion_true_implies_all_points_invariant():

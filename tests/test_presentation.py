@@ -19,6 +19,7 @@ from quivergrass import (
     build_algebra,
     with_field,
 )
+from quivergrass.fields import FieldError
 from quivergrass.presentation import default_order_key
 
 from algebras import double_triple, loop_arrow, path_of, random_presentation, two_loop_fork
@@ -153,6 +154,16 @@ def test_with_field_coerces():
     alg2 = with_field(alg, GF(2))
     assert alg2.dim == alg.dim
     assert alg2.field == GF(2)
+
+
+def test_with_field_refuses_to_move_residues():
+    """A residue mod 3 stands for no one rational: -1 and 2 are one element
+    of F3 but not of F2 or Q, so F3 coefficients move into no other field."""
+    alg3 = with_field(two_loop_fork(), GF(3))
+    assert with_field(alg3, GF(3)) is alg3
+    for field in (GF(2), GF(5), QQ):
+        with pytest.raises(FieldError):
+            with_field(alg3, field)
 
 
 def _elements(alg, max_terms=3):

@@ -305,7 +305,7 @@ def test_critical_pairs_loop_arrow():
     assert [(cp.arrow.name, cp.path.render()) for cp in pairs] == [("a", "w")]
     assert pairs[0].targets == ()
     # without the vanishing-product filter the loop pair reappears
-    raw_pairs = critical_pairs(alg, sk1, omit_ideal=False)
+    raw_pairs = rebuilt_critical_pairs(alg, sk1, omit_ideal=False)
     assert [(cp.arrow.name, cp.path.render()) for cp in raw_pairs] == [
         ("w", "w"),
         ("a", "w"),
@@ -332,16 +332,15 @@ def rebuilt_critical_pairs(alg, sk, omit_ideal=True):
 
 
 def assert_pairs_match_the_rebuilt_ones(alg, tops, label):
-    """Every skeleton of every dimension at these tops, with omit_ideal on
-    and off, twice (the second call reads the memo only): the same pairs,
-    with the same products, in the same order."""
+    """Every skeleton of every dimension at these tops, twice (the second
+    call reads the memo only): the same pairs, with the same products, in
+    the same order."""
     for d in range(len(tops), ProjectiveCover(alg, tops).dim + 1):
         for sk in enumerate_skeletons(alg, tops, d):
-            for omit_ideal in (True, False):
-                want = [(cp, cp.product) for cp in rebuilt_critical_pairs(alg, sk, omit_ideal)]
-                for _ in range(2):
-                    got = [(cp, cp.product) for cp in critical_pairs(alg, sk, omit_ideal)]
-                    assert got == want, (label, tops, sk, omit_ideal)
+            want = [(cp, cp.product) for cp in rebuilt_critical_pairs(alg, sk)]
+            for _ in range(2):
+                got = [(cp, cp.product) for cp in critical_pairs(alg, sk)]
+                assert got == want, (label, tops, sk)
 
 
 def test_memoised_critical_pairs_match_the_rebuilt_ones():
@@ -381,10 +380,10 @@ def test_critical_pairs_extend_each_path_once_per_algebra(monkeypatch):
     alg = two_loop_fork()
     sks = [sk for d in range(1, 6) for sk in enumerate_skeletons(alg, (1,), d)]
     monkeypatch.setattr(Path, "extended_by", counted)
-    first = [critical_pairs(alg, sk, omit_ideal) for sk in sks for omit_ideal in (True, False)]
+    first = [critical_pairs(alg, sk) for sk in sks]
     assert 0 < len(built) == len(set(built))
     built.clear()
-    assert [critical_pairs(alg, sk, omit_ideal) for sk in sks for omit_ideal in (True, False)] == first
+    assert [critical_pairs(alg, sk) for sk in sks] == first
     assert built == []
 
 
