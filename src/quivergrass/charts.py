@@ -138,41 +138,49 @@ class ChartIdeal:
         return [dict(p) for p in self.polynomials]
 
 
+def _generators_and_lengths(alg: AlgebraPresentation, tops: tuple):
+    """The ideal generators of tops and, next to them, each one's
+    `min_length()`, both computed once and memoized on the algebra."""
+    gens = alg.ideal_generators_by_tops.get(tops)
+    if gens is None:
+        f = alg.field
+        out = []
+        for rel in alg.relations:
+            budget = alg.loewy_bound - rel.min_length()
+            if budget < 0:
+                # every term too long to matter: such generators rewrite to
+                # zero, and chart_ideal skips them
+                for v in tops:
+                    keep = AlgElement(
+                        f, {p: c for p, c in rel.terms.items() if p.start == v}
+                    )
+                    if not keep.is_zero():
+                        out.append(keep)
+                continue
+            for v in tops:
+                for u in all_paths(alg.quiver, budget, start=v):
+                    g = rel.mul(AlgElement.of_path(f, u))
+                    if not g.is_zero():
+                        out.append(g)
+        gens = alg.ideal_generators_by_tops[tops] = tuple(out)
+        alg.ideal_generator_lengths_by_tops[tops] = tuple(g.min_length() for g in gens)
+    return gens, alg.ideal_generator_lengths_by_tops[tops]
+
+
 def ideal_generators(alg: AlgebraPresentation, tops) -> List[AlgElement]:
     """Left-ideal generators of the relations restricted to the top vertices:
     right multiples rho*u by paths u from a top vertex, bounded in length so
-    that some term can still have length <= L.  Memoized on the algebra; each
+    that some term can still have length <= L.  Memoized on the algebra, with
+    each generator's least term length beside them for `chart_ideal`; each
     call returns a new list."""
-    tops = tuple(tops)
-    if tops in alg.ideal_generators_by_tops:
-        return list(alg.ideal_generators_by_tops[tops])
-    f = alg.field
-    out = []
-    for rel in alg.relations:
-        budget = alg.loewy_bound - rel.min_length()
-        if budget < 0:
-            # every term too long to matter: such generators rewrite to zero,
-            # and chart_ideal skips them
-            for v in tops:
-                keep = AlgElement(
-                    f, {p: c for p, c in rel.terms.items() if p.start == v}
-                )
-                if not keep.is_zero():
-                    out.append(keep)
-            continue
-        for v in tops:
-            for u in all_paths(alg.quiver, budget, start=v):
-                g = rel.mul(AlgElement.of_path(f, u))
-                if not g.is_zero():
-                    out.append(g)
-    alg.ideal_generators_by_tops[tops] = tuple(out)
-    return out
+    return list(_generators_and_lengths(alg, tuple(tops))[0])
 
 
 def chart_ideal(alg, sk: Skeleton) -> ChartIdeal:
     """Variables and defining polynomials of the chart of a skeleton: the
     coefficients of the rewritten ideal generators, skipping those longer
-    than every skeleton path."""
+    than every skeleton path.  The polynomials are deduplicated and sorted,
+    so the order in which they are met does not matter."""
     ctx = chart_context(alg, sk)
     if ctx.ideal is not None:
         return ctx.ideal
@@ -180,12 +188,10 @@ def chart_ideal(alg, sk: Skeleton) -> ChartIdeal:
     polys = []
     seen = set()
     top_length = sk.max_length()
-    for g in ideal_generators(alg, sk.tops):
-        if g.min_length() > top_length:
+    for g, length in zip(*_generators_and_lengths(alg, tuple(sk.tops))):
+        if length > top_length:
             continue  # rewriting never shortens a path, so g rewrites to zero
-        for q, coeff in sorted(
-            ctx.reduce_element(g).items(), key=lambda t: alg.path_key(t[0])
-        ):
+        for coeff in ctx.reduce_element(g).values():
             canon = poly.frozen(poly.canonicalize(f, coeff))
             if canon and canon not in seen:
                 seen.add(canon)

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
 from dataclasses import dataclass
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Tuple
 
 from . import polynomials as poly
@@ -430,10 +430,69 @@ def _layering_json(s):
     return [list(layer) for layer in s.layers]
 
 
+def _json_chunks(value, newline, chunks):
+    """Append the JSON text of value to chunks, as json.dumps writes it with
+    indent=2 and sort_keys=True; newline is the line break and indentation
+    of value's own line.  The JSON values here are the types the documents
+    are built from: dicts with str keys, lists, tuples, str, int, bool and
+    None.  Anything else, a float, a Fraction or a subclass of one of these
+    types included, raises TypeError.  A str item of a dict or list, the
+    most common, is written in place."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        for k in sorted(value):
+            item = value[k]
+            if type(item) is str:
+                chunks.append(f"{sep}{encode_basestring_ascii(k)}: {encode_basestring_ascii(item)}")
+            else:
+                chunks.append(f"{sep}{encode_basestring_ascii(k)}: ")
+                _json_chunks(item, inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is str:
+                chunks.append(sep + encode_basestring_ascii(item))
+            else:
+                chunks.append(sep)
+                _json_chunks(item, inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "]")
+    elif kind is str:
+        chunks.append(encode_basestring_ascii(value))
+    elif kind is int:
+        chunks.append(int.__repr__(value))
+    elif value is None:
+        chunks.append("null")
+    elif kind is bool:
+        chunks.append("true" if value else "false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for the JSON values of
+    `_json_chunks`, without the pure-Python encoder that indent forces."""
+    chunks = []
+    _json_chunks(value, "\n", chunks)
+    return "".join(chunks)
+
+
 def _print_json(args, out, doc):
-    """A quivergrass/1 document: doc under the schema and command keys."""
-    doc = {"schema": SCHEMA_VERSION, "command": args.command, **doc}
-    out(json.dumps(doc, indent=2, sort_keys=True))
+    """A quivergrass/1 document: doc under the schema and command keys,
+    written indented and key-sorted by `_json_text`."""
+    out(_json_text({"schema": SCHEMA_VERSION, "command": args.command, **doc}))
 
 
 def _scene(args, alg, tops, d):
@@ -462,21 +521,31 @@ def cmd_skeletons(args, pf, out):
     return 0
 
 
-def _chart_json(alg, sk):
+class _Rendered(dict):
+    """Path -> Path.render(), filled on first lookup: the charts of one
+    document share most of their paths."""
+
+    def __missing__(self, path):
+        text = self[path] = path.render()
+        return text
+
+
+def _chart_json(alg, sk, rendered):
+    """One chart as a JSON object; rendered is the document's _Rendered."""
     ideal = chart_ideal(alg, sk)
     names = chart_context(alg, sk).var_names()
     return {
-        "skeleton": [p.render() for p in sk.paths],
+        "skeleton": [rendered[p] for p in sk.paths],
         "variables": [
-            {"name": f"X{i + 1}", "product": v.product.render(), "target": v.target.render()}
-            for i, v in enumerate(ideal.variables)
+            {"name": name, "product": rendered[v.product], "target": rendered[v.target]}
+            for name, v in zip(names, ideal.variables)
         ],
         "polynomials": [poly.render(dict(p), names) for p in ideal.polynomials],
     }
 
 
 def _chart_lines(alg, sk, out):
-    doc = _chart_json(alg, sk)
+    doc = _chart_json(alg, sk, _Rendered())
     out(f"chart of {sk.render()}")
     out(f"variables ({len(doc['variables'])}):")
     for v in doc["variables"]:
@@ -491,7 +560,7 @@ def cmd_chart(args, pf, out):
     tops = _tops_from(args, pf)
     sk = _skeleton_from(args, alg, tops)
     if args.json:
-        _print_json(args, out, _chart_json(alg, sk))
+        _print_json(args, out, _chart_json(alg, sk, _Rendered()))
     else:
         _chart_lines(alg, sk, out)
     return 0
@@ -503,7 +572,9 @@ def cmd_charts_all(args, pf, out):
     d = _dim_from(args, pf)
     sks = enumerate_skeletons(alg, tops, d, prune=args.prune)
     if args.json:
-        _print_json(args, out, {"top": list(tops), "dim": d, "charts": [_chart_json(alg, sk) for sk in sks]})
+        rendered = _Rendered()
+        charts = [_chart_json(alg, sk, rendered) for sk in sks]
+        _print_json(args, out, {"top": list(tops), "dim": d, "charts": charts})
     else:
         for sk in sks:
             _chart_lines(alg, sk, out)

@@ -66,12 +66,16 @@ def is_fully_invariant(alg: AlgebraPresentation, point: SubmodulePoint) -> Invar
 
 def _top_dims(alg: AlgebraPresentation, point: SubmodulePoint):
     """(sum_s dim M_{v_s}, dim End(M), dim Hom(M, JM)) for M = P/C, the
-    last being the vectors of end_kernel with zero generator coordinates."""
-    coords = [c for m in generator_coordinates(point, point) for row in m for c in row]
-    kernel = end_kernel(alg, point)
-    top_rank = rref(alg.field, [[x[c] for c in coords] for x in kernel], len(coords)).rank
+    last being the vectors of end_kernel with zero generator coordinates;
+    kept on the point beside end_kernel, and dropped with it when
+    quotient_rep rebuilds P/C."""
     m = quotient_rep(alg, point)
-    return sum(m.dim_at(v) for v in point.cover.slots), len(kernel), len(kernel) - top_rank
+    if point._top_dims is None:
+        coords = [c for g in generator_coordinates(point, point) for row in g for c in row]
+        kernel = end_kernel(alg, point)
+        top_rank = rref(alg.field, [[x[c] for c in coords] for x in kernel], len(coords)).rank
+        point._top_dims = (sum(m.dim_at(v) for v in point.cover.slots), len(kernel), len(kernel) - top_rank)
+    return point._top_dims
 
 
 def orbit_dim(alg: AlgebraPresentation, point: SubmodulePoint) -> int:

@@ -66,11 +66,15 @@ def leading_monomial(a):
 def canonicalize(field, a):
     """Content removed and sign normalized: over Q the coefficients become
     coprime integers with positive leading coefficient, over F_p the
-    polynomial becomes monic."""
+    polynomial becomes monic.  A polynomial over Q that is canonical already
+    (the common case for chart equations) is returned as it is."""
     if not a:
         return {}
     lead = leading_monomial(a)
     if field.char == 0:
+        values = a.values()
+        if a[lead] > 0 and all(type(c) is int for c in values) and gcd(*values) == 1:
+            return a
         denom_lcm = 1
         for c in a.values():
             denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)

@@ -265,9 +265,11 @@ class AlgebraPresentation:
         self._nf_cache: Dict[Path, AlgElement] = {}
         self._extensions: Dict[Path, Tuple[tuple, ...]] = {}
         # charts.ChartContext per skeleton, filled by charts.chart_context,
-        # and the ideal generators per tops tuple, by charts.ideal_generators
+        # and the ideal generators per tops tuple with their least term
+        # lengths, by charts.ideal_generators
         self.chart_contexts: Dict[object, object] = {}
         self.ideal_generators_by_tops: Dict[tuple, tuple] = {}
+        self.ideal_generator_lengths_by_tops: Dict[tuple, tuple] = {}
 
     def path_key(self, path: Path):
         return self._order_key(path)
@@ -349,6 +351,12 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
     length <= L form the basis.  Every path of length L+1 must land in the
     span, otherwise the bound (or admissibility) fails.
 
+    The paths of length <= L+1 are ranked in the order, and each multiple,
+    a dict from rank to coefficient, is reduced against the rows found so
+    far only until its leading rank is new, so the rows stay semi-echelon.
+    One back-substitution in ascending pivot order then gives the reduced
+    echelon form, which the span and the order alone determine.
+
     Each relation is first split into its parts e_j*rho*e_i, which generate
     the same ideal; the stored relations are these uniform parts.
     """
@@ -356,10 +364,11 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
         raise ValueError("loewy bound must be non-negative")
     rels = []
     for rel in relations:
+        if rel.field != field:
+            # a coefficient can vanish in the new field, and so can rel
+            rel = AlgElement(field, {p: field.coerce(c) for p, c in rel.terms.items()})
         if rel.is_zero():
             continue
-        if rel.field != field:
-            rel = AlgElement(field, {p: field.coerce(c) for p, c in rel.terms.items()})
         if rel.min_length() < 2:
             raise AdmissibilityError(f"relation {rel.render()} has a term of length < 2")
         # the row reduction below multiplies on the left only by paths of
@@ -373,23 +382,30 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
     alg = AlgebraPresentation(quiver, rels, loewy_bound, field, tops, key)
 
     L1 = loewy_bound + 1
+    zero = field.zero
     paths = all_paths(quiver, L1)
-    descending = sorted(paths, key=key, reverse=True)
+    ascending = sorted(paths, key=key)
+    # a path's rank, keyed by (start, arrows) so that a product needs no Path
+    rank = {(p.start, p.arrows): i for i, p in enumerate(ascending)}
+    rows: Dict[int, Dict[int, object]] = {}  # pivot rank -> row, pivot entry 1
 
-    rows = alg._rows  # normal_form reduces against the rows found so far
-
-    def insert(x: AlgElement):
-        x = alg.normal_form(x)
-        if x.is_zero():
-            return
-        pivot = max(x.terms, key=key)
-        x = x.scale(field.inv(x.terms[pivot]))
-        # keep existing rows fully reduced against the new pivot
-        for piv, row in list(rows.items()):
-            c = row.terms.get(pivot)
-            if c is not None:
-                rows[piv] = row.sub(x.scale(c))
-        rows[pivot] = x
+    def insert(x: Dict[int, object]):
+        while True:
+            pivot = max(x)
+            row = rows.get(pivot)
+            if row is None:
+                break
+            c = x[pivot]
+            for j, rc in row.items():
+                s = field.sub(x.get(j, zero), field.mul(c, rc))
+                if s == zero:
+                    del x[j]
+                else:
+                    x[j] = s
+            if not x:
+                return
+        inv = field.inv(x[pivot])
+        rows[pivot] = {j: field.mul(inv, c) for j, c in x.items()}
 
     # all_paths lists paths by length: upto[l] counts those of length <= l
     lengths = [p.length for p in paths]
@@ -398,19 +414,49 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
         budget = L1 - rel.min_length()
         if budget < 0:
             continue
+        # rel is uniform: every term runs from rel_start to rel_end
+        [(rel_start, rel_end)] = {(p.start, p.end) for p in rel.terms}
         for v in paths[: upto[budget]]:
-            rv = rel.mul(AlgElement.of_path(field, v), maxlen=L1)
-            if rv.is_zero():
+            if v.end != rel_start:
                 continue
-            insert(rv)
+            # rel*v, "first v, then rel", as (arrows, room left below L+1,
+            # coefficient) per term, truncated beyond length L+1
+            rv = [
+                (v.arrows + p.arrows, L1 - v.length - p.length, c)
+                for p, c in rel.terms.items()
+                if v.length + p.length <= L1
+            ]
+            if not rv:
+                continue
+            start = v.start
+            insert({rank[(start, arrows)]: c for arrows, _, c in rv})
+            # u*rel*v, "first rel*v, then u"
             for u in paths[upto[0] : upto[budget - v.length]]:
-                uv = AlgElement.of_path(field, u).mul(rv, maxlen=L1)
-                if not uv.is_zero():
-                    insert(uv)
+                if u.start == rel_end:
+                    uv = {rank[(start, arrows + u.arrows)]: c for arrows, room, c in rv if u.length <= room}
+                    if uv:
+                        insert(uv)
 
-    basis = [p for p in descending if p.length <= loewy_bound and p not in rows]
-    basis.sort(key=key)
-    alg.basis = tuple(basis)
+    for pivot in sorted(rows):
+        # the rows of smaller pivots are reduced already, so subtracting one
+        # clears its pivot and touches no other pivot column
+        row = rows[pivot]
+        for j in [j for j in row if j != pivot and j in rows]:
+            c = row[j]
+            for k, rc in rows[j].items():
+                s = field.sub(row.get(k, zero), field.mul(c, rc))
+                if s == zero:
+                    del row[k]
+                else:
+                    row[k] = s
+
+    alg._rows = {
+        ascending[pivot]: AlgElement(field, {ascending[j]: c for j, c in row.items()})
+        for pivot, row in rows.items()
+    }
+    alg.basis = tuple(
+        p for i, p in enumerate(ascending) if p.length <= loewy_bound and i not in rows
+    )
     alg.basis_index = {p: i for i, p in enumerate(alg.basis)}
 
     for w in paths:

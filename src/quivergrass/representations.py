@@ -303,9 +303,11 @@ class SubmodulePoint:
         self.cover = cover
         self.rows = tuple(tuple(r) for r in rows)
         self._ech = None
-        # P/C and a basis of End(P/C); quotient_rep drops a kernel it outdates
+        # P/C, a basis of End(P/C) and moduli._top_dims of P/C; quotient_rep
+        # drops the kernel and the dimensions it outdates
         self._quotient: Optional[Representation] = None
         self._end_kernel: Optional[list] = None
+        self._top_dims: Optional[tuple] = None
 
     @classmethod
     def from_rows(cls, cover: ProjectiveCover, raw_rows):
@@ -402,6 +404,7 @@ def quotient_rep(alg: AlgebraPresentation, point) -> Representation:
 
     point._quotient = representation_on_blocks(alg, _quotient_blocks(point), column_action)
     point._end_kernel = None
+    point._top_dims = None
     return point._quotient
 
 

@@ -3,15 +3,25 @@
 `reduce_element_worklist` is the unmemoized rewriting, kept as the reference
 for `ChartContext.reduce_element`; with `route_prune=False` it also rewrites
 the paths that are not routes, the reference for the route pruning.
-`index_of` finds a point of a scene.
+`index_of` finds a point of a scene.  `incremental_build_algebra` is the
+reference for `build_algebra`.
 """
 
+import bisect
 from typing import Dict, List, Optional, Tuple
 
 from quivergrass import polynomials as poly
 from quivergrass.charts import ChartContext
+from quivergrass.errors import AdmissibilityError, LoewyBoundError
+from quivergrass.fields import QQ
 from quivergrass.oracle import OracleScene
-from quivergrass.presentation import AlgElement, Path
+from quivergrass.presentation import (
+    AlgElement,
+    AlgebraPresentation,
+    Path,
+    all_paths,
+    default_order_key,
+)
 from quivergrass.representations import SubmodulePoint
 from quivergrass.skeletons import is_route
 
@@ -58,3 +68,86 @@ def index_of(scene: OracleScene, point: SubmodulePoint) -> Optional[int]:
         if p.rows == point.rows:
             return i
     return None
+
+
+def incremental_build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key=None):
+    """`build_algebra` as it was before the one-pass build: KQ/I from
+    relation generators and the nilpotency bound, with every stored row
+    kept fully reduced as each multiple is inserted.
+
+    The span of the truncated two-sided multiples of the relations is row
+    reduced (pivot = largest path in the order); the surviving paths of
+    length <= L form the basis.  Every path of length L+1 must land in the
+    span, otherwise the bound (or admissibility) fails.
+
+    Each relation is first split into its parts e_j*rho*e_i, which generate
+    the same ideal; the stored relations are these uniform parts.
+    """
+    if loewy_bound < 0:
+        raise ValueError("loewy bound must be non-negative")
+    rels = []
+    for rel in relations:
+        if rel.is_zero():
+            continue
+        if rel.field != field:
+            rel = AlgElement(field, {p: field.coerce(c) for p, c in rel.terms.items()})
+        if rel.min_length() < 2:
+            raise AdmissibilityError(f"relation {rel.render()} has a term of length < 2")
+        # the row reduction below multiplies on the left only by paths of
+        # positive length, which never separates the terms by end vertex
+        parts: Dict[Tuple[int, int], Dict[Path, object]] = {}
+        for p, c in rel.terms.items():
+            parts.setdefault((p.start, p.end), {})[p] = c
+        rels.extend(AlgElement(field, terms) for terms in parts.values())
+
+    key = order_key if order_key is not None else default_order_key(quiver)
+    alg = AlgebraPresentation(quiver, rels, loewy_bound, field, tops, key)
+
+    L1 = loewy_bound + 1
+    paths = all_paths(quiver, L1)
+    descending = sorted(paths, key=key, reverse=True)
+
+    rows = alg._rows  # normal_form reduces against the rows found so far
+
+    def insert(x: AlgElement):
+        x = alg.normal_form(x)
+        if x.is_zero():
+            return
+        pivot = max(x.terms, key=key)
+        x = x.scale(field.inv(x.terms[pivot]))
+        # keep existing rows fully reduced against the new pivot
+        for piv, row in list(rows.items()):
+            c = row.terms.get(pivot)
+            if c is not None:
+                rows[piv] = row.sub(x.scale(c))
+        rows[pivot] = x
+
+    # all_paths lists paths by length: upto[l] counts those of length <= l
+    lengths = [p.length for p in paths]
+    upto = [bisect.bisect_right(lengths, l) for l in range(L1 + 1)]
+    for rel in rels:
+        budget = L1 - rel.min_length()
+        if budget < 0:
+            continue
+        for v in paths[: upto[budget]]:
+            rv = rel.mul(AlgElement.of_path(field, v), maxlen=L1)
+            if rv.is_zero():
+                continue
+            insert(rv)
+            for u in paths[upto[0] : upto[budget - v.length]]:
+                uv = AlgElement.of_path(field, u).mul(rv, maxlen=L1)
+                if not uv.is_zero():
+                    insert(uv)
+
+    basis = [p for p in descending if p.length <= loewy_bound and p not in rows]
+    basis.sort(key=key)
+    alg.basis = tuple(basis)
+    alg.basis_index = {p: i for i, p in enumerate(alg.basis)}
+
+    for w in paths:
+        if w.length == L1 and not alg.nf_path(w).is_zero():
+            raise LoewyBoundError(
+                f"path {w.render()} of length {L1} does not vanish; "
+                "nilpotency bound too small or ideal not admissible"
+            )
+    return alg

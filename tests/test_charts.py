@@ -1,11 +1,17 @@
 """Chart rewriting, chart ideals, and the point/submodule dictionary."""
 
 import gc
+import io
+import math
+import os
 import random
+import sys
 import weakref
+from collections import Counter
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from quivergrass import (
     AlgElement,
@@ -32,7 +38,7 @@ from quivergrass import (
     validate_representation,
     with_field,
 )
-from quivergrass import polynomials as poly
+from quivergrass import cli, polynomials as poly
 from quivergrass.charts import chart_context, ideal_generators
 from quivergrass.linalg import Echelon, Expander, mat_mul, is_invertible, rref
 from quivergrass.presentation import all_paths
@@ -41,6 +47,9 @@ from quivergrass.skeletons import skeleton_expander
 from algebras import catalogue, loop_arrow, merge, path_of, simple_tops, two_loop_fork
 from references import reduce_element_worklist
 from vertexwise import module_from_point
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import inputs  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +91,25 @@ def test_reduce_loop_squares_vanish(fork_chart):
     for i in ("w1", "w2"):
         for j in ("w1", "w2"):
             assert reduce(alg, sk, AlgElement.of_path(QQ, path_of(q, i, j))) == {}
+
+
+_monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+_rationals = st.fractions(max_denominator=6).filter(bool).map(QQ.coerce)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.dictionaries(_monomials, _rationals | st.sampled_from([1, -1, 2, -2, 6]), min_size=1, max_size=5))
+def test_canonicalize_over_q_gives_coprime_integers_with_positive_lead(a):
+    """Over Q the canonical form is the multiple of a with coprime integer
+    coefficients and a positive leading one; a polynomial of that form,
+    which canonicalize returns as it is, is its own canonical form."""
+    out = poly.canonicalize(QQ, a)
+    lead = poly.leading_monomial(a)
+    ratio = Fraction(out[lead]) / a[lead]
+    assert out.keys() == a.keys() and all(out[e] == ratio * a[e] for e in a)
+    assert all(type(c) is int for c in out.values())
+    assert out[lead] > 0 and math.gcd(*out.values()) == 1
+    assert poly.canonicalize(QQ, out) == out
 
 
 def test_chart_ideal_golden(fork_chart):
@@ -571,6 +599,59 @@ def test_skipped_generators_rewrite_to_zero():
                             assert reduce_element_worklist(ctx, g, route_prune=False) == {}, (name, sk, g)
                     assert chart_ideal(alg, sk).polynomials == reference_chart_ideal(alg, sk), (name, sk)
     assert skipped > 100
+
+
+def test_chart_ideal_matches_the_per_generator_sorted_reference_over_f3():
+    """test_skipped_generators_rewrite_to_zero over F3: chart_ideal, which
+    neither sorts a generator's rewritten terms nor rewrites the generators
+    longer than the skeleton, gives the polynomials of the reference that
+    does both, on every catalogue chart with d <= 4 at a simple top and at
+    (1, 2)."""
+    charts = 0
+    for name, alg in catalogue().items():
+        alg = with_field(alg, GF(3))
+        for tops in ((simple_tops(alg)[0],), (1, 2)):
+            for d in range(len(tops), 5):
+                for sk in enumerate_skeletons(alg, tops, d):
+                    assert chart_ideal(alg, sk).polynomials == reference_chart_ideal(alg, sk), (name, sk)
+                    charts += 1
+    assert charts > 100
+
+
+def test_charts_all_reads_each_generator_length_once(monkeypatch):
+    """charts-all on the catalogue problems at every d: each ideal
+    generator's least term length is computed once per algebra and top,
+    however many charts the command rewrites."""
+    built = []
+    calls = []
+    real_build, real_min_length = cli.build_algebra, AlgElement.min_length
+
+    def build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    def min_length(self):
+        calls.append(self)  # kept alive, so ids stay distinct
+        return real_min_length(self)
+
+    monkeypatch.setattr(cli, "build_algebra", build)
+    monkeypatch.setattr(AlgElement, "min_length", min_length)
+    counted = 0
+    for name in ("loop_arrow", "two_loop_fork", "double_triple", "merge"):
+        path = os.path.join(inputs.PROBLEM_DIR, name + ".qg")
+        pf = cli.parse_problem(inputs.catalogue_text(name))
+        dim_p = ProjectiveCover(pf.algebra(), pf.tops).dim
+        for d in range(len(pf.tops), dim_p + 1):
+            built.clear()
+            calls.clear()
+            assert cli.main(["charts-all", path, "--json", "--dim", str(d)], stdout=io.StringIO()) == 0
+            [alg] = built
+            per_element = Counter(id(x) for x in calls)
+            for tops, gens in alg.ideal_generators_by_tops.items():
+                for g in gens:
+                    assert per_element[id(g)] == 1, (name, d, tops, g)
+                    counted += 1
+    assert counted > 40
 
 
 def test_ideal_generators_are_filed_on_the_algebra():

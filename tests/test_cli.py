@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,9 @@ from quivergrass.presentation import all_paths
 
 from algebras import catalogue, simple_tops
 from vertexwise import hom_dim, layering_of_rep, module_from_point
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import inputs  # noqa: E402
 
 LOOP_ARROW_TEXT = """\
 # loop with square zero feeding an arrow
@@ -818,3 +822,74 @@ def test_cli_hom_and_layering_do_not_use_the_vertex_wise_hom(problem_file, monke
     assert run_cli(["hom", path, *sk, "--skeleton2", "e1,w,a", "--point2", ""]) == (0, "dim Hom(M, N) = 1\n")
     assert run_cli(["layering", path, *sk])[0] == 0
     assert run_cli(["layering", path])[0] == 0
+
+
+# text with the characters JSON escapes: quotes, backslashes, control
+# characters, a lone surrogate, and non-ASCII text beyond the BMP
+_json_text_strategy = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t \ud800\xe9\U0001f600 a')
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2 ** 80), 2 ** 80) | _json_text_strategy,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_json_text_strategy, inner, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_json_values)
+@example(doc={"": [], '"\\\n\x00': {"": {}, "b": ()}, "n": [-(2 ** 70), 2 ** 70, True, False, None, []]})
+def test_json_writer_matches_json_dumps(doc):
+    """The quivergrass/1 writer prints what json.dumps prints with indent=2
+    and sort_keys=True, for nested dicts with str keys, lists and tuples of
+    any text, ints of any size, bools and None."""
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [0.5, Fraction(1, 2), {1, 2}, {"a": [1.0]}, [Fraction(3)], {1: 2}])
+def test_json_writer_refuses_what_the_documents_never_hold(value):
+    """A float, a Fraction or a set is no JSON value of a document, nor is a
+    key that is not a str."""
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def _json_command_lines(path, pf):
+    """Every command, with --json, on one catalogue problem file: over its
+    own field and over F2, at its default top, d = 2 and every pruned
+    skeleton there with up to two F2 chart points."""
+    alg = pf.algebra("F2")
+    tops = pf.tops
+    top = ["--top", ",".join(map(str, tops))]
+    lines = [["moduli-check", path, "--top", str(tops[0]), "-q", "2", "--budget", "3000"],
+             ["local-type", path, "--top", str(tops[0]), "-q", "2", "--budget", "3000"]]
+    for field in (pf.field_tag, "F2"):
+        base = [*top, "--field", field]
+        lines += [["skeletons", path, *base, "--dim", "2", "--prune"],
+                  ["charts-all", path, *base, "--dim", "2"],
+                  ["layering", path, *base]]
+    for c in ("orbit-dims", "enumerate", "cross-validate"):
+        lines.append([c, path, *top, "--field", "F2", "--dim", "2", "--budget", "3000"])
+    for sk in enumerate_skeletons(alg, tops, 2, prune=True):
+        skel = ",".join(p.render() for p in sk.paths)
+        lines.append(["chart", path, *top, "--skeleton", skel])
+        for c in chart_solutions(alg, sk)[:2]:
+            at = [*top, "--field", "F2", "--skeleton", skel, "--point", ",".join(map(str, c))]
+            lines += [["layering", path, *at], ["hom", path, *at], ["invariant-check", path, *at]]
+    return [line + ["--json"] for line in lines]
+
+
+def test_every_json_document_is_written_as_json_dumps_writes_it():
+    """Each command's --json output on the catalogue problem files reads
+    back to a document that json.dumps writes as the same text."""
+    seen = set()
+    for name in inputs.CATALOGUE:
+        path = os.path.join(inputs.PROBLEM_DIR, name + ".qg")
+        for argv in _json_command_lines(path, parse_problem(inputs.catalogue_text(name))):
+            code, out = run_cli(argv)
+            assert code in (0, 1), argv
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+            seen.add(argv[0])
+    assert seen == set(cli.COMMANDS)

@@ -28,7 +28,7 @@ from quivergrass import (
     build_algebra,
     Quiver,
 )
-from quivergrass import cli
+from quivergrass import cli, moduli
 from quivergrass.linalg import Echelon
 from quivergrass.moduli import ModuliCriterionReport
 from quivergrass.presentation import all_paths
@@ -313,6 +313,33 @@ def test_point_report():
     assert report.orbit_dimension == 1
     assert report.invariance_witness[0].render() == "w"
     assert report.split_into_locals_checked
+
+
+def test_top_dimensions_are_read_once_per_point(monkeypatch):
+    """orbit_dim, unipotent_orbit_dim and top_multiplicity_criterion share
+    one reading of P/C per point: one generator_coordinates call for the
+    three, and one more only once quotient_rep rebuilds P/C for another
+    algebra object."""
+    calls = []
+    real = moduli.generator_coordinates
+
+    def counting(point, target):
+        calls.append(point)
+        return real(point, target)
+
+    monkeypatch.setattr(moduli, "generator_coordinates", counting)
+    alg = with_field(loop_arrow(), GF(3))
+    scene = enumerate_points(alg, (1,), 3)
+    assert len(scene.points) > 1
+    for pt in scene.points:
+        calls.clear()
+        dims = (orbit_dim(alg, pt), unipotent_orbit_dim(alg, pt), top_multiplicity_criterion(alg, pt))
+        assert point_report(alg, pt).orbit_dimension == dims[0]
+        assert len(calls) == 1
+        other = with_field(loop_arrow(), GF(3))
+        quotient_rep(other, pt)
+        assert (orbit_dim(other, pt), unipotent_orbit_dim(other, pt), top_multiplicity_criterion(other, pt)) == dims
+        assert len(calls) == 2
 
 
 def test_finite_local_type_examples():

@@ -3,7 +3,7 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quivergrass import (
     AdmissibilityError,
@@ -22,7 +22,17 @@ from quivergrass import (
 from quivergrass.fields import FieldError
 from quivergrass.presentation import default_order_key
 
-from algebras import double_triple, loop_arrow, path_of, random_presentation, two_loop_fork
+from algebras import (
+    catalogue,
+    double_triple,
+    fork,
+    loop_arrow,
+    merge,
+    path_of,
+    random_presentation,
+    two_loop_fork,
+)
+from references import incremental_build_algebra
 
 
 def test_loop_arrow_basis():
@@ -201,3 +211,106 @@ def test_normal_form_linear(x, y, c):
     lhs = ALG_FORK.normal_form(x.scale(QQ.coerce(c)).add(y))
     rhs = ALG_FORK.normal_form(x).scale(QQ.coerce(c)).add(ALG_FORK.normal_form(y))
     assert lhs == rhs
+
+
+def _reversed_key(quiver):
+    """The default order with the arrow indices negated: another total order
+    of the paths, with its own pivots and basis."""
+    base_key = default_order_key(quiver)
+
+    def key(path):
+        start, length, arrows = base_key(path)
+        return (start, length, tuple(-i for i in arrows))
+
+    return key
+
+
+def _build_outcome(build, quiver, relations, loewy, field, order_key=None):
+    """What a build gives: its basis, the terms of its rows and the normal
+    form of every path of length <= L+1, or the error it raises."""
+    try:
+        alg = build(quiver, relations, loewy, field, order_key=order_key)
+    except (AdmissibilityError, LoewyBoundError) as exc:
+        return type(exc), str(exc)
+    return (
+        alg.basis,
+        {p: row.terms for p, row in alg._rows.items()},
+        {p: alg.nf_path(p).terms for p in all_paths(quiver, loewy + 1)},
+    )
+
+
+def _assert_builds_agree(alg, field, loewy=None, order_key=None, extra=()):
+    """build_algebra and the incremental reference agree on alg's relations
+    moved into field (the reference cannot drop a relation that vanishes
+    there), plus the extra relations, at the bound loewy."""
+    rels = [AlgElement(field, {p: field.coerce(c) for p, c in r.terms.items()}) for r in alg.relations]
+    rels += list(extra)
+    loewy = alg.loewy_bound if loewy is None else loewy
+    args = (alg.quiver, rels, loewy, field, order_key)
+    got = _build_outcome(build_algebra, *args)
+    assert got == _build_outcome(incremental_build_algebra, *args)
+    return got
+
+
+def _chained_pivots():
+    """Two arrows 1 -> 2 and two 2 -> 3, with relations inserted so that the
+    semi-echelon rows chain: the leading path of each relation is the other
+    term of the one before, b2*a2 > b1*a2 > b2*a1 > b1*a1, so back-substitution
+    must run in ascending pivot order."""
+    q = Quiver([1, 2, 3], [("a1", 1, 2), ("a2", 1, 2), ("b1", 2, 3), ("b2", 2, 3)])
+    pairs = ((("a2", "b2"), ("a2", "b1")), (("a2", "b1"), ("a1", "b2")), (("a1", "b2"), ("a1", "b1")))
+    rels = [AlgElement(QQ, {path_of(q, *x): 1, path_of(q, *y): 1}) for x, y in pairs]
+    return build_algebra(q, rels, 2, QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+def test_one_pass_build_matches_the_incremental_reference_on_the_catalogue(field):
+    """The catalogue, merge, the fork and the chained pivots, at their bound
+    and one below it (where most fail the bound), and three of them in the
+    reversed order."""
+    outcomes = set()
+    for alg in [*catalogue().values(), merge(), fork(), _chained_pivots()]:
+        for loewy in (alg.loewy_bound, alg.loewy_bound - 1):
+            got = _assert_builds_agree(alg, field, loewy)
+            outcomes.add(got[0] if got[0] is LoewyBoundError else "built")
+    for alg in (loop_arrow(), two_loop_fork(), _chained_pivots()):
+        _assert_builds_agree(alg, field, order_key=_reversed_key(alg.quiver))
+    assert outcomes == {"built", LoewyBoundError}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    field=st.sampled_from([QQ, GF(2), GF(3)]),
+    lower=st.booleans(),
+    reverse=st.booleans(),
+    short=st.booleans(),
+)
+@example(seed=140, field=GF(2), lower=False, reverse=False, short=False)  # chained pivots
+def test_one_pass_build_matches_the_incremental_reference(seed, field, lower, reverse, short):
+    """On random presentations over Q, F2 and F3, in the default or the
+    reversed order, perhaps one below the bound and perhaps with a relation
+    that has an arrow for a term: the same basis, rows and normal forms as
+    the incremental build, or the same AdmissibilityError or LoewyBoundError."""
+    alg = random_presentation(start=seed)
+    q = alg.quiver
+    extra = ()
+    if short:
+        a = q.arrows[0]
+        extra = (AlgElement(field, {Path(a.source, (a,)): field.one}),)
+    got = _assert_builds_agree(
+        alg, field,
+        alg.loewy_bound - lower,
+        _reversed_key(q) if reverse else None,
+        extra,
+    )
+    assert (got[0] is AdmissibilityError) == short
+
+
+def test_relation_that_vanishes_in_the_field_is_dropped():
+    """2*b*a is zero over F2: the relation drops out, as it does when
+    with_field moves a presentation, instead of failing on an empty term set."""
+    q = Quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+    twice = AlgElement(QQ, {path_of(q, "a", "b"): 2})
+    alg = build_algebra(q, [twice], 2, GF(2))
+    assert alg.relations == () and alg.basis == build_algebra(q, [], 2, GF(2)).basis
