@@ -140,9 +140,10 @@ class ChartIdeal:
 
 def _generators_and_lengths(alg: AlgebraPresentation, tops: tuple):
     """The ideal generators of tops and, next to them, each one's
-    `min_length()`, both computed once and memoized on the algebra."""
-    gens = alg.ideal_generators_by_tops.get(tops)
-    if gens is None:
+    `min_length()`, both computed once and memoized on the algebra as one
+    pair."""
+    memo = alg.ideal_generators_by_tops.get(tops)
+    if memo is None:
         f = alg.field
         out = []
         for rel in alg.relations:
@@ -162,9 +163,8 @@ def _generators_and_lengths(alg: AlgebraPresentation, tops: tuple):
                     g = rel.mul(AlgElement.of_path(f, u))
                     if not g.is_zero():
                         out.append(g)
-        gens = alg.ideal_generators_by_tops[tops] = tuple(out)
-        alg.ideal_generator_lengths_by_tops[tops] = tuple(g.min_length() for g in gens)
-    return gens, alg.ideal_generator_lengths_by_tops[tops]
+        memo = alg.ideal_generators_by_tops[tops] = (tuple(out), tuple(g.min_length() for g in out))
+    return memo
 
 
 def ideal_generators(alg: AlgebraPresentation, tops) -> List[AlgElement]:

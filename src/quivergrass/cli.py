@@ -102,7 +102,7 @@ class ProblemFile:
             if not rel.is_zero() and rel.min_length() < 2:
                 raise AdmissibilityError(f"relation {rel.render()} has a term of length < 2")
         rels = [AlgElement(field, {p: c for p, c in r.terms.items() if isinstance(p, Path)}) for r in rels]
-        return build_algebra(self.quiver, rels, self.loewy, field, tops=self.tops)
+        return build_algebra(self.quiver, rels, self.loewy, field)
 
 
 @dataclass(frozen=True)

@@ -97,9 +97,6 @@ class Path:
     def end(self) -> int:
         return self.arrows[-1].target if self.arrows else self.start
 
-    def __len__(self):
-        return len(self.arrows)
-
     @property
     def length(self):
         return len(self.arrows)
@@ -244,32 +241,33 @@ def all_paths(quiver: Quiver, maxlen: int, start=None) -> List[Path]:
 
 
 class AlgebraPresentation:
-    """The algebra KQ/I with its path basis and normal-form map.
+    """The algebra KQ/I with its path basis and normal-form table.
 
-    Built by :func:`build_algebra`; immutable afterwards (the normal-form
-    and extension caches and the chart contexts only memoize, so sharing
-    between tasks is safe).
+    Built by :func:`build_algebra`, which fills the basis and the normal
+    form of every path of length <= L+1; immutable afterwards (the extension
+    memo and the chart contexts only memoize, so sharing between tasks is
+    safe).  `lazy_keys` holds the order key of each lazy path e_v, and
+    `arrow_extensions` those of the one-arrow extensions, so skeleton growth
+    computes no key of its own.
     """
 
-    def __init__(self, quiver, relations, loewy_bound, field, tops, order_key):
+    def __init__(self, quiver, relations, loewy_bound, field, order_key):
         self.quiver = quiver
         self.relations = tuple(relations)
         self.loewy_bound = loewy_bound
         self.field = field
-        self.tops = tuple(tops) if tops is not None else None
         self._order_key = order_key
+        self.lazy_keys = {v: order_key(Path(v)) for v in quiver.vertices}
         # filled by build_algebra
         self.basis: Tuple[Path, ...] = ()
         self.basis_index: Dict[Path, int] = {}
-        self._rows: Dict[Path, AlgElement] = {}
-        self._nf_cache: Dict[Path, AlgElement] = {}
+        self._normal_forms: Dict[Path, AlgElement] = {}
         self._extensions: Dict[Path, Tuple[tuple, ...]] = {}
         # charts.ChartContext per skeleton, filled by charts.chart_context,
-        # and the ideal generators per tops tuple with their least term
+        # and per tops tuple the ideal generators with their least term
         # lengths, by charts.ideal_generators
         self.chart_contexts: Dict[object, object] = {}
-        self.ideal_generators_by_tops: Dict[tuple, tuple] = {}
-        self.ideal_generator_lengths_by_tops: Dict[tuple, tuple] = {}
+        self.ideal_generators_by_tops: Dict[tuple, Tuple[tuple, tuple]] = {}
 
     def path_key(self, path: Path):
         return self._order_key(path)
@@ -279,20 +277,16 @@ class AlgebraPresentation:
         return len(self.basis)
 
     def normal_form(self, x: AlgElement) -> AlgElement:
-        """The unique representative of x + I supported on the basis."""
+        """The unique representative of x + I supported on the basis: the
+        linear extension of the table of path normal forms."""
         f = self.field
         L1 = self.loewy_bound + 1
-        for p in x.terms:
+        out: Dict[Path, object] = {}
+        for p, c in x.terms.items():
             if p.length > L1:
                 raise ValueError(f"element has a term of length {p.length} > L+1 = {L1}")
-        out = dict(x.terms)
-        hits = [p for p in out if p in self._rows]
-        for p in sorted(hits, key=self._order_key, reverse=True):
-            c = out.get(p, f.zero)
-            if c == f.zero:
-                continue
-            for q, rc in self._rows[p].terms.items():
-                s = f.sub(out.get(q, f.zero), f.mul(c, rc))
+            for q, qc in self._normal_forms[p].terms.items():
+                s = f.add(out.get(q, f.zero), f.mul(c, qc))
                 if s == f.zero:
                     out.pop(q, None)
                 else:
@@ -300,14 +294,11 @@ class AlgebraPresentation:
         return AlgElement(f, out)
 
     def nf_path(self, path: Path) -> AlgElement:
-        """Memoized normal form of a single path (zero beyond length L+1)."""
+        """The normal form of a single path, read from the table (zero
+        beyond length L+1)."""
         if path.length > self.loewy_bound + 1:
             return AlgElement.zero(self.field)
-        cached = self._nf_cache.get(path)
-        if cached is None:
-            cached = self.normal_form(AlgElement.of_path(self.field, path))
-            self._nf_cache[path] = cached
-        return cached
+        return self._normal_forms[path]
 
     def arrow_extensions(self, path: Path) -> Tuple[tuple, ...]:
         """Memoized one-arrow extensions of a path: per arrow from its end,
@@ -343,7 +334,7 @@ def default_order_key(quiver: Quiver):
     return key
 
 
-def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key=None):
+def build_algebra(quiver, relations, loewy_bound, field=QQ, order_key=None):
     """Build KQ/I from relation generators and the nilpotency bound.
 
     The span of the truncated two-sided multiples of the relations is row
@@ -355,7 +346,9 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
     a dict from rank to coefficient, is reduced against the rows found so
     far only until its leading rank is new, so the rows stay semi-echelon.
     One back-substitution in ascending pivot order then gives the reduced
-    echelon form, which the span and the order alone determine.
+    echelon form, which the span and the order alone determine.  Its rows
+    give the normal form of every path of length <= L+1: a pivot path is
+    minus the rest of its row, and every other path is itself.
 
     Each relation is first split into its parts e_j*rho*e_i, which generate
     the same ideal; the stored relations are these uniform parts.
@@ -379,7 +372,7 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
         rels.extend(AlgElement(field, terms) for terms in parts.values())
 
     key = order_key if order_key is not None else default_order_key(quiver)
-    alg = AlgebraPresentation(quiver, rels, loewy_bound, field, tops, key)
+    alg = AlgebraPresentation(quiver, rels, loewy_bound, field, key)
 
     L1 = loewy_bound + 1
     zero = field.zero
@@ -450,9 +443,10 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
                 else:
                     row[k] = s
 
-    alg._rows = {
-        ascending[pivot]: AlgElement(field, {ascending[j]: c for j, c in row.items()})
-        for pivot, row in rows.items()
+    alg._normal_forms = nf = {
+        p: AlgElement(field, {ascending[j]: field.neg(c) for j, c in rows[i].items() if j != i})
+        if i in rows else AlgElement.of_path(field, p)
+        for i, p in enumerate(ascending)
     }
     alg.basis = tuple(
         p for i, p in enumerate(ascending) if p.length <= loewy_bound and i not in rows
@@ -460,7 +454,7 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key
     alg.basis_index = {p: i for i, p in enumerate(alg.basis)}
 
     for w in paths:
-        if w.length == L1 and not alg.nf_path(w).is_zero():
+        if w.length == L1 and not nf[w].is_zero():
             raise LoewyBoundError(
                 f"path {w.render()} of length {L1} does not vanish; "
                 "nilpotency bound too small or ideal not admissible"
@@ -480,4 +474,4 @@ def with_field(alg: AlgebraPresentation, field):
         AlgElement(field, {p: field.coerce(c) for p, c in r.terms.items()})
         for r in alg.relations
     ]
-    return build_algebra(alg.quiver, rels, alg.loewy_bound, field, tops=alg.tops)
+    return build_algebra(alg.quiver, rels, alg.loewy_bound, field)

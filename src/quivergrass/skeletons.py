@@ -97,11 +97,12 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
 
     Growth adds paths in increasing path order, which visits each
     prefix-closed set exactly once.  Each node carries its candidates, the
-    one-arrow extensions of its paths above its last path, in path order; the
-    child that adds q takes the candidates after q merged with q's own
-    extensions above q, built once per call in `exts`.  With prune on, only
-    skeletons whose length-l paths are independent modulo J^{l+1}P for every
-    l are kept.
+    one-arrow extensions of its paths above its last path, in path order, as
+    (order key, path) pairs; the child that adds q takes the candidates after
+    q merged with q's own extensions above q.  The extensions and their keys
+    are read from the algebra's memo, `arrow_extensions`, and the keys of the
+    lazy paths from `lazy_keys`.  With prune on, only skeletons whose
+    length-l paths are independent modulo J^{l+1}P for every l are kept.
     J^lP/J^{l+1}P splits into (start, length, end) blocks, so the test runs
     per block during growth: the rows of each block's path tuple modulo
     J^{l+1}P are filed once per call in `layer_rows`, and a path that makes
@@ -114,22 +115,13 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
     t = len(tops)
     if d < t:
         return []
-    roots = tuple(Path(v) for v in tops)
-    keys = {r: alg.path_key(r) for r in roots}  # path -> its order key
-    key = keys.__getitem__
-    exts: Dict[Path, Tuple[Path, ...]] = {}  # path -> its extensions above it, in path order
+    roots = tuple((alg.lazy_keys[v], Path(v)) for v in tops)
 
-    def extensions(p):
-        if p not in exts:
-            out = []
-            if p.length < alg.loewy_bound:
-                for a in alg.quiver.arrows_from(p.end):
-                    q = p.extended_by(a)
-                    keys[q] = alg.path_key(q)
-                    if keys[q] > keys[p]:
-                        out.append(q)
-            exts[p] = tuple(sorted(out, key=key))
-        return exts[p]
+    def extensions(kp, p):
+        """p's one-arrow extensions above it, as (key, path) pairs."""
+        if p.length >= alg.loewy_bound:
+            return []
+        return [(k, q) for _, q, k, _ in alg.arrow_extensions(p) if k > kp]
 
     if prune:
         cover = ProjectiveCover(alg, tops)
@@ -138,18 +130,19 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
     results: List[Skeleton] = []
     stack = []
     if roots:
-        last = max(key(r) for r in roots)
-        start = tuple(sorted((q for r in roots for q in extensions(r) if key(q) > last), key=key))
+        last = max(k for k, _ in roots)
+        start = sorted(kq for kr, r in roots for kq in extensions(kr, r) if kq[0] > last)
         stack.append((roots, start, {}))
     # depth first, children in path order: a stack of (paths, candidates in
-    # path order, the path tuple of each block)
+    # path order, the path tuple of each block), paths and candidates as
+    # (key, path) pairs; keys are distinct per path, so pairs sort by key
     while stack:
         current, candidates, blocks = stack.pop()
         if len(current) == d:
-            results.append(Skeleton(tops, tuple(sorted(current, key=key))))
+            results.append(Skeleton(tops, tuple(p for _, p in sorted(current))))
             continue
         for i in range(len(candidates) - 1, -1, -1):
-            q = candidates[i]
+            kq, q = candidates[i]
             child = blocks
             if prune:
                 b = (q.start, q.length, q.end)
@@ -161,8 +154,8 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
                 child = {**blocks, b: block}
             later = ()  # a full child needs no candidates
             if len(current) + 1 < d:
-                later = tuple(sorted(candidates[i + 1:] + extensions(q), key=key))
-            stack.append((current + (q,), later, child))
+                later = sorted(candidates[i + 1:] + extensions(kq, q))
+            stack.append((current + ((kq, q),), later, child))
     return results
 
 
@@ -284,16 +277,17 @@ def skeleton_of(point: SubmodulePoint) -> Skeleton:
     alg = cover.alg
     if not cover.squarefree:
         raise TopNotSquarefreeError(f"repeated top vertex in {cover.slots}")
-    layer = [Path(v) for v in cover.slots]
+    layer = [(alg.lazy_keys[v], Path(v)) for v in cover.slots]
     chosen = list(layer)
     for l in range(1, alg.loewy_bound + 1):
         ech = Echelon.of_reduced(alg.field, cover.dim, point.rows)
         for row in cover.radical_rows(l + 1):
             ech.add(row)
-        candidates = sorted({p.extended_by(a) for p in layer for a in alg.quiver.arrows_from(p.end)}, key=alg.path_key)
-        layer = [q for q in candidates if ech.add(cover.path_vector(q))]
+        # distinct paths have distinct extensions, read with their keys
+        candidates = sorted((k, q) for _, p in layer for _, q, k, _ in alg.arrow_extensions(p))
+        layer = [(k, q) for k, q in candidates if ech.add(cover.path_vector(q))]
         chosen += layer
-    sk = Skeleton(cover.slots, tuple(sorted(chosen, key=alg.path_key)))
+    sk = Skeleton(cover.slots, tuple(p for _, p in sorted(chosen)))
     if sk.dim != point.quotient_dim:
         raise TopMismatchError("greedy growth did not exhaust the module")
     return sk

@@ -27,7 +27,7 @@ def loop_arrow():
     """Loop w at 1 with w^2 = 0, arrow a: 1 -> 2; L = 2."""
     q = Quiver([1, 2], [("w", 1, 1), ("a", 1, 2)])
     rel = AlgElement.of_path(QQ, path_of(q, "w", "w"))
-    return build_algebra(q, [rel], 2, QQ, tops=(1,))
+    return build_algebra(q, [rel], 2, QQ)
 
 
 def two_loop_fork():
@@ -48,13 +48,13 @@ def two_loop_fork():
             },
         )
     )
-    return build_algebra(q, rels, 2, QQ, tops=(1,))
+    return build_algebra(q, rels, 2, QQ)
 
 
 def triple_arrow():
     """Three parallel arrows 1 -> 2, hereditary; L = 1."""
     q = Quiver([1, 2], [("a1", 1, 2), ("a2", 1, 2), ("a3", 1, 2)])
-    return build_algebra(q, [], 1, QQ, tops=(1,))
+    return build_algebra(q, [], 1, QQ)
 
 
 def double_triple():
@@ -63,14 +63,14 @@ def double_triple():
         [1, 2, 3],
         [("a1", 1, 2), ("a2", 1, 2), ("a3", 1, 2), ("b1", 1, 3), ("b2", 1, 3), ("b3", 1, 3)],
     )
-    return build_algebra(q, [], 1, QQ, tops=(1,))
+    return build_algebra(q, [], 1, QQ)
 
 
 def nilpotent_loop_arrow(m=2):
     """Loop w at 1 with w^(m+1) = 0, arrow a: 1 -> 2; L = m + 1."""
     q = Quiver([1, 2], [("w", 1, 1), ("a", 1, 2)])
     rel = AlgElement.of_path(QQ, Path(1, (q.arrow_by_name["w"],) * (m + 1)))
-    return build_algebra(q, [rel], m + 1, QQ, tops=(1,))
+    return build_algebra(q, [rel], m + 1, QQ)
 
 
 def fork():
@@ -83,13 +83,13 @@ def merge():
     """1 -> 3 <- 2, hereditary; L = 1.  Two top vertices feeding one sink,
     so chart coordinates cross between the projective summands."""
     q = Quiver([1, 2, 3], [("a", 1, 3), ("b", 2, 3)])
-    return build_algebra(q, [], 1, QQ, tops=(1, 2))
+    return build_algebra(q, [], 1, QQ)
 
 
 def a2():
     """1 -> 2, hereditary; L = 1."""
     q = Quiver([1, 2], [("a", 1, 2)])
-    return build_algebra(q, [], 1, QQ, tops=(1,))
+    return build_algebra(q, [], 1, QQ)
 
 
 def _random_candidate(rng):

@@ -70,10 +70,30 @@ def index_of(scene: OracleScene, point: SubmodulePoint) -> Optional[int]:
     return None
 
 
-def incremental_build_algebra(quiver, relations, loewy_bound, field=QQ, tops=None, order_key=None):
+def _sorted_reduction(field, rows, key, x: AlgElement) -> AlgElement:
+    """x reduced against fully reduced rows (pivot path -> row with pivot
+    entry 1), largest pivot first: the normal form as it was computed before
+    the algebra kept a table of them."""
+    out = dict(x.terms)
+    hits = [p for p in out if p in rows]
+    for p in sorted(hits, key=key, reverse=True):
+        c = out.get(p, field.zero)
+        if c == field.zero:
+            continue
+        for q, rc in rows[p].terms.items():
+            s = field.sub(out.get(q, field.zero), field.mul(c, rc))
+            if s == field.zero:
+                out.pop(q, None)
+            else:
+                out[q] = s
+    return AlgElement(field, out)
+
+
+def incremental_build_algebra(quiver, relations, loewy_bound, field=QQ, order_key=None):
     """`build_algebra` as it was before the one-pass build: KQ/I from
     relation generators and the nilpotency bound, with every stored row
-    kept fully reduced as each multiple is inserted.
+    kept fully reduced as each multiple is inserted, and each normal form
+    found by the sorted reduction against the rows.
 
     The span of the truncated two-sided multiples of the relations is row
     reduced (pivot = largest path in the order); the surviving paths of
@@ -101,16 +121,16 @@ def incremental_build_algebra(quiver, relations, loewy_bound, field=QQ, tops=Non
         rels.extend(AlgElement(field, terms) for terms in parts.values())
 
     key = order_key if order_key is not None else default_order_key(quiver)
-    alg = AlgebraPresentation(quiver, rels, loewy_bound, field, tops, key)
+    alg = AlgebraPresentation(quiver, rels, loewy_bound, field, key)
 
     L1 = loewy_bound + 1
     paths = all_paths(quiver, L1)
     descending = sorted(paths, key=key, reverse=True)
 
-    rows = alg._rows  # normal_form reduces against the rows found so far
+    rows: Dict[Path, AlgElement] = {}  # pivot path -> fully reduced row
 
     def insert(x: AlgElement):
-        x = alg.normal_form(x)
+        x = _sorted_reduction(field, rows, key, x)
         if x.is_zero():
             return
         pivot = max(x.terms, key=key)
@@ -143,6 +163,7 @@ def incremental_build_algebra(quiver, relations, loewy_bound, field=QQ, tops=Non
     basis.sort(key=key)
     alg.basis = tuple(basis)
     alg.basis_index = {p: i for i, p in enumerate(alg.basis)}
+    alg._normal_forms = {p: _sorted_reduction(field, rows, key, AlgElement.of_path(field, p)) for p in paths}
 
     for w in paths:
         if w.length == L1 and not alg.nf_path(w).is_zero():

@@ -647,7 +647,7 @@ def test_charts_all_reads_each_generator_length_once(monkeypatch):
             assert cli.main(["charts-all", path, "--json", "--dim", str(d)], stdout=io.StringIO()) == 0
             [alg] = built
             per_element = Counter(id(x) for x in calls)
-            for tops, gens in alg.ideal_generators_by_tops.items():
+            for tops, (gens, _) in alg.ideal_generators_by_tops.items():
                 for g in gens:
                     assert per_element[id(g)] == 1, (name, d, tops, g)
                     counted += 1
@@ -657,7 +657,7 @@ def test_charts_all_reads_each_generator_length_once(monkeypatch):
 def test_ideal_generators_are_filed_on_the_algebra():
     alg = two_loop_fork()
     gens = ideal_generators(alg, (1,))
-    assert alg.ideal_generators_by_tops == {(1,): tuple(gens)}
+    assert alg.ideal_generators_by_tops == {(1,): (tuple(gens), tuple(g.min_length() for g in gens))}
     gens.append(None)  # a caller's list is its own
     assert ideal_generators(alg, (1,)) == gens[:-1]
 

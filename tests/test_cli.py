@@ -19,13 +19,14 @@ from quivergrass import GF, cli, enumerate_skeletons, moduli, oracle, representa
 from quivergrass.cli import main, parse_problem, render_problem
 from quivergrass.errors import AdmissibilityError, ParseError, SemanticError
 from quivergrass.oracle import chart_solutions
-from quivergrass.presentation import all_paths
+from quivergrass.presentation import AlgebraPresentation, all_paths
 
-from algebras import catalogue, simple_tops
+from algebras import catalogue, random_presentation, simple_tops
 from vertexwise import hom_dim, layering_of_rep, module_from_point
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 import inputs  # noqa: E402
+import workloads  # noqa: E402
 
 LOOP_ARROW_TEXT = """\
 # loop with square zero feeding an arrow
@@ -104,6 +105,28 @@ def test_parse_roundtrip():
         assert [a.name for a in pf2.quiver.arrows] == [a.name for a in pf.quiver.arrows]
         assert pf2.relations == pf.relations
         assert (pf2.loewy, pf2.tops, pf2.dim) == (pf.loewy, pf.tops, pf.dim)
+
+
+def _problem_fields(pf):
+    """Everything a parsed problem says, comparable across two parses."""
+    q = pf.quiver
+    return q.vertices, q.arrows, pf.relations, pf.loewy, pf.field_tag, pf.tops, pf.dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(source=st.sampled_from(["random", "SMALL", "LARGE_Q"]), seed=st.integers(0, 10 ** 6),
+       field_tag=st.sampled_from(["Q", "F2", "F3"]), dim=st.none() | st.integers(1, 9))
+def test_parse_render_parse_is_parse(source, seed, field_tag, dim):
+    """parse(render(parse(t))) == parse(t) on random presentations: those of
+    tests/algebras and those of the benchmark's SMALL and LARGE_Q shapes."""
+    if source == "random":
+        alg = random_presentation(start=seed)
+        tops = alg.quiver.vertices[: 1 + seed % 2]
+        text = render_problem(cli.ProblemFile(alg.quiver, list(alg.relations), alg.loewy_bound, field_tag, tops, dim))
+    else:
+        [(text, _)] = inputs.random_problems(seed, 1, getattr(workloads, source))
+    pf = parse_problem(text)
+    assert _problem_fields(parse_problem(render_problem(pf))) == _problem_fields(pf)
 
 
 def test_parse_error_has_line():
@@ -893,3 +916,27 @@ def test_every_json_document_is_written_as_json_dumps_writes_it():
             assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
             seen.add(argv[0])
     assert seen == set(cli.COMMANDS)
+
+
+def test_charts_and_cross_validation_read_the_normal_form_table(monkeypatch):
+    """charts-all --prune --json over Q and F2, and cross-validate over F2,
+    on the catalogue problem files at every d, reduce no element: each
+    path's normal form is read from the table that build_algebra fills."""
+    scenes = []
+    for name in inputs.CATALOGUE:
+        pf = parse_problem(inputs.catalogue_text(name))
+        dim_p = representations.ProjectiveCover(pf.algebra(), pf.tops).dim
+        scenes.append((os.path.join(inputs.PROBLEM_DIR, name + ".qg"), len(pf.tops), dim_p))
+
+    def refused(self, x):
+        raise AssertionError(f"normal_form({x.render()}) called")
+
+    monkeypatch.setattr(AlgebraPresentation, "normal_form", refused)
+    runs = 0
+    for path, t, dim_p in scenes:
+        for d in map(str, range(t, dim_p + 1)):
+            for field in ("Q", "F2"):
+                assert run_cli(["charts-all", path, "--prune", "--json", "--field", field, "--dim", d])[0] == 0
+            assert run_cli(["cross-validate", path, "--field", "F2", "--dim", d, "--budget", "3000"])[0] == 0
+            runs += 1
+    assert runs > 20

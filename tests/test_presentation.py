@@ -226,15 +226,15 @@ def _reversed_key(quiver):
 
 
 def _build_outcome(build, quiver, relations, loewy, field, order_key=None):
-    """What a build gives: its basis, the terms of its rows and the normal
-    form of every path of length <= L+1, or the error it raises."""
+    """What a build gives: its basis and the normal form of every path of
+    length <= L+1 (which carries the reduced rows: a pivot path's normal form
+    is minus the rest of its row), or the error it raises."""
     try:
         alg = build(quiver, relations, loewy, field, order_key=order_key)
     except (AdmissibilityError, LoewyBoundError) as exc:
         return type(exc), str(exc)
     return (
         alg.basis,
-        {p: row.terms for p, row in alg._rows.items()},
         {p: alg.nf_path(p).terms for p in all_paths(quiver, loewy + 1)},
     )
 

@@ -126,7 +126,9 @@ def test_carried_candidates_match_the_rebuilding_growth():
 
 
 def test_growth_builds_each_extension_once(monkeypatch):
-    """One call extends each path by each arrow at most once: the old growth
+    """On one algebra, skeleton growth (pruned and unpruned), `skeleton_of`
+    and `critical_pairs` together extend each path by each arrow at most
+    once: all of them read the algebra's `arrow_extensions`.  The old growth
     rebuilt every node's candidates from all of its paths."""
     built = []
     extended_by = Path.extended_by
@@ -135,16 +137,23 @@ def test_growth_builds_each_extension_once(monkeypatch):
         built.append(extended_by(path, arrow))
         return built[-1]
 
-    alg = two_loop_fork()
-    # the cover's paths are not the growth's: build and fill one cover first
+    alg = with_field(two_loop_fork(), GF(2))
+    # the cover lists its own paths for the rows of J^mP: file them first,
+    # and take the points from a scene of another copy of the algebra
     cover = ProjectiveCover(alg, (1,))
+    for m in range(1, alg.loewy_bound + 2):
+        cover.radical_rows(m)
     monkeypatch.setattr(skeletons, "ProjectiveCover", lambda alg, tops: cover)
-    enumerate_skeletons(alg, (1,), 5, prune=True)
+    other = with_field(two_loop_fork(), GF(2))
+    points = [SubmodulePoint(cover, pt.rows) for d in (3, 4) for pt in enumerate_points(other, (1,), d).points]
     monkeypatch.setattr(Path, "extended_by", counted)
-    for prune in (False, True):
-        built.clear()
-        assert enumerate_skeletons(alg, (1,), 5, prune)
-        assert 0 < len(built) <= len(set(built))
+    sks = [sk for d in range(1, 6) for prune in (False, True) for sk in enumerate_skeletons(alg, (1,), d, prune)]
+    assert sks and points
+    for pt in points:
+        skeleton_of(pt)
+    for sk in sks:
+        critical_pairs(alg, sk)
+    assert 0 < len(built) == len(set(built))
     built.clear()
     rebuilding_skeletons(alg, (1,), 5)
     assert len(built) > 2 * len(set(built))  # the bound is not vacuous
