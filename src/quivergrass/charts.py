@@ -71,10 +71,9 @@ class ChartContext:
         return [f"X{i + 1}" for i in range(self.nvars)]
 
     def _longest_prefix_in(self, path: Path) -> int:
-        for k in range(path.length, -1, -1):
-            if path.prefix(k) in self.path_set:
-                return k
-        return -1
+        while path is not None and path not in self.path_set:
+            path = path.parent
+        return -1 if path is None else path.length
 
     def reduce_path(self, path: Path) -> Dict[Path, dict]:
         """Expansion of a single path over the skeleton, memoized; a path
@@ -86,7 +85,7 @@ class ChartContext:
         if path in self.path_set:
             out[path] = poly.const(self.nvars, f, 1)
         elif is_route(path, self.sk) and (k := self._longest_prefix_in(path)) >= 0:
-            product = path.prefix(k).extended_by(path.arrows[k])
+            product = path.prefix(k + 1)
             tail = Path(product.end, path.arrows[k + 1 :])
             # a critical pair dropped (product vanishes in the algebra) or
             # without targets: the congruence sends the whole term to zero

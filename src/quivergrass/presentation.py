@@ -14,7 +14,7 @@ paths.
 from __future__ import annotations
 
 import bisect
-import dataclasses
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -24,19 +24,11 @@ from .fields import QQ, FieldError
 
 @dataclass(frozen=True, slots=True)
 class Arrow:
-    """A named arrow source -> target.  Every path hashes its arrows, so the
-    hash is computed once, at construction."""
+    """A named arrow source -> target, equal to and hashed as its fields."""
 
     name: str
     source: int
     target: int
-    _hash: int = dataclasses.field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name, self.source, self.target)))
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"{self.name}: {self.source} -> {self.target}"
@@ -75,53 +67,56 @@ class Quiver:
         return f"Quiver({list(self.vertices)}, {list(self.arrows)})"
 
 
-@dataclass(frozen=True, slots=True)
 class Path:
     """A path: start vertex plus arrows in order of application.
 
-    The empty arrow tuple is the vertex (lazy) path e_i of length 0.  Paths
-    key many dicts, so the hash is computed once, at construction.
+    Paths are interned: `Path(start, arrows)` returns the one live object
+    per (start, arrows), so equality is identity and the hash is the
+    object's; the fields are never written after construction, and paths are
+    built from one thread (the table takes no lock).  A path holds its
+    prefix one arrow shorter, `parent`, and weak references to its children
+    by arrow; the lazy paths e_v are held weakly by vertex.  So the table
+    has no reference cycle and keeps no path that nothing else holds.
     """
 
-    start: int
-    arrows: Tuple[Arrow, ...] = ()
-    _hash: int = dataclasses.field(init=False, compare=False, repr=False)
+    __slots__ = ("start", "arrows", "length", "end", "parent", "_children", "__weakref__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.start, self.arrows)))
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def end(self) -> int:
-        return self.arrows[-1].target if self.arrows else self.start
-
-    @property
-    def length(self):
-        return len(self.arrows)
+    def __new__(cls, start: int, arrows: Iterable[Arrow] = ()):
+        ref = _LAZY.get(start)
+        p = None if ref is None else ref()
+        if p is None:
+            p = _new_path(start, (), 0, start, None)
+            _LAZY[start] = weakref.ref(p)
+        for a in arrows:
+            p = p.extended_by(a)
+        return p
 
     def extended_by(self, arrow: Arrow) -> "Path":
         """The path "first self, then arrow"; arrow must start at self.end."""
-        if arrow.source != self.end:
-            raise ValueError(f"cannot apply {arrow.name} after a path ending at {self.end}")
-        return Path(self.start, self.arrows + (arrow,))
+        ref = self._children.get(arrow)
+        child = None if ref is None else ref()
+        if child is None:
+            if arrow.source != self.end:
+                raise ValueError(f"cannot apply {arrow.name} after a path ending at {self.end}")
+            child = _new_path(self.start, self.arrows + (arrow,), self.length + 1, arrow.target, self)
+            self._children[arrow] = weakref.ref(child)
+        return child
 
     def prefix(self, length: int) -> "Path":
         """Right subpath consisting of the first `length` applied arrows."""
-        return Path(self.start, self.arrows[:length])
+        p = self
+        for _ in range(self.length - length):
+            p = p.parent
+        return p
 
     def then(self, outer: "Path") -> Optional["Path"]:
         """Composite "first self, then outer"; None if the ends do not meet."""
         if outer.start != self.end:
             return None
-        return Path(self.start, self.arrows + outer.arrows)
-
-    def vertex_itinerary(self) -> Tuple[int, ...]:
-        seq = [self.start]
-        for a in self.arrows:
-            seq.append(a.target)
-        return tuple(seq)
+        p = self
+        for a in outer.arrows:
+            p = p.extended_by(a)
+        return p
 
     def render(self) -> str:
         if not self.arrows:
@@ -130,6 +125,16 @@ class Path:
 
     def __repr__(self):
         return self.render()
+
+
+# a weak reference to the lazy path e_v per vertex v
+_LAZY: Dict[int, "weakref.ref[Path]"] = {}
+
+
+def _new_path(start, arrows, length, end, parent) -> Path:
+    p = object.__new__(Path)
+    p.start, p.arrows, p.length, p.end, p.parent, p._children = start, arrows, length, end, parent, {}
+    return p
 
 
 class AlgElement:
@@ -188,10 +193,10 @@ class AlgElement:
         out: Dict[Path, object] = {}
         for q, cq in other.terms.items():
             for p, cp in self.terms.items():
+                if maxlen is not None and q.length + p.length > maxlen:
+                    continue
                 joined = q.then(p)
                 if joined is None:
-                    continue
-                if maxlen is not None and joined.length > maxlen:
                     continue
                 c = f.mul(cp, cq)
                 s = f.add(out.get(joined, f.zero), c)
@@ -246,9 +251,10 @@ class AlgebraPresentation:
     Built by :func:`build_algebra`, which fills the basis and the normal
     form of every path of length <= L+1; immutable afterwards (the extension
     memo and the chart contexts only memoize, so sharing between tasks is
-    safe).  `lazy_keys` holds the order key of each lazy path e_v, and
-    `arrow_extensions` those of the one-arrow extensions, so skeleton growth
-    computes no key of its own.
+    safe).  A path's order key is its `rank` in `ascending`, the paths of
+    length <= L+1 sorted once; it lives on the algebra, as two algebras on
+    one quiver may order paths differently.  `lazy_keys` holds the ranks of
+    the lazy paths e_v and `arrow_extensions` those of one-arrow extensions.
     """
 
     def __init__(self, quiver, relations, loewy_bound, field, order_key):
@@ -256,8 +262,10 @@ class AlgebraPresentation:
         self.relations = tuple(relations)
         self.loewy_bound = loewy_bound
         self.field = field
-        self._order_key = order_key
-        self.lazy_keys = {v: order_key(Path(v)) for v in quiver.vertices}
+        self.ascending: Tuple[Path, ...] = tuple(sorted(all_paths(quiver, loewy_bound + 1), key=order_key))
+        self.rank: Dict[Path, int] = {p: i for i, p in enumerate(self.ascending)}
+        self.path_key = self.rank.__getitem__
+        self.lazy_keys = {v: self.rank[Path(v)] for v in quiver.vertices}
         # filled by build_algebra
         self.basis: Tuple[Path, ...] = ()
         self.basis_index: Dict[Path, int] = {}
@@ -268,9 +276,6 @@ class AlgebraPresentation:
         # lengths, by charts.ideal_generators
         self.chart_contexts: Dict[object, object] = {}
         self.ideal_generators_by_tops: Dict[tuple, Tuple[tuple, tuple]] = {}
-
-    def path_key(self, path: Path):
-        return self._order_key(path)
 
     @property
     def dim(self):
@@ -301,15 +306,15 @@ class AlgebraPresentation:
         return self._normal_forms[path]
 
     def arrow_extensions(self, path: Path) -> Tuple[tuple, ...]:
-        """Memoized one-arrow extensions of a path: per arrow from its end,
-        in quiver order, (arrow, path*arrow, its order key, whether its
-        normal form is zero)."""
+        """Memoized one-arrow extensions of a path of length <= L: per arrow
+        from its end, in quiver order, (arrow, path*arrow, its rank, whether
+        its normal form is zero)."""
         out = self._extensions.get(path)
         if out is None:
             out = []
             for a in self.quiver.arrows_from(path.end):
                 ap = path.extended_by(a)
-                out.append((a, ap, self._order_key(ap), self.nf_path(ap).is_zero()))
+                out.append((a, ap, self.rank[ap], self.nf_path(ap).is_zero()))
             out = self._extensions[path] = tuple(out)
         return out
 
@@ -342,13 +347,14 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, order_key=None):
     length <= L form the basis.  Every path of length L+1 must land in the
     span, otherwise the bound (or admissibility) fails.
 
-    The paths of length <= L+1 are ranked in the order, and each multiple,
-    a dict from rank to coefficient, is reduced against the rows found so
-    far only until its leading rank is new, so the rows stay semi-echelon.
-    One back-substitution in ascending pivot order then gives the reduced
-    echelon form, which the span and the order alone determine.  Its rows
-    give the normal form of every path of length <= L+1: a pivot path is
-    minus the rest of its row, and every other path is itself.
+    The paths of length <= L+1 are ranked in the order (the algebra's
+    `rank`), and each multiple, a dict from rank to coefficient, is reduced
+    against the rows found so far only until its leading rank is new, so the
+    rows stay semi-echelon.  One back-substitution in ascending pivot order
+    then gives the reduced echelon form, which the span and the order alone
+    determine.  Its rows give the normal form of every path of length
+    <= L+1: a pivot path is minus the rest of its row, and every other path
+    is itself.
 
     Each relation is first split into its parts e_j*rho*e_i, which generate
     the same ideal; the stored relations are these uniform parts.
@@ -377,9 +383,7 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, order_key=None):
     L1 = loewy_bound + 1
     zero = field.zero
     paths = all_paths(quiver, L1)
-    ascending = sorted(paths, key=key)
-    # a path's rank, keyed by (start, arrows) so that a product needs no Path
-    rank = {(p.start, p.arrows): i for i, p in enumerate(ascending)}
+    ascending, rank = alg.ascending, alg.rank
     rows: Dict[int, Dict[int, object]] = {}  # pivot rank -> row, pivot entry 1
 
     def insert(x: Dict[int, object]):
@@ -412,21 +416,20 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, order_key=None):
         for v in paths[: upto[budget]]:
             if v.end != rel_start:
                 continue
-            # rel*v, "first v, then rel", as (arrows, room left below L+1,
+            # rel*v, "first v, then rel", as (path, room left below L+1,
             # coefficient) per term, truncated beyond length L+1
             rv = [
-                (v.arrows + p.arrows, L1 - v.length - p.length, c)
+                (v.then(p), L1 - v.length - p.length, c)
                 for p, c in rel.terms.items()
                 if v.length + p.length <= L1
             ]
             if not rv:
                 continue
-            start = v.start
-            insert({rank[(start, arrows)]: c for arrows, _, c in rv})
+            insert({rank[vp]: c for vp, _, c in rv})
             # u*rel*v, "first rel*v, then u"
             for u in paths[upto[0] : upto[budget - v.length]]:
                 if u.start == rel_end:
-                    uv = {rank[(start, arrows + u.arrows)]: c for arrows, room, c in rv if u.length <= room}
+                    uv = {rank[vp.then(u)]: c for vp, room, c in rv if u.length <= room}
                     if uv:
                         insert(uv)
 
@@ -463,9 +466,9 @@ def build_algebra(quiver, relations, loewy_bound, field=QQ, order_key=None):
 
 
 def with_field(alg: AlgebraPresentation, field):
-    """The same presentation with rational coefficients coerced into another
-    field.  A residue mod p stands for no one rational, so the coefficients
-    of a finite field move into no other field."""
+    """The same presentation and path order, with rational coefficients in
+    another field.  A residue mod p stands for no one rational, so the
+    coefficients of a finite field move into no other field."""
     if field == alg.field:
         return alg
     if alg.field.char != 0:
@@ -474,4 +477,4 @@ def with_field(alg: AlgebraPresentation, field):
         AlgElement(field, {p: field.coerce(c) for p, c in r.terms.items()})
         for r in alg.relations
     ]
-    return build_algebra(alg.quiver, rels, alg.loewy_bound, field)
+    return build_algebra(alg.quiver, rels, alg.loewy_bound, field, order_key=alg.path_key)

@@ -246,7 +246,7 @@ class Representation:
         if path not in self._paths:
             f, n = self.alg.field, self.dim_at(path.start)
             self._paths[path] = identity(f, n) if not path.arrows else mat_mul(
-                f, self.mats[path.arrows[-1].name], self.path_matrix(path.prefix(path.length - 1)), n
+                f, self.mats[path.arrows[-1].name], self.path_matrix(path.parent), n
             )
         return self._paths[path]
 

@@ -9,14 +9,14 @@ whether a skeleton indexes a chart containing a submodule C and from which
 the chart coordinates are read.  With C = 0 the test splits into independent
 (start, length, end) blocks, which `enumerate_skeletons` checks as it grows
 a skeleton, to prune the enumeration.  The growth carries each node's
-candidate paths down to its children, so no node rebuilds them.
+candidate paths down to its children, so no node rebuilds them.  Paths are
+interned, and a path's order key is its rank in the algebra's path table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import TopMismatchError, TopNotSquarefreeError
@@ -85,9 +85,8 @@ def make_skeleton(alg: AlgebraPresentation, tops, paths) -> Skeleton:
             raise ValueError(f"path {p.render()} does not start at a top vertex")
         if p.length > alg.loewy_bound:
             raise ValueError(f"path {p.render()} exceeds length {alg.loewy_bound}")
-        for k in range(p.length):
-            if p.prefix(k) not in pset:
-                raise ValueError(f"skeleton not closed under right subpaths at {p.render()}")
+        if p.length and p.parent not in pset:
+            raise ValueError(f"skeleton not closed under right subpaths at {p.render()}")
     ordered = tuple(sorted(pset, key=alg.path_key))
     return Skeleton(tops, ordered)
 
@@ -98,10 +97,10 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
     Growth adds paths in increasing path order, which visits each
     prefix-closed set exactly once.  Each node carries its candidates, the
     one-arrow extensions of its paths above its last path, in path order, as
-    (order key, path) pairs; the child that adds q takes the candidates after
-    q merged with q's own extensions above q.  The extensions and their keys
-    are read from the algebra's memo, `arrow_extensions`, and the keys of the
-    lazy paths from `lazy_keys`.  With prune on, only skeletons whose
+    (rank, path) pairs; the child that adds q takes the candidates after q
+    merged with q's own extensions above q.  The extensions and their ranks
+    are read from the algebra's memo, `arrow_extensions`, and the ranks of
+    the lazy paths from `lazy_keys`.  With prune on, only skeletons whose
     length-l paths are independent modulo J^{l+1}P for every l are kept.
     J^lP/J^{l+1}P splits into (start, length, end) blocks, so the test runs
     per block during growth: the rows of each block's path tuple modulo
@@ -118,7 +117,7 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
     roots = tuple((alg.lazy_keys[v], Path(v)) for v in tops)
 
     def extensions(kp, p):
-        """p's one-arrow extensions above it, as (key, path) pairs."""
+        """p's one-arrow extensions above it, as (rank, path) pairs."""
         if p.length >= alg.loewy_bound:
             return []
         return [(k, q) for _, q, k, _ in alg.arrow_extensions(p) if k > kp]
@@ -135,7 +134,7 @@ def enumerate_skeletons(alg: AlgebraPresentation, tops, d: int, prune: bool = Fa
         stack.append((roots, start, {}))
     # depth first, children in path order: a stack of (paths, candidates in
     # path order, the path tuple of each block), paths and candidates as
-    # (key, path) pairs; keys are distinct per path, so pairs sort by key
+    # (rank, path) pairs; ranks are distinct per path, so pairs sort by rank
     while stack:
         current, candidates, blocks = stack.pop()
         if len(current) == d:
@@ -214,9 +213,9 @@ def critical_pairs(alg: AlgebraPresentation, sk: Skeleton) -> List[CriticalPair]
     """All critical pairs of the skeleton, in path order of alpha*p.
 
     Pairs whose product vanishes in the algebra are dropped (their
-    coordinates would be forced to zero anyway).  The products, their order
-    keys and whether they vanish are read from the algebra's memo,
-    `arrow_extensions`.
+    coordinates would be forced to zero anyway).  The products, their ranks
+    (distinct, so the pairs sort by rank alone) and whether they vanish are
+    read from the algebra's memo, `arrow_extensions`.
     """
     pset = set(sk.paths)
     keyed = []
@@ -226,7 +225,7 @@ def critical_pairs(alg: AlgebraPresentation, sk: Skeleton) -> List[CriticalPair]
                 continue
             targets = tuple(q for q in sk.paths_by_end.get(ap.end, ()) if q.length >= ap.length)
             keyed.append((key, CriticalPair(a, p, targets, ap)))
-    keyed.sort(key=itemgetter(0))
+    keyed.sort()
     return [cp for _, cp in keyed]
 
 
@@ -240,12 +239,11 @@ def is_route(path: Path, sk: Skeleton) -> bool:
     if path.start not in sk.tops:
         return False
     by_end = sk.lengths_by_end
-    itinerary = path.vertex_itinerary()
-    if 0 not in by_end.get(itinerary[0], ()):
+    if 0 not in by_end.get(path.start, ()):
         return False
     prev = 0
-    for v in itinerary[1:]:
-        lengths = by_end.get(v, ())
+    for a in path.arrows:
+        lengths = by_end.get(a.target, ())
         nxt = next((l for l in lengths if l > prev), None)
         if nxt is None:
             return False
@@ -283,7 +281,7 @@ def skeleton_of(point: SubmodulePoint) -> Skeleton:
         ech = Echelon.of_reduced(alg.field, cover.dim, point.rows)
         for row in cover.radical_rows(l + 1):
             ech.add(row)
-        # distinct paths have distinct extensions, read with their keys
+        # distinct paths have distinct extensions, read with their ranks
         candidates = sorted((k, q) for _, p in layer for _, q, k, _ in alg.arrow_extensions(p))
         layer = [(k, q) for k, q in candidates if ech.add(cover.path_vector(q))]
         chosen += layer

@@ -42,14 +42,18 @@ def test_loop_arrow_basis():
     assert rendered == {"e1", "e2", "w", "a", "a*w"}
 
 
-def test_arrows_and_paths_hash_as_their_fields():
-    """Both store the hash they are built with: the hash of their fields."""
+def test_arrows_hash_as_their_fields_and_paths_are_interned():
+    """An arrow stores the hash of its fields.  A path is interned: building
+    it again returns the same object, so equal paths are identical."""
     q = two_loop_fork().quiver
     a = q.arrow_by_name["a1"]
     assert a == Arrow("a1", 1, 2) and hash(a) == hash(("a1", 1, 2))
     assert not hasattr(a, "__dict__")
     p = path_of(q, "w1", "a1")
-    assert p == Path(1, p.arrows) and hash(p) == hash((1, p.arrows))
+    assert Path(1, p.arrows) is p
+    assert Path(1).extended_by(q.arrow_by_name["w1"]).extended_by(a) is p
+    assert not hasattr(p, "__dict__")
+    assert all(x is y for x, y in zip(all_paths(q, 3), all_paths(q, 3)))
 
 
 def test_semisimple_algebra():
@@ -305,6 +309,35 @@ def test_one_pass_build_matches_the_incremental_reference(seed, field, lower, re
         extra,
     )
     assert (got[0] is AdmissibilityError) == short
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), reverse=st.booleans())
+def test_ranks_follow_the_order_key_and_paths_are_interned(seed, reverse):
+    """On random presentations, in the default or the reversed order: the
+    ranks sort the path table as the order key does, `lazy_keys` and the
+    keys of `arrow_extensions` are those ranks, and every way of building a
+    path (`extended_by`, `prefix`, `then`, `Path(start, arrows)`) returns
+    the same object."""
+    alg = random_presentation(start=seed)
+    q = alg.quiver
+    key = _reversed_key(q) if reverse else default_order_key(q)
+    alg = build_algebra(q, list(alg.relations), alg.loewy_bound, alg.field, order_key=key)
+    table = all_paths(q, alg.loewy_bound + 1)
+    assert sorted(table, key=alg.path_key) == sorted(table, key=key) == list(alg.ascending)
+    assert [alg.rank[p] for p in alg.ascending] == list(range(len(table)))
+    assert alg.lazy_keys == {v: alg.rank[Path(v)] for v in q.vertices}
+    for p in table:
+        assert Path(p.start, p.arrows) is p
+        if p.length <= alg.loewy_bound:
+            for a, ap, k, _ in alg.arrow_extensions(p):
+                assert ap is p.extended_by(a) and ap.parent is p and k == alg.rank[ap]
+        for k in range(p.length + 1):
+            head = p.prefix(k)
+            assert head is Path(p.start, p.arrows[:k])
+            assert head.then(Path(head.end, p.arrows[k:])) is p
+            if k < p.length:
+                assert head.extended_by(p.arrows[k]) is p.prefix(k + 1)
 
 
 def test_relation_that_vanishes_in_the_field_is_dropped():

@@ -104,6 +104,18 @@ def reversed_key_algebra(alg):
     return build_algebra(alg.quiver, list(alg.relations), alg.loewy_bound, alg.field, order_key=reversed_key)
 
 
+def test_with_field_keeps_the_path_order():
+    """with_field builds the new algebra in the source's path order, not
+    the default one: a reversed-order algebra over Q and its move into F2
+    list the same basis and the same first skeleton at (1,), d = 3."""
+    alg = reversed_key_algebra(two_loop_fork())
+    moved = with_field(alg, GF(2))
+    assert moved.ascending == alg.ascending and moved.basis == alg.basis
+    assert [p.render() for p in alg.basis[:3]] == ["e1", "a2", "a1"]
+    first = enumerate_skeletons(alg, (1,), 3)[0]
+    assert enumerate_skeletons(moved, (1,), 3)[0] == first
+
+
 def _growth_scenes():
     for name, alg in catalogue().items():
         for f in (GF(2), GF(3), QQ):
