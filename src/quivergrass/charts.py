@@ -7,7 +7,7 @@ yields the defining polynomials of the chart.  Points of the chart convert
 both ways to submodules C of JP, written like every vector here in the
 basis of the projective cover P; the way back (`point_from_submodule`) and
 the membership test (`has_skeleton`) are one pass of
-`skeletons.skeleton_expander` over C.
+`skeletons.skeleton_expander` modulo C.
 """
 
 from __future__ import annotations
@@ -240,8 +240,8 @@ def submodule_from_point(alg, sk: Skeleton, point, cover: Optional[ProjectiveCov
 
 
 def _chart_expander(point: SubmodulePoint, sk: Skeleton, kind=Expander):
-    """The pass of `skeleton_expander` over the rows of C, or None when sk is
-    not a skeleton of P/C."""
+    """The pass of `skeleton_expander` modulo the rows of C, or None when sk
+    is not a skeleton of P/C."""
     cover = point.cover
     if tuple(cover.slots) != tuple(sk.tops) or point.quotient_dim != sk.dim:
         return None
@@ -262,7 +262,7 @@ def point_from_submodule(alg, sk: Skeleton, point: SubmodulePoint):
         raise SkeletonMismatchError("the path set is not a skeleton of the quotient")
     ctx = chart_context(alg, sk)
     f = alg.field
-    # the expander holds C, then the positive-length paths, longest first
+    # the expander holds the positive-length paths, longest first, modulo C
     order = [p for l in range(sk.max_length(), 0, -1) for p in sk.of_length(l)]
     coords = [f.zero] * ctx.nvars
     for cp in ctx.pairs:
@@ -270,7 +270,7 @@ def point_from_submodule(alg, sk: Skeleton, point: SubmodulePoint):
         if combo is None:
             raise SkeletonMismatchError("critical product escapes the basis")
         eligible = set(cp.targets)
-        for p, c in zip(order, combo[point.rank :]):
+        for p, c in zip(order, combo):
             if c == f.zero:
                 continue
             if p not in eligible:
@@ -289,10 +289,7 @@ def transition_matrix(alg, sk: Skeleton, sk2: Skeleton, point: SubmodulePoint):
     """
     cover = point.cover
     f = alg.field
-    exp = Expander(f, cover.dim)
-    for row in point.rows:
-        exp.add(row)
-    n_c = exp.rank
+    exp = Expander(f, cover.dim, point.rows)
     if not all(exp.add(cover.path_vector(p)) for p in sk.paths):
         raise SkeletonMismatchError("first path set is not a basis of the quotient")
     cols = []
@@ -303,7 +300,7 @@ def transition_matrix(alg, sk: Skeleton, sk2: Skeleton, point: SubmodulePoint):
         combo = exp.express(vec)
         if combo is None:
             raise SkeletonMismatchError("second path set escapes the quotient basis")
-        cols.append(combo[n_c:])
+        cols.append(combo)
     d = sk.dim
     matrix = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
     ech = Echelon(f, d)

@@ -457,8 +457,8 @@ def radical_layering(point: SubmodulePoint) -> "SemisimpleSequence":
     """Multiplicity matrix of the radical layers J^l M / J^{l+1} M of
     M = P/C, read from C's rows in one elimination over P.
 
-    The rows of C are filed, then the rows of J^l P for l = L down to 1, so
-    the rows accepted while J^l P is added span J^l M / J^{l+1} M.  C and
+    Modulo C, the rows of J^l P are added for l = L down to 1, so the rows
+    accepted while J^l P is added span J^l M / J^{l+1} M.  C and
     every J^l P are graded by end vertex, and so is each accepted row: it
     counts once in layer l under the end vertex of its leading column.  C
     lies in JP, so layer 0, the top of M, is the cover's top.
@@ -466,7 +466,7 @@ def radical_layering(point: SubmodulePoint) -> "SemisimpleSequence":
     cover = point.cover
     alg = cover.alg
     vi = alg.quiver.vertex_index
-    ech = Echelon.of_reduced(alg.field, cover.dim, point.rows)
+    ech = Echelon(alg.field, cover.dim, point.rows)
     layers = [[0] * len(vi) for _ in range(alg.loewy_bound + 1)]
     for v in cover.slots:
         layers[0][vi[v]] += 1

@@ -171,18 +171,17 @@ def _block_rows(cover: ProjectiveCover, below: Dict, rows, q: Path):
 def skeleton_expander(cover: ProjectiveCover, sk: Skeleton, c_rows: Sequence = (), kind=Expander) -> Optional[Echelon]:
     """One elimination over P deciding whether sk is a skeleton of P/C.
 
-    Adds the rows of C, then for l from the longest length down to 1 the rows
-    of J^{l+1}P and the length-l paths.  Longer paths lie in J^{l+1}P, so a
-    path is accepted iff its layer stays independent modulo C + J^{l+1}P
-    (the length-0 tops always do); None at the first path refused.  When all
-    are accepted and |sk| = dim P/C, no J row is: the Expander holds C, then
-    the positive-length paths, longest first, ready to express coordinates.
-    Membership alone runs with kind=Echelon, which pivots on the same
-    columns without carrying the combinations.
+    Works modulo C, the base of the elimination: for l from the longest
+    length down to 1 it adds the rows of J^{l+1}P and the length-l paths.
+    Longer paths lie in J^{l+1}P, so a path is accepted iff its layer stays
+    independent modulo C + J^{l+1}P (the length-0 tops always do); None at
+    the first path refused.  When all are accepted and |sk| = dim P/C, no J
+    row is: the Expander holds the positive-length paths, longest first,
+    modulo C, ready to express coordinates.  Membership alone runs with
+    kind=Echelon, which pivots on the same columns without carrying the
+    combinations.
     """
-    exp = kind(cover.alg.field, cover.dim)
-    for row in c_rows:
-        exp.add(row)
+    exp = kind(cover.alg.field, cover.dim, c_rows)
     for l in range(sk.max_length(), 0, -1):
         for row in cover.radical_rows(l + 1):
             exp.add(row)
@@ -278,7 +277,7 @@ def skeleton_of(point: SubmodulePoint) -> Skeleton:
     layer = [(alg.lazy_keys[v], Path(v)) for v in cover.slots]
     chosen = list(layer)
     for l in range(1, alg.loewy_bound + 1):
-        ech = Echelon.of_reduced(alg.field, cover.dim, point.rows)
+        ech = Echelon(alg.field, cover.dim, point.rows)
         for row in cover.radical_rows(l + 1):
             ech.add(row)
         # distinct paths have distinct extensions, read with their ranks

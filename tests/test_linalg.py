@@ -120,3 +120,60 @@ def test_rationals_as_ints_reduce_like_fractions(system):
     assert basis == nullspace(ref, vecs, width)
     entries = [c for row in ech.snapshot() + tuple(basis) for c in row]
     assert all(type(c) is int for c in entries if Fraction(c).denominator == 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), systems())
+def test_base_rows_reduce_like_rows_added_first(data, system):
+    """Modulo base = rref(B).rows, an Echelon or Expander accepts and refuses
+    what one with B's rows added first does, leaves the same residuals and
+    expresses a vector by the old coefficients past B's rank; the base rows
+    are left as they were."""
+    field, width, vecs = system
+    vectors = st.lists(st.lists(scalars(field), min_size=width, max_size=width), max_size=3)
+    b_vecs = data.draw(vectors)
+    base = rref(field, b_vecs, width).rows
+    kept = [list(r) for r in base]
+    coeffs = data.draw(st.lists(scalars(field), min_size=len(b_vecs), max_size=len(b_vecs)))
+    in_b = combine(field, coeffs, b_vecs, width)
+    # a vector of B, and added vectors moved by it, meet the base
+    vecs = vecs + [in_b] + [[field.add(x, y) for x, y in zip(in_b, v)] for v in vecs[:2]]
+    probes = vecs + b_vecs + data.draw(vectors)
+    for kind in (Echelon, Expander):
+        new, old = kind(field, width, base), kind(field, width)
+        assert all(old.add(r) for r in base)
+        for v in vecs:
+            assert new.add(v) == old.add(v)
+            assert new.rank == old.rank - len(base)
+        for v in probes:
+            assert new.residual(v) == old.residual(v)
+            assert new.contains(v) == old.contains(v)
+            if kind is Expander:
+                combo = old.express(v)
+                assert new.express(v) == (None if combo is None else combo[len(base):])
+    assert base == kept
+
+
+def test_unit_leads_are_filed_without_an_inverse(monkeypatch):
+    """Over F2 every lead is 1, so no inverse is taken; over F3 a lead of 2
+    is still scaled to 1; over Q a lead of 1, int or Fraction, still leaves
+    integral entries as ints."""
+    f2 = GF(2)
+
+    def no_inverse(a):
+        raise AssertionError("inverse taken over F2")
+
+    monkeypatch.setattr(f2, "inv", no_inverse)
+    vecs = [[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 0], [0, 0, 1, 1]]
+    for kind in (Echelon, Expander):
+        ech = kind(f2, 4)
+        assert [ech.add(v) for v in vecs] == [True, True, False, True]
+        assert ech.snapshot() == rref(GF(2), vecs, 4).snapshot()
+    for kind in (Echelon, Expander):
+        ech = kind(GF(3), 3)
+        assert ech.add([0, 2, 1]) and ech.snapshot() == ((0, 1, 2),)
+        for lead in (1, Fraction(1)):
+            ech = kind(QQ, 3)
+            assert ech.add([lead, Fraction(4, 2), Fraction(1, 2)])
+            assert ech.rows[0][:3] == [1, 2, Fraction(1, 2)]
+            assert [type(c) for c in ech.rows[0]][:2] == [int, int]
