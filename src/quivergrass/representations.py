@@ -311,14 +311,15 @@ class SubmodulePoint:
 
     @classmethod
     def from_rows(cls, cover: ProjectiveCover, raw_rows):
-        """Validate and canonicalize spanning rows (P coordinates)."""
+        """Validate and canonicalize spanning rows (P coordinates), each
+        entry coerced into the field (over F_p an int in range(p))."""
         alg = cover.alg
         f = alg.field
         ech = Echelon(f, cover.dim)
         for r in raw_rows:
             if len(r) != cover.dim:
                 raise NotSubmoduleError(f"a row of length {len(r)} is not a vector of P (dim {cover.dim})")
-            ech.add(r)
+            ech.add([f.coerce(c) for c in r])
         rows = ech.snapshot()
         for r in rows:
             if any(c != f.zero and cover.basis[i][1].length == 0 for i, c in enumerate(r)):

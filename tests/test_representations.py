@@ -140,6 +140,15 @@ def test_from_rows_refuses_rows_outside_jp_and_rows_of_another_length(la):
     assert SubmodulePoint.from_rows(cover, radical).rank == cover.dim - 1
 
 
+def test_from_rows_reads_integers_mod_p(la):
+    """Rows given with any ints over F3 name the same point as their residues
+    in range(3), which the echelon takes as they are."""
+    cover = ProjectiveCover(with_field(la, GF(3)), (1,))
+    rows = [[int(j == i) for j in range(cover.dim)] for i, (_, p) in enumerate(cover.basis) if p.length]
+    shifted = [[c + 3 * ((i + j) % 3 - 1) for j, c in enumerate(row)] for i, row in enumerate(rows)]
+    assert SubmodulePoint.from_rows(cover, shifted).rows == SubmodulePoint.from_rows(cover, rows).rows
+
+
 def test_hom_dim_examples(la):
     cover = ProjectiveCover(la, (1,))
     rep_p = cover_rep(cover)
