@@ -39,6 +39,8 @@ class Rationals:
     tag = "Q"
 
     def coerce(self, value):
+        if type(value) is int:  # already the integral form
+            return value
         _refuse_float(value)
         return _integral(Fraction(value))
 

@@ -121,6 +121,17 @@ def rref(field, rows, width):
     return ech
 
 
+def rank(field, rows, width):
+    """Rank of a matrix given as rows of the given width.  An empty or zero
+    matrix has rank 0 and a nonzero one of one row or one column rank 1,
+    both read without an Echelon; any other is row reduced."""
+    if not any(c for r in rows for c in r):  # a zero is falsy: the int 0 or a Fraction(0)
+        return 0
+    if len(rows) == 1 or width == 1:
+        return 1
+    return rref(field, rows, width).rank
+
+
 class Expander(Echelon):
     """Echelon that rewrites vectors as combinations of the added ones.
 
@@ -205,8 +216,4 @@ def identity(field, n):
 
 
 def is_invertible(field, mat, n):
-    if n == 0:
-        return True
-    if len(mat) != n:
-        return False
-    return rref(field, list(mat), n).rank == n
+    return n == 0 or (len(mat) == n and rank(field, mat, n) == n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import OracleScaleError, TopNotSquarefreeError
-from .linalg import Echelon, rref
+from .linalg import Echelon, rank
 from .presentation import AlgElement, AlgebraPresentation, Path, with_field
 from .fields import GF
 from .representations import (
@@ -73,7 +73,7 @@ def _top_dims(alg: AlgebraPresentation, point: SubmodulePoint):
     if point._top_dims is None:
         coords = [c for g in generator_coordinates(point, point) for row in g for c in row]
         kernel = end_kernel(alg, point)
-        top_rank = rref(alg.field, [[x[c] for c in coords] for x in kernel], len(coords)).rank
+        top_rank = rank(alg.field, [[x[c] for c in coords] for x in kernel], len(coords))
         point._top_dims = (sum(m.dim_at(v) for v in point.cover.slots), len(kernel), len(kernel) - top_rank)
     return point._top_dims
 

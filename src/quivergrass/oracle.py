@@ -12,15 +12,18 @@ owns: each basis triple (r, s, p) sends the generator of slot r to p times
 the generator of slot s, and acts on P by a sparse right multiplication
 kept on the cover, so every orbit partition of one scene shares it.  A group
 element is a coefficient vector over that basis.  One orbit loop moves a
-point's rows by such vectors: by every group element when the group fits
-the budget (exhaustive scan), else by the one-parameter generators 1 + c*b,
-closing each orbit breadth first (generator BFS).  Isomorphism is decided
-through Yoneda (see `iso_classes`), only between points with equal exact
-invariants (radical layering and path-action ranks).  The layering of P/C
-is read from C's rows in P's basis; P/C is built as matrices
-(`quotient_rep`) only for the path ranks and as the target of a Hom space,
-so cross-validation builds none.  Everything is exact and deterministic;
-budgets guard against blowups.
+point's rows by such vectors: when the group fits the budget, by every
+group element but the identity, and on a squarefree top only by those
+whose first unit is 1, since scalars move no subspace (exhaustive scan);
+else by the one-parameter generators 1 + c*b, closing each orbit breadth
+first (generator BFS).  Isomorphism is decided through Yoneda (see
+`iso_classes`), only between points with equal exact invariants: radical
+layering and path-action ranks, and, where those leave a candidate, the
+ranks of a + c*b for parallel arrows a, b.  The layering of P/C is read
+from C's rows in P's basis; P/C is built as matrices (`quotient_rep`) only
+for the ranks and as the target of a Hom space, so cross-validation builds
+none.  Everything is exact and deterministic; budgets guard against
+blowups.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .charts import (
     submodule_from_point,
 )
 from .errors import OracleScaleError, TopNotSquarefreeError
-from .linalg import Echelon, is_invertible, rref
+from .linalg import Echelon, is_invertible, rank
 from .presentation import AlgebraPresentation
 from .representations import (
     ProjectiveCover,
@@ -46,6 +49,7 @@ from .representations import (
     SubmodulePoint,
     generator_coordinates,
     hom_from_quotient,
+    parallel_arrow_ranks,
     path_ranks,
     quotient_rep,
     radical_layering,
@@ -316,7 +320,10 @@ def _orbit_partition(scene: OracleScene, unipotent_only: bool):
 
     A group element is a coefficient vector over `cover.end_basis`: invertible
     unit blocks, then any radical values.  Within the group budget every
-    element moves each orbit's least point (exhaustive scan).  Beyond it the
+    element but the identity moves each orbit's least point (exhaustive
+    scan); on a squarefree top the first slot's unit is fixed to 1, since a
+    scalar multiple of an element moves every subspace as the element does,
+    so the scan runs over the group modulo scalars.  Beyond the budget the
     orbit is closed under the generators 1 + c*b, for every basis triple b
     and every c != 0 that keeps them invertible (generator BFS).  The orbits
     of the generated subgroup refine the true orbits: if the generators fail
@@ -325,16 +332,17 @@ def _orbit_partition(scene: OracleScene, unipotent_only: bool):
     """
     cover = scene.cover
     f = scene.alg.field
+    p = f.char
     basis = cover.end_basis
     actions = [cover.right_action(b) for b in basis]
-    n_unit = sum(1 for _, _, p in basis if p.length == 0)
+    n_unit = sum(1 for _, _, path in basis if path.length == 0)
     n_rad = len(basis) - n_unit
     identity = tuple(f.one if r == s else f.zero for r, s, _ in basis[:n_unit])
+    one = identity + (f.zero,) * n_rad
     elems = list(f.elements())
-    size = f.char ** n_rad if unipotent_only else group_size(cover)
+    size = p ** n_rad if unipotent_only else group_size(cover)
     grow = size > scene.config.budget
     if grow:
-        one = identity + (f.zero,) * n_rad
         gens = [
             one[:b] + (f.add(one[b], c),) + one[b + 1 :]
             for b in range(n_unit if unipotent_only else 0, len(basis))
@@ -347,12 +355,15 @@ def _orbit_partition(scene: OracleScene, unipotent_only: bool):
             [tuple(c for row in m for c in row) for m in _all_invertible(f, len(b))]
             for b in cover.slot_groups
         ]
-        moves = lambda: (
+        if cover.squarefree and not unipotent_only:
+            units[0] = [(f.one,)]  # modulo scalars
+        elements = lambda: (
             sum(unit, ()) + rad
             for unit in itertools.product(*units)
             for rad in itertools.product(elems, repeat=n_rad)
         )
-    index = {p.rows: i for i, p in enumerate(scene.points)}
+        moves = lambda: (g for g in elements() if g != one)  # the identity moves nothing
+    index = {pt.rows: i for i, pt in enumerate(scene.points)}
     seen = set()
     orbits = []
     for i in range(len(scene.points)):
@@ -365,21 +376,13 @@ def _orbit_partition(scene: OracleScene, unipotent_only: bool):
             # per row, its image under each basis triple as (column, value) terms
             moved = [
                 [
-                    [(j, f.mul(c, a)) for k, c in enumerate(row) if c != f.zero for j, a in act.get(k, ())]
+                    [(j, c * a % p) for k, c in enumerate(row) if c for j, a in act.get(k, ())]
                     for act in actions
                 ]
                 for row in rows
             ]
             for coeffs in moves():
-                ech = Echelon(f, cover.dim)
-                for images in moved:
-                    vec = [f.zero] * cover.dim
-                    for c, terms in zip(coeffs, images):
-                        if c != f.zero:
-                            for j, x in terms:
-                                vec[j] = f.add(vec[j], f.mul(c, x))
-                    ech.add(vec)
-                k = index.get(ech.snapshot())
+                k = index.get(_moved_rows(f, cover.dim, moved, coeffs))
                 if k is None:
                     raise OracleScaleError("group action left the enumerated point set")
                 if k not in orbit:
@@ -389,6 +392,23 @@ def _orbit_partition(scene: OracleScene, unipotent_only: bool):
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
     return tuple(orbits), "generator-bfs" if grow else "exhaustive"
+
+
+def _moved_rows(f, dim, moved, coeffs):
+    """Canonical rows of a point's image under the group element coeffs,
+    from moved, per row of the point its image under each basis triple as
+    (column, value) terms.  Each image row is summed as ints and reduced
+    mod p once."""
+    p = f.char
+    ech = Echelon(f, dim)
+    for images in moved:
+        vec = [0] * dim
+        for c, terms in zip(coeffs, images):
+            if c:
+                for j, x in terms:
+                    vec[j] += c * x
+        ech.add([x % p for x in vec])
+    return ech.snapshot()
 
 
 def orbits(scene: OracleScene):
@@ -439,7 +459,7 @@ def _generates(f, kernel, tops, squarefree, budget) -> bool:
         x = [f.zero] * len(kernel[0])
         for c, k in zip(coeffs, kernel):
             x = [f.add(a, f.mul(c, b)) for a, b in zip(x, k)]
-        if all(rref(f, [[x[c] for c in row] for row in m], len(m)).rank == len(m) for m in tops):
+        if all(rank(f, [[x[c] for c in row] for row in m], len(m)) == len(m) for m in tops):
             return True
     return False
 
@@ -451,17 +471,31 @@ def iso_classes(scene: OracleScene):
     By Yoneda, Hom(P/C_i, N) is the space K of tuples (x_s), x_s in N_{v_s},
     that C_i kills, and P/C_i = N when some x in K generates N.  A point is
     tested only against the class representatives sharing its key, the
-    radical layering and the rank of every basis path's action; the key is
-    exact, since an isomorphism phi: M -> N gives N_p = phi_t M_p phi_s^-1
-    for every path p from s to t, and it fixes the dimension vector.
+    radical layering and the rank of every basis path's action, and, once
+    its bucket holds a representative, the rank of a + c*b for each pair of
+    parallel arrows a, b and c != 0 (`parallel_arrow_ranks`, computed only
+    for such points and their representatives, once per point).  The keys
+    are exact: an isomorphism phi: M -> N gives N_x = phi_t M_x phi_s^-1 for
+    every element x of the algebra from s to t, and it fixes the dimension
+    vector.
     """
     if scene._iso is None:
         layerings = scene.layerings()
         reps: Dict[tuple, List[int]] = {}
         classes: Dict[int, List[int]] = {}
+        refined: Dict[int, Tuple[int, ...]] = {}
+
+        def refined_key(k):
+            if k not in refined:
+                refined[k] = parallel_arrow_ranks(scene.quotient(k))
+            return refined[k]
+
         for i in range(len(scene.points)):
             bucket = reps.setdefault((layerings[i], path_ranks(scene.quotient(i))), [])
-            r = next((r for r in bucket if _modules_isomorphic(scene, r, i)), None)
+            r = None
+            if bucket:
+                key = refined_key(i)
+                r = next((r for r in bucket if refined_key(r) == key and _modules_isomorphic(scene, r, i)), None)
             if r is None:
                 bucket.append(i)
                 classes[i] = [i]

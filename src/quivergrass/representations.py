@@ -21,7 +21,7 @@ from itertools import accumulate, groupby
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotSubmoduleError, TopNotSquarefreeError
-from .linalg import Echelon, identity, mat_mul, nullspace, rref
+from .linalg import Echelon, identity, mat_mul, nullspace, rank
 from .presentation import AlgElement, AlgebraPresentation, Path, all_paths
 
 
@@ -303,9 +303,10 @@ class SubmodulePoint:
         self.cover = cover
         self.rows = tuple(tuple(r) for r in rows)
         self._ech = None
-        # P/C, a basis of End(P/C) and moduli._top_dims of P/C; quotient_rep
-        # drops the kernel and the dimensions it outdates
+        # P/C with its vertex blocks, a basis of End(P/C) and moduli._top_dims
+        # of P/C; quotient_rep drops the kernel and the dimensions it outdates
         self._quotient: Optional[Representation] = None
+        self._blocks: Optional[Dict[object, List[int]]] = None
         self._end_kernel: Optional[list] = None
         self._top_dims: Optional[tuple] = None
 
@@ -376,18 +377,23 @@ class SubmodulePoint:
 
 
 def _quotient_blocks(point: SubmodulePoint):
-    """Per vertex, the columns of P off the pivots of C: the basis of P/C."""
-    cover = point.cover
-    pivot_cols = set(point.echelon().pivots)
-    blocks = {v: [] for v in cover.alg.quiver.vertices}
-    for i, (_, p) in enumerate(cover.basis):
-        if i not in pivot_cols:
-            blocks[p.end].append(i)
-    return blocks
+    """Per vertex, the columns of P off the pivots of C: the basis of P/C,
+    kept on the point beside its quotient (it depends on the rows only)."""
+    if point._blocks is None:
+        pivot_cols = set(point.echelon().pivots)
+        blocks = point._blocks = {v: [] for v in point.alg.quiver.vertices}
+        for i, (_, p) in enumerate(point.cover.basis):
+            if i not in pivot_cols:
+                blocks[p.end].append(i)
+    return point._blocks
 
 
 def quotient_rep(alg: AlgebraPresentation, point) -> Representation:
-    """P/C on the echelon-pivot complement basis of C, kept on the point."""
+    """P/C on the echelon-pivot complement basis of C, kept on the point.
+
+    Modulo C's reduced rows, a pivot column is minus the rest of its row and
+    any other column is itself, so an arrow's image of a column is read from
+    the rows without a reduction."""
     if not isinstance(point, SubmodulePoint):
         raise NotSubmoduleError("expected a SubmodulePoint (use from_rows/from_elements)")
     if point._quotient is not None and point._quotient.alg is alg:
@@ -395,13 +401,18 @@ def quotient_rep(alg: AlgebraPresentation, point) -> Representation:
     cover = point.cover
     f = alg.field
     ech = point.echelon()
+    rest = {
+        piv: [(j, f.neg(x)) for j, x in enumerate(row) if x and j != piv]
+        for piv, row in zip(ech.pivots, ech.rows)
+    }
 
     def column_action(arrow, col):
-        img = [f.zero] * cover.dim
         for i, c in cover.arrow_action(arrow).get(col, ()):
-            img[i] = c
-        res = ech.residual(img)
-        return [(i, c) for i, c in enumerate(res) if c != f.zero]
+            if i in rest:
+                for j, x in rest[i]:
+                    yield j, f.mul(c, x)
+            else:
+                yield i, c
 
     point._quotient = representation_on_blocks(alg, _quotient_blocks(point), column_action)
     point._end_kernel = None
@@ -483,8 +494,29 @@ def path_ranks(rep: Representation) -> Tuple[int, ...]:
     on the trivial paths these are the dimensions at the vertices."""
     f = rep.alg.field
     return tuple(
-        rref(f, rep.path_matrix(p), rep.dim_at(p.start)).rank for p in rep.alg.basis
+        rank(f, rep.path_matrix(p), rep.dim_at(p.start)) if p.length else rep.dim_at(p.start)
+        for p in rep.alg.basis
     )
+
+
+def parallel_arrow_ranks(rep: Representation) -> Tuple[int, ...]:
+    """Rank of the action of a + c*b for each pair of parallel arrows a
+    before b, in arrow order, and each c != 0 of the finite field.  Each
+    a + c*b is an element of the algebra, so these ranks are isomorphism
+    invariants, like `path_ranks`."""
+    f = rep.alg.field
+    arrows = rep.alg.quiver.arrows
+    out = []
+    for k, a in enumerate(arrows):
+        for b in arrows[k + 1 :]:
+            if a.source == b.source and a.target == b.target:
+                ma, mb = rep.mats[a.name], rep.mats[b.name]
+                width = rep.dim_at(a.source)
+                for c in f.elements():
+                    if c:
+                        summed = [[f.add(x, f.mul(c, y)) for x, y in zip(ra, rb)] for ra, rb in zip(ma, mb)]
+                        out.append(rank(f, summed, width))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

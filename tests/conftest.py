@@ -44,6 +44,23 @@ def small_scenes():
 
 
 @pytest.fixture(scope="session")
+def catalogue_scenes():
+    """Every catalogue algebra over F2 and F3 at each simple top and every
+    d, with merge at its squarefree two-vertex top (1, 2) and the fork at
+    the repeated top (1, 1), where a slot's unit is a 2 x 2 block and not a
+    scalar."""
+    jobs = [(name, alg, (v,)) for name, alg in catalogue().items() for v in simple_tops(alg)]
+    jobs += [("merge", merge(), (1, 2)), ("fork", fork(), (1, 1))]
+    scenes = []
+    for name, alg, tops in jobs:
+        for prime in (2, 3):
+            alg_p = with_field(alg, GF(prime))
+            for d in range(1, ProjectiveCover(alg_p, tops).dim + 1):
+                scenes.append((f"{name} {tops} F{prime} d={d}", enumerate_points(alg_p, tops, d)))
+    return scenes
+
+
+@pytest.fixture(scope="session")
 def top_scenes(small_scenes):
     """small_scenes plus tops of several vertices.  At (1, 2) of loop_arrow
     and triple_arrow a radical path of one slot ends at the vertex of the

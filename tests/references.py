@@ -4,16 +4,19 @@
 for `ChartContext.reduce_element`; with `route_prune=False` it also rewrites
 the paths that are not routes, the reference for the route pruning.
 `index_of` finds a point of a scene.  `incremental_build_algebra` is the
-reference for `build_algebra`.
+reference for `build_algebra`.  `full_orbit_partition` is the reference
+for the exhaustive orbit scan.
 """
 
 import bisect
+import itertools
 from typing import Dict, List, Optional, Tuple
 
 from quivergrass import polynomials as poly
 from quivergrass.charts import ChartContext
 from quivergrass.errors import AdmissibilityError, LoewyBoundError
 from quivergrass.fields import QQ
+from quivergrass.linalg import Echelon, is_invertible
 from quivergrass.oracle import OracleScene
 from quivergrass.presentation import (
     AlgElement,
@@ -68,6 +71,50 @@ def index_of(scene: OracleScene, point: SubmodulePoint) -> Optional[int]:
         if p.rows == point.rows:
             return i
     return None
+
+
+def full_orbit_partition(scene: OracleScene, unipotent_only: bool = False):
+    """Orbits of Aut(P), or of its unipotent radical, in order of least point:
+    each orbit's least point is moved by every group element, the identity
+    and the scalars included.  A group element is a coefficient vector over
+    `cover.end_basis`, invertible unit blocks and then any radical values,
+    and acts on a row as the sum of its basis triples' images."""
+    cover = scene.cover
+    f = scene.alg.field
+    basis = cover.end_basis
+    actions = [cover.right_action(b) for b in basis]
+    n_unit = sum(1 for _, _, p in basis if p.length == 0)
+    elems = list(f.elements())
+    if unipotent_only:
+        units = [[tuple(f.one if r == s else f.zero for r, s, _ in basis[:n_unit])]]
+    else:
+        units = []
+        for group in cover.slot_groups:
+            t = len(group)
+            mats = itertools.product(itertools.product(elems, repeat=t), repeat=t)
+            units.append([sum(m, ()) for m in mats if is_invertible(f, m, t)])
+    index = {p.rows: i for i, p in enumerate(scene.points)}
+    seen = set()
+    orbits = []
+    for i, point in enumerate(scene.points):
+        if i in seen:
+            continue
+        zero = [f.zero] * cover.dim
+        images = [[cover.image(act, row) or zero for act in actions] for row in point.rows]
+        orbit = set()
+        for unit in itertools.product(*units):
+            for rad in itertools.product(elems, repeat=len(basis) - n_unit):
+                coeffs = sum(unit, ()) + rad
+                ech = Echelon(f, cover.dim)
+                for per_triple in images:
+                    vec = zero
+                    for c, img in zip(coeffs, per_triple):
+                        vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, img)]
+                    ech.add(vec)
+                orbit.add(index[ech.snapshot()])
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def _sorted_reduction(field, rows, key, x: AlgElement) -> AlgElement:

@@ -54,5 +54,7 @@ def test_rationals_keep_integral_values_as_ints():
     assert all(type(c) is Fraction for c in fractional)
     assert 3 == Fraction(3) and hash(3) == hash(Fraction(3)) and hash(-1) == hash(Fraction(-1))
     assert {Fraction(3): "x"}[3] == "x" and str(3) == str(Fraction(3))
+    big = 10 ** 30 + 7
+    assert QQ.coerce(big) is big and type(QQ.coerce(True)) is int and QQ.coerce(True) == 1
     with pytest.raises(ZeroDivisionError):
         QQ.inv(0)

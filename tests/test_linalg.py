@@ -2,11 +2,11 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivergrass.fields import GF, QQ, Rationals
-from quivergrass.linalg import Echelon, Expander, nullspace, rref
+from quivergrass.linalg import Echelon, Expander, nullspace, rank, rref
 
 FIELDS = [GF(2), GF(3), QQ]
 
@@ -80,6 +80,23 @@ def test_expander_and_echelon_agree(system):
         assert ech.rank == exp.rank and ech.snapshot() == exp.snapshot()
     for v in vecs:
         assert exp.contains(v) and exp.residual(v) == [field.zero] * width
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.booleans())
+@example((QQ, 0, [[], []]), False)
+@example((GF(2), 3, []), False)
+@example((QQ, 2, [[Fraction(0), 0], [0, Fraction(0)]]), False)
+@example((GF(3), 1, [[0], [2], [1]]), False)
+@example((QQ, 3, [[0, Fraction(2, 3), 1]]), False)
+@example((GF(2), 3, [[1, 1, 0], [1, 1, 0]]), False)
+def test_rank_is_the_rref_rank(system, zero):
+    """Including zero matrices and shapes with 0 or 1 rows or columns,
+    which `rank` answers without an Echelon."""
+    field, width, rows = system
+    if zero:
+        rows = [[field.zero] * width for _ in rows]
+    assert rank(field, rows, width) == rref(field, rows, width).rank
 
 
 class FractionRationals(Rationals):

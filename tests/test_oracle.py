@@ -28,8 +28,15 @@ from quivergrass import (
 from quivergrass import oracle
 from quivergrass import polynomials as poly
 from quivergrass.linalg import is_invertible
-from quivergrass.oracle import OracleScene, _modules_isomorphic, chart_solutions, group_size
-from quivergrass.representations import hom_basis, hom_from_quotient, path_ranks, quotient_rep
+from quivergrass.moduli import is_fully_invariant, orbit_dim
+from quivergrass.oracle import OracleScene, _modules_isomorphic, chart_solutions, group_size, orbit_provenance
+from quivergrass.representations import (
+    hom_basis,
+    hom_from_quotient,
+    parallel_arrow_ranks,
+    path_ranks,
+    quotient_rep,
+)
 
 from algebras import (
     catalogue,
@@ -39,10 +46,12 @@ from algebras import (
     loop_arrow,
     nilpotent_loop_arrow,
     path_of,
+    random_presentation,
+    simple_tops,
     triple_arrow,
     two_loop_fork,
 )
-from references import index_of
+from references import full_orbit_partition, index_of
 from vertexwise import hom_dim
 
 
@@ -389,6 +398,85 @@ def test_iso_scan_hom_calls_stay_bucketed(monkeypatch):
     assert len(iso_classes(scene)) == 195
     # an unbucketed scan makes 14352 calls here
     assert len(calls) <= 1000
+
+
+def test_orbits_match_the_full_group_scan(catalogue_scenes):
+    """The scan skips the identity and, on a squarefree top, the scalars;
+    the orbits are still those of the scan over every group element, also
+    at the repeated top (1, 1) of the fork, where it drops no scalar."""
+    for label, scene in catalogue_scenes:
+        assert orbit_provenance(scene) == "exhaustive", label
+        assert orbits(scene) == full_orbit_partition(scene), label
+        assert unipotent_orbits(scene) == full_orbit_partition(scene, True), label
+
+
+def test_refined_iso_key_is_constant_on_orbits(catalogue_scenes):
+    for label, scene in catalogue_scenes:
+        for orb in orbits(scene):
+            keys = {
+                (scene.layerings()[i], path_ranks(scene.quotient(i)), parallel_arrow_ranks(scene.quotient(i)))
+                for i in orb
+            }
+            assert len(keys) == 1, label
+
+
+def test_iso_classes_do_not_depend_on_the_parallel_arrow_ranks(top_scenes, monkeypatch):
+    """The refinement only saves Hom tests: without it the partition is the
+    same, on the scenes of the pairwise test and on double_triple over F3 at
+    d = 3, where it saves most of them."""
+    scenes = list(top_scenes)
+    scenes.append(("double_triple F3 d=3", enumerate_points(with_field(double_triple(), GF(3)), (1,), 3)))
+    expected = [iso_classes(scene) for _, scene in scenes]
+    monkeypatch.setattr(oracle, "parallel_arrow_ranks", lambda rep: ())
+    for (label, scene), iso in zip(scenes, expected):
+        fresh = enumerate_points(scene.alg, scene.tops, scene.d)
+        assert iso_classes(fresh) == iso, label
+
+
+def test_classify_counts_stay_pinned(monkeypatch):
+    """Hom tests and orbit-scan moves are deterministic.  On double_triple
+    over F3 at d = 3, the slowest classify job, Aut(P) is the scalars, so
+    no move is left, and the parallel-arrow ranks leave 12 Hom tests (the
+    path-rank key alone leaves 486).  On two_loop_fork over F3 at d = 3,
+    each of the 30 orbits takes the 8 moves of a group of 18 modulo its 2
+    scalars, less the identity."""
+    calls = {"_modules_isomorphic": 0, "_moved_rows": 0}
+    for name in calls:
+
+        def counted(*args, name=name, fn=getattr(oracle, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    scene = enumerate_points(with_field(double_triple(), GF(3)), (1,), 3)
+    assert len(orbits(scene)) == len(iso_classes(scene)) == 195
+    assert calls == {"_modules_isomorphic": 12, "_moved_rows": 0}
+    scene = enumerate_points(with_field(two_loop_fork(), GF(3)), (1,), 3)
+    assert group_size(scene.cover) == 18
+    assert len(orbits(scene)) == 30 and calls["_moved_rows"] == 240
+    assert len(unipotent_orbits(scene)) == 30 and calls["_moved_rows"] == 480
+
+
+@settings(max_examples=40, deadline=None)
+@given(start=st.integers(0, 400), k=st.integers(0, 2), d=st.integers(1, 8))
+@example(start=75, k=0, d=6)  # 651 points, the most in a scan of seeds 0 to 300
+def test_orbits_are_iso_classes_on_random_presentations(start, k, d):
+    """At a simple top over F2, the orbits are the isomorphism classes, each
+    orbit has q^{orbit_dim} points, and a point is fully invariant exactly
+    when its orbit is a singleton; within the default budgets."""
+    alg = with_field(random_presentation(start=start), GF(2))
+    tops = simple_tops(alg)
+    top = tops[k % len(tops)]
+    d = 1 + (d - 1) % ProjectiveCover(alg, (top,)).dim
+    scene = enumerate_points(alg, (top,), d)
+    orbs = orbits(scene)
+    assert orbit_provenance(scene) == "exhaustive"
+    assert set(map(frozenset, orbs)) == set(map(frozenset, iso_classes(scene)))
+    for orb in orbs:
+        for i in orb:
+            point = scene.points[i]
+            assert len(orb) == scene.q ** orbit_dim(alg, point)
+            assert is_fully_invariant(alg, point).holds == (len(orb) == 1)
 
 
 # ---------------------------------------------------------------------------
