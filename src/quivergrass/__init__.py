@@ -13,7 +13,6 @@ from .errors import (
     RankError,
     SemanticError,
     SkeletonMismatchError,
-    TopMismatchError,
     TopNotSquarefreeError,
 )
 from .fields import GF, QQ, parse_field
@@ -32,13 +31,9 @@ from .representations import (
     Representation,
     SemisimpleSequence,
     SubmodulePoint,
-    dim_vector,
     hom_basis,
-    multiplicity_mu,
     quotient_rep,
     radical_layering,
-    sseq_leq,
-    validate_representation,
 )
 from .skeletons import (
     CriticalPair,
@@ -48,27 +43,21 @@ from .skeletons import (
     enumerate_skeletons,
     is_route,
     make_skeleton,
-    skeleton_of,
 )
 from .charts import (
     ChartIdeal,
     chart_ideal,
     has_skeleton,
     point_from_submodule,
-    reduce,
     submodule_from_point,
-    transition_matrix,
 )
 from .oracle import (
-    OracleConfig,
     OracleScene,
     cross_validate_chart,
     enumerate_points,
     gaussian_binomial,
     iso_classes,
-    orbit_size_consistency,
     orbits,
-    unipotent_orbits,
 )
 from .moduli import (
     simple_top_moduli_criterion,

@@ -116,11 +116,6 @@ def chart_context(alg, sk: Skeleton) -> ChartContext:
     return ctx
 
 
-def reduce(alg, sk: Skeleton, z: AlgElement) -> Dict[Path, dict]:
-    """Expansion of z over the skeleton paths with polynomial coefficients."""
-    return chart_context(alg, sk).reduce_element(z)
-
-
 @dataclass(frozen=True)
 class ChartIdeal:
     """Defining data of one affine chart."""
@@ -279,33 +274,3 @@ def point_from_submodule(alg, sk: Skeleton, point: SubmodulePoint):
                 )
             coords[ctx.var_index[(cp.product, p)]] = c
     return tuple(coords)
-
-
-def transition_matrix(alg, sk: Skeleton, sk2: Skeleton, point: SubmodulePoint):
-    """Change of basis of P/C from the sk2 path basis to the sk path basis.
-
-    Column j holds the sk-coordinates of the j-th sk2 path; both path sets
-    must induce bases of the quotient (no layering condition needed).
-    """
-    cover = point.cover
-    f = alg.field
-    exp = Expander(f, cover.dim, point.rows)
-    if not all(exp.add(cover.path_vector(p)) for p in sk.paths):
-        raise SkeletonMismatchError("first path set is not a basis of the quotient")
-    cols = []
-    for p2 in sk2.paths:
-        vec = cover.path_vector(p2)
-        if all(c == f.zero for c in vec):
-            raise SkeletonMismatchError("second path set is not a basis of the quotient")
-        combo = exp.express(vec)
-        if combo is None:
-            raise SkeletonMismatchError("second path set escapes the quotient basis")
-        cols.append(combo)
-    d = sk.dim
-    matrix = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-    ech = Echelon(f, d)
-    for row in matrix:
-        ech.add(list(row))
-    if ech.rank != d:
-        raise SkeletonMismatchError("second path set is not a basis of the quotient")
-    return matrix

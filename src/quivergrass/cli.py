@@ -54,7 +54,6 @@ from .moduli import (
     unipotent_orbit_dim,
 )
 from .oracle import (
-    OracleConfig,
     cross_validate_chart,
     enumerate_points,
     iso_classes,
@@ -311,7 +310,7 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError(f"bad top list {_shown(rest)}", lineno)
         elif key == "dim":
             if not rest.isdecimal():
-                raise ParseError(f"dim must be a positive integer, got {_shown(rest)}", lineno)
+                raise ParseError(f"dim must be a non-negative integer, got {_shown(rest)}", lineno)
             dim = _decimal(rest, "dim", lineno)
 
     if vertices is None:
@@ -334,40 +333,6 @@ def parse_problem(text: str) -> ProblemFile:
             if piece:
                 relations.append(_parse_relation(piece, quiver, lineno, loewy))
     return ProblemFile(quiver, relations, loewy, field_tag, tops, dim)
-
-
-def render_problem(pf: ProblemFile) -> str:
-    """Canonical text form; parse(render(parse(t))) == parse(t)."""
-    lines = [f"field: {pf.field_tag}", f"loewy: {pf.loewy}"]
-    lines.append("vertices: " + " ".join(str(v) for v in pf.quiver.vertices))
-    lines.append(
-        "arrows: "
-        + ", ".join(f"{a.name}: {a.source} -> {a.target}" for a in pf.quiver.arrows)
-    )
-    if pf.relations:
-        lines.append("relations:")
-        for rel in pf.relations:
-            bits = []
-            for p, c in sorted(rel.terms.items(), key=lambda t: (t[0].start, t[0].length, t[0].render())):
-                bits.append((c, p.render()))
-            text = ""
-            for i, (c, pr) in enumerate(bits):
-                if c == 1:
-                    term = pr
-                elif c == -1:
-                    term = f"-{pr}"
-                else:
-                    term = f"{c}*{pr}"
-                if i == 0:
-                    text = term
-                else:
-                    text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-            lines.append(f"  {text}")
-    if pf.tops is not None:
-        lines.append("top: " + " ".join(str(v) for v in pf.tops))
-    if pf.dim is not None:
-        lines.append(f"dim: {pf.dim}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +464,7 @@ def _scene(args, alg, tops, d):
     """Every point over the command's finite field, within --budget."""
     if alg.field.char == 0:
         raise SemanticError(f"{args.command} needs a finite field (--field F<p>)")
-    return enumerate_points(alg, tops, d, OracleConfig(args.budget))
+    return enumerate_points(alg, tops, d, args.budget)
 
 
 def cmd_skeletons(args, pf, out):
@@ -792,7 +757,7 @@ def cmd_local_type(args, pf, out):
     tops = _tops_from(args, pf)
     if len(tops) != 1:
         raise SemanticError("local-type needs a simple top (one vertex)")
-    report = finite_local_type_check(alg, tops[0], args.q, OracleConfig(args.budget))
+    report = finite_local_type_check(alg, tops[0], args.q, args.budget)
     if args.json:
         _print_json(args, out, {
             "top": tops[0],

@@ -26,10 +26,6 @@ class NotSubmoduleError(QuivergrassError):
     under the algebra action."""
 
 
-class TopMismatchError(QuivergrassError):
-    """A module does not have the expected top."""
-
-
 class NotOnChartError(QuivergrassError):
     """A coordinate tuple does not satisfy the chart equations."""
 

@@ -178,18 +178,6 @@ def nullspace(field, rows, width):
     return basis
 
 
-def mat_vec(field, mat, vec):
-    f = field
-    out = []
-    for row in mat:
-        acc = f.zero
-        for a, x in zip(row, vec):
-            if a != f.zero and x != f.zero:
-                acc = f.add(acc, f.mul(a, x))
-        out.append(acc)
-    return out
-
-
 def mat_mul(field, a, b, inner_cols):
     """Product a*b where a is r x inner and b is inner x c; inner_cols = c."""
     f = field

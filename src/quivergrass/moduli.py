@@ -17,8 +17,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .charts import has_skeleton
 from .errors import OracleScaleError, TopNotSquarefreeError
 from .linalg import Echelon, rank
+from .oracle import enumerate_points, iso_classes, orbits
 from .presentation import AlgElement, AlgebraPresentation, Path, with_field
 from .fields import GF
 from .representations import (
@@ -28,6 +30,7 @@ from .representations import (
     generator_coordinates,
     quotient_rep,
 )
+from .skeletons import enumerate_skeletons
 
 
 @dataclass(frozen=True)
@@ -185,8 +188,6 @@ class ModuliReport:
     orbit_dimension: int
     unipotent_orbit_dimension: int
     split_count_holds: bool
-    split_into_locals_checked: bool  # vacuous for a simple top
-    provenance: str = "symbolic"
 
 
 def point_report(alg: AlgebraPresentation, point: SubmodulePoint) -> ModuliReport:
@@ -197,7 +198,6 @@ def point_report(alg: AlgebraPresentation, point: SubmodulePoint) -> ModuliRepor
         orbit_dimension=orbit_dim(alg, point),
         unipotent_orbit_dimension=unipotent_orbit_dim(alg, point),
         split_count_holds=top_multiplicity_criterion(alg, point),
-        split_into_locals_checked=len(point.cover.slots) == 1,
     )
 
 
@@ -217,18 +217,13 @@ class LocalTypeReport:
         return self.layering_determines_iso and self.charts_single_orbits
 
 
-def finite_local_type_check(alg: AlgebraPresentation, e, q: int, config=None) -> LocalTypeReport:
+def finite_local_type_check(alg: AlgebraPresentation, e, q: int, budget: int = 10 ** 6) -> LocalTypeReport:
     """Oracle evidence for finite local type at the simple top S_e over F_q.
 
     For every d up to dim P, points are grouped by radical layering and by
     isomorphism class (the layering must determine the class), and every
     nonempty chart must consist of a single orbit.
     """
-    from .charts import has_skeleton
-    from .oracle import OracleConfig, enumerate_points, iso_classes, orbits
-    from .skeletons import enumerate_skeletons
-
-    config = config or OracleConfig()
     alg_q = with_field(alg, GF(q))
     cover = ProjectiveCover(alg_q, (e,))
     dim_p = cover.dim
@@ -236,7 +231,7 @@ def finite_local_type_check(alg: AlgebraPresentation, e, q: int, config=None) ->
     layering_ok = True
     charts_ok = True
     for d in range(1, dim_p + 1):
-        scene = enumerate_points(alg_q, (e,), d, config)
+        scene = enumerate_points(alg_q, (e,), d, budget)
         lay_classes = scene.layering_classes()
         iso = iso_classes(scene)
         per_d.append((d, len(scene.points), len(lay_classes), len(iso)))

@@ -10,7 +10,7 @@ its target block, so no candidate subspace is ever tested as a whole.
 Aut(P) acts through the path basis of End(P) that the projective cover
 owns: each basis triple (r, s, p) sends the generator of slot r to p times
 the generator of slot s, and acts on P by a sparse right multiplication
-kept on the cover, so every orbit partition of one scene shares it.  A group
+kept on the cover, which the invariance test of `moduli` reads too.  A group
 element is a coefficient vector over that basis.  One orbit loop moves a
 point's rows by such vectors: when the group fits the budget, by every
 group element but the identity, and on a squarefree top only by those
@@ -57,15 +57,6 @@ from .representations import (
 from .skeletons import Skeleton, compatible
 
 
-@dataclass
-class OracleConfig:
-    """budget bounds every exponential scan: the candidate subspaces, the
-    chart scan over F_q^n, the group elements of an exhaustive orbit scan
-    (beyond it, orbits are closed by generator BFS) and the Hom-space scan."""
-
-    budget: int = 10 ** 6
-
-
 def gaussian_binomial(n, k, q):
     if k < 0 or k > n:
         return 0
@@ -99,21 +90,24 @@ def _echelon_block_matrices(field, nrows, ncols):
 
 
 class OracleScene:
-    """Enumerated Grassmannian of one (algebra over F_q, top, d) triple."""
+    """Enumerated Grassmannian of one (algebra over F_q, top, d) triple.
 
-    def __init__(self, alg, tops, d, cover, points, config):
+    budget bounds every exponential scan of the scene: the group elements
+    of an exhaustive orbit scan (beyond it, orbits are closed by generator
+    BFS), the chart scan over F_q^n and the Hom-space scan."""
+
+    def __init__(self, alg, tops, d, cover, points, budget):
         self.alg = alg
         self.tops = tuple(tops)
         self.d = d
         self.cover = cover
         self.points: Tuple[SubmodulePoint, ...] = tuple(points)
-        self.config = config
+        self.budget = budget
         self._layerings: Optional[List[SemisimpleSequence]] = None
         self._layering_classes = None
         self._orbits = None
         self._orbit_provenance = None
         self._iso = None
-        self._unipotent_orbits = None
 
     @property
     def q(self):
@@ -121,7 +115,7 @@ class OracleScene:
 
     @property
     def squarefree(self):
-        return len(set(self.tops)) == len(self.tops)
+        return self.cover.squarefree
 
     def quotient(self, i) -> Representation:
         return quotient_rep(self.alg, self.points[i])
@@ -152,7 +146,7 @@ class OracleScene:
         ))
 
 
-def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleConfig] = None) -> OracleScene:
+def enumerate_points(alg: AlgebraPresentation, tops, d, budget: int = 10 ** 6) -> OracleScene:
     """All submodules of JP of codimension d in P, as canonical points.
 
     A submodule C is graded by end vertex, C = sum of its blocks C_v in
@@ -167,13 +161,12 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleC
     """
     if alg.field.char == 0:
         raise OracleScaleError("the oracle needs a finite coefficient field")
-    config = config or OracleConfig()
     f = alg.field
     q = f.char
     cover = ProjectiveCover(alg, tops)
     dp = cover.dim - d
     if dp < 0:
-        return OracleScene(alg, cover.slots, d, cover, (), config)
+        return OracleScene(alg, cover.slots, d, cover, (), budget)
     vs = alg.quiver.vertices
     # the columns of (JP)_v: the pairs of positive length ending at v
     block_cols = [[i for i, (_, p) in enumerate(cover.basis) if p.length and p.end == v] for v in vs]
@@ -188,8 +181,8 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleC
         if count:
             compositions.append(split)
             total += count
-    if total > config.budget:
-        raise OracleScaleError(f"{total} candidate subspaces exceed the budget {config.budget}")
+    if total > budget:
+        raise OracleScaleError(f"{total} candidate subspaces exceed the budget {budget}")
 
     # per vertex position j, the arrows between block j and an earlier block
     # i, as (i, arrow name, whether the arrow points into block j)
@@ -225,7 +218,7 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, config: Optional[OracleC
             rows.sort(key=lambda pr: pr[0])
             points.append(SubmodulePoint(cover, [r for _, r in rows]))
     points.sort(key=lambda p: p.rows)
-    return OracleScene(alg, cover.slots, d, cover, points, config)
+    return OracleScene(alg, cover.slots, d, cover, points, budget)
 
 
 class _BlockChoice:
@@ -315,8 +308,8 @@ def _all_invertible(field, n):
     return mats
 
 
-def _orbit_partition(scene: OracleScene, unipotent_only: bool):
-    """Orbits of Aut(P), or of its unipotent radical, in order of least point.
+def _orbit_partition(scene: OracleScene):
+    """Orbits of Aut(P), in order of least point.
 
     A group element is a coefficient vector over `cover.end_basis`: invertible
     unit blocks, then any radical values.  Within the group budget every
@@ -337,25 +330,23 @@ def _orbit_partition(scene: OracleScene, unipotent_only: bool):
     actions = [cover.right_action(b) for b in basis]
     n_unit = sum(1 for _, _, path in basis if path.length == 0)
     n_rad = len(basis) - n_unit
-    identity = tuple(f.one if r == s else f.zero for r, s, _ in basis[:n_unit])
-    one = identity + (f.zero,) * n_rad
+    one = tuple(f.one if r == s else f.zero for r, s, _ in basis[:n_unit]) + (f.zero,) * n_rad
     elems = list(f.elements())
-    size = p ** n_rad if unipotent_only else group_size(cover)
-    grow = size > scene.config.budget
+    grow = group_size(cover) > scene.budget
     if grow:
         gens = [
             one[:b] + (f.add(one[b], c),) + one[b + 1 :]
-            for b in range(n_unit if unipotent_only else 0, len(basis))
+            for b in range(len(basis))
             for c in elems
             if c != f.zero and f.add(one[b], c) != f.zero
         ]
         moves = lambda: gens
     else:
-        units = [[identity]] if unipotent_only else [
+        units = [
             [tuple(c for row in m for c in row) for m in _all_invertible(f, len(b))]
             for b in cover.slot_groups
         ]
-        if cover.squarefree and not unipotent_only:
+        if cover.squarefree:
             units[0] = [(f.one,)]  # modulo scalars
         elements = lambda: (
             sum(unit, ()) + rad
@@ -414,20 +405,13 @@ def _moved_rows(f, dim, moved, coeffs):
 def orbits(scene: OracleScene):
     """Partition of the points into automorphism orbits."""
     if scene._orbits is None:
-        scene._orbits, scene._orbit_provenance = _orbit_partition(scene, False)
+        scene._orbits, scene._orbit_provenance = _orbit_partition(scene)
     return scene._orbits
 
 
 def orbit_provenance(scene: OracleScene):
     orbits(scene)
     return scene._orbit_provenance
-
-
-def unipotent_orbits(scene: OracleScene):
-    """Partition under the unipotent radical only."""
-    if scene._unipotent_orbits is None:
-        scene._unipotent_orbits, _ = _orbit_partition(scene, True)
-    return scene._unipotent_orbits
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +424,7 @@ def _modules_isomorphic(scene: OracleScene, i, j) -> bool:
     codimension d, so the modules have equal dimension."""
     kernel = hom_from_quotient(scene.points[i], scene.quotient(j))
     tops = generator_coordinates(scene.points[i], scene.points[j])
-    return _generates(scene.alg.field, kernel, tops, scene.squarefree, scene.config.budget)
+    return _generates(scene.alg.field, kernel, tops, scene.squarefree, scene.budget)
 
 
 def _generates(f, kernel, tops, squarefree, budget) -> bool:
@@ -522,14 +506,13 @@ class CrossValidationReport:
         return self.matched and not self.mismatches
 
 
-def chart_solutions(alg, sk: Skeleton, config: Optional[OracleConfig] = None):
+def chart_solutions(alg, sk: Skeleton, budget: int = 10 ** 6):
     """All F_q points of the chart ideal, by exhaustive search behind the
     budget on q^n, in the order of a scan over F_q^n."""
-    config = config or OracleConfig()
     f = alg.field
     ideal = chart_ideal(alg, sk)
     n = ideal.nvars
-    if f.char ** n > config.budget:
+    if f.char ** n > budget:
         raise OracleScaleError(f"chart scan q^{n} exceeds the budget")
     return _solutions(f, n, ideal.poly_dicts())
 
@@ -569,7 +552,7 @@ def cross_validate_chart(scene: OracleScene, sk: Skeleton) -> CrossValidationRep
         raise TopNotSquarefreeError("chart cross-validation needs a squarefree top")
     alg = scene.alg
     mismatches = []
-    sols = chart_solutions(alg, sk, scene.config)
+    sols = chart_solutions(alg, sk, scene.budget)
     image = {}
     coords = {}
     for c in sols:
@@ -604,45 +587,3 @@ def cross_validate_chart(scene: OracleScene, sk: Skeleton) -> CrossValidationRep
         matched=image_set == point_set,
         mismatches=tuple(mismatches),
     )
-
-
-@dataclass
-class OrbitSizeReport:
-    entries: Tuple[Tuple[int, int, int], ...]  # (point index, actual size, predicted)
-    mismatches: Tuple[int, ...]
-
-    @property
-    def ok(self):
-        return not self.mismatches
-
-
-def orbit_size_consistency(scene: OracleScene) -> OrbitSizeReport:
-    """Unipotent orbit sizes against q^m; for a simple top also the full
-    orbit size against q^(orbit dimension)."""
-    from .moduli import orbit_dim, unipotent_orbit_dim
-
-    if not scene.squarefree:
-        raise TopNotSquarefreeError("orbit-size consistency needs a squarefree top")
-    q = scene.q
-    by_point_u = {}
-    for orb in unipotent_orbits(scene):
-        for i in orb:
-            by_point_u[i] = len(orb)
-    entries = []
-    bad = []
-    for i, pt in enumerate(scene.points):
-        predicted = q ** unipotent_orbit_dim(scene.alg, pt)
-        entries.append((i, by_point_u[i], predicted))
-        if by_point_u[i] != predicted:
-            bad.append(i)
-    if len(scene.tops) == 1:
-        by_point = {}
-        for orb in orbits(scene):
-            for i in orb:
-                by_point[i] = len(orb)
-        for i, pt in enumerate(scene.points):
-            predicted = q ** orbit_dim(scene.alg, pt)
-            entries.append((i, by_point[i], predicted))
-            if by_point[i] != predicted:
-                bad.append(i)
-    return OrbitSizeReport(tuple(entries), tuple(sorted(set(bad))))

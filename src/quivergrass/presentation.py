@@ -59,10 +59,6 @@ class Quiver:
     def arrows_from(self, vertex: int) -> Tuple[Arrow, ...]:
         return self._from[vertex]
 
-    @property
-    def n(self):
-        return len(self.vertices)
-
     def __repr__(self):
         return f"Quiver({list(self.vertices)}, {list(self.arrows)})"
 
@@ -280,23 +276,6 @@ class AlgebraPresentation:
     @property
     def dim(self):
         return len(self.basis)
-
-    def normal_form(self, x: AlgElement) -> AlgElement:
-        """The unique representative of x + I supported on the basis: the
-        linear extension of the table of path normal forms."""
-        f = self.field
-        L1 = self.loewy_bound + 1
-        out: Dict[Path, object] = {}
-        for p, c in x.terms.items():
-            if p.length > L1:
-                raise ValueError(f"element has a term of length {p.length} > L+1 = {L1}")
-            for q, qc in self._normal_forms[p].terms.items():
-                s = f.add(out.get(q, f.zero), f.mul(c, qc))
-                if s == f.zero:
-                    out.pop(q, None)
-                else:
-                    out[q] = s
-        return AlgElement(f, out)
 
     def nf_path(self, path: Path) -> AlgElement:
         """The normal form of a single path, read from the table (zero

@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import accumulate, groupby
 from typing import Dict, List, Optional, Tuple
 
-from .errors import NotSubmoduleError, TopNotSquarefreeError
+from .errors import NotSubmoduleError
 from .linalg import Echelon, identity, mat_mul, nullspace, rank
 from .presentation import AlgElement, AlgebraPresentation, Path, all_paths
 
@@ -260,34 +260,6 @@ class Representation:
 
     def __repr__(self):
         return f"Representation(dims={self.dims})"
-
-
-def validate_representation(rep: Representation):
-    """Check the relations and the vanishing of length-(L+1) paths."""
-    alg = rep.alg
-    f = alg.field
-    for rel in alg.relations:
-        per_pair: Dict[Tuple[int, int], object] = {}
-        for p, c in rel.terms.items():
-            key = (p.start, p.end)
-            m = rep.path_matrix(p)
-            scaled = tuple(tuple(f.mul(c, x) for x in row) for row in m)
-            cur = per_pair.get(key)
-            if cur is None:
-                per_pair[key] = scaled
-            else:
-                per_pair[key] = tuple(
-                    tuple(f.add(a, b) for a, b in zip(r1, r2))
-                    for r1, r2 in zip(cur, scaled)
-                )
-        for m in per_pair.values():
-            if any(x != f.zero for row in m for x in row):
-                raise ValueError("relation does not annihilate the representation")
-    for w in all_paths(alg.quiver, alg.loewy_bound + 1):
-        if w.length == alg.loewy_bound + 1:
-            m = rep.path_matrix(w)
-            if any(x != f.zero for row in m for x in row):
-                raise ValueError("a path beyond the nilpotency bound acts nontrivially")
 
 
 class SubmodulePoint:
@@ -543,34 +515,6 @@ class SemisimpleSequence:
 
     def __repr__(self):
         return f"SemisimpleSequence{self.layers}"
-
-
-def sseq_leq(s: SemisimpleSequence, t: SemisimpleSequence) -> bool:
-    """True iff the sequences share total multiplicities and s precedes t.
-
-    At the first differing layer, s's layer must be a direct summand of t's
-    (necessarily proper there).
-    """
-    if len(s.layers) != len(t.layers):
-        raise ValueError("sequences have different lengths")
-    if s.totals_per_vertex() != t.totals_per_vertex():
-        return False
-    for ls, lt in zip(s.layers, t.layers):
-        if ls != lt:
-            return all(a <= b for a, b in zip(ls, lt))
-    return True
-
-
-def dim_vector(s: SemisimpleSequence) -> Tuple[int, ...]:
-    """Total dimension of each layer; compare lexicographically."""
-    return tuple(sum(l) for l in s.layers)
-
-
-def multiplicity_mu(rep: Representation, tops) -> int:
-    """Sum over the top vertices of the dimension of the vertex component."""
-    if len(set(tops)) != len(tops):
-        raise TopNotSquarefreeError(f"repeated top vertex in {tops}")
-    return sum(rep.dim_at(r) for r in tops)
 
 
 def hom_basis(m: Representation, n: Representation):

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import TopMismatchError, TopNotSquarefreeError
+from .errors import TopNotSquarefreeError
 from .linalg import Echelon, Expander
 from .presentation import AlgebraPresentation, Path
-from .representations import ProjectiveCover, SemisimpleSequence, SubmodulePoint
+from .representations import ProjectiveCover, SemisimpleSequence
 
 
 @dataclass(frozen=True)
@@ -260,31 +260,3 @@ def compatible(sk: Skeleton, sseq: SemisimpleSequence, vertices) -> bool:
         if tuple(counts[v] for v in vertices) != layer:
             return False
     return True
-
-
-def skeleton_of(point: SubmodulePoint) -> Skeleton:
-    """The canonical skeleton of M = P/C, for a cover with squarefree top.
-
-    Read from C's rows in P's basis.  C lies in JP, so the top of M is the
-    cover's.  Layer by layer, for l >= 1, the one-arrow extensions q of the
-    paths chosen in layer l - 1 are scanned in path order, and q is kept when
-    its vector extends a basis of the layer modulo C + J^{l+1}P.
-    """
-    cover = point.cover
-    alg = cover.alg
-    if not cover.squarefree:
-        raise TopNotSquarefreeError(f"repeated top vertex in {cover.slots}")
-    layer = [(alg.lazy_keys[v], Path(v)) for v in cover.slots]
-    chosen = list(layer)
-    for l in range(1, alg.loewy_bound + 1):
-        ech = Echelon(alg.field, cover.dim, point.rows)
-        for row in cover.radical_rows(l + 1):
-            ech.add(row)
-        # distinct paths have distinct extensions, read with their ranks
-        candidates = sorted((k, q) for _, p in layer for _, q, k, _ in alg.arrow_extensions(p))
-        layer = [(k, q) for k, q in candidates if ech.add(cover.path_vector(q))]
-        chosen += layer
-    sk = Skeleton(cover.slots, tuple(p for _, p in sorted(chosen)))
-    if sk.dim != point.quotient_dim:
-        raise TopMismatchError("greedy growth did not exhaust the module")
-    return sk

@@ -5,7 +5,9 @@ for `ChartContext.reduce_element`; with `route_prune=False` it also rewrites
 the paths that are not routes, the reference for the route pruning.
 `index_of` finds a point of a scene.  `incremental_build_algebra` is the
 reference for `build_algebra`.  `full_orbit_partition` is the reference
-for the exhaustive orbit scan.
+for the exhaustive orbit scan.  `normal_form` reduces an algebra element
+through the algebra's table of path normal forms, and `render_problem`
+writes a parsed problem back as text, for the parse/render round trips.
 """
 
 import bisect
@@ -115,6 +117,59 @@ def full_orbit_partition(scene: OracleScene, unipotent_only: bool = False):
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
     return tuple(orbits)
+
+
+def normal_form(alg: AlgebraPresentation, x: AlgElement) -> AlgElement:
+    """The unique representative of x + I supported on the basis: the
+    linear extension of the algebra's table of path normal forms."""
+    f = alg.field
+    L1 = alg.loewy_bound + 1
+    out: Dict[Path, object] = {}
+    for p, c in x.terms.items():
+        if p.length > L1:
+            raise ValueError(f"element has a term of length {p.length} > L+1 = {L1}")
+        for q, qc in alg.nf_path(p).terms.items():
+            s = f.add(out.get(q, f.zero), f.mul(c, qc))
+            if s == f.zero:
+                out.pop(q, None)
+            else:
+                out[q] = s
+    return AlgElement(f, out)
+
+
+def render_problem(pf) -> str:
+    """Canonical text form of a parsed problem file (`cli.ProblemFile`);
+    parse(render(parse(t))) == parse(t)."""
+    lines = [f"field: {pf.field_tag}", f"loewy: {pf.loewy}"]
+    lines.append("vertices: " + " ".join(str(v) for v in pf.quiver.vertices))
+    lines.append(
+        "arrows: "
+        + ", ".join(f"{a.name}: {a.source} -> {a.target}" for a in pf.quiver.arrows)
+    )
+    if pf.relations:
+        lines.append("relations:")
+        for rel in pf.relations:
+            bits = []
+            for p, c in sorted(rel.terms.items(), key=lambda t: (t[0].start, t[0].length, t[0].render())):
+                bits.append((c, p.render()))
+            text = ""
+            for i, (c, pr) in enumerate(bits):
+                if c == 1:
+                    term = pr
+                elif c == -1:
+                    term = f"-{pr}"
+                else:
+                    term = f"{c}*{pr}"
+                if i == 0:
+                    text = term
+                else:
+                    text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+            lines.append(f"  {text}")
+    if pf.tops is not None:
+        lines.append("top: " + " ".join(str(v) for v in pf.tops))
+    if pf.dim is not None:
+        lines.append(f"dim: {pf.dim}")
+    return "\n".join(lines) + "\n"
 
 
 def _sorted_reduction(field, rows, key, x: AlgElement) -> AlgElement:

@@ -32,21 +32,18 @@ from quivergrass import (
     make_skeleton,
     point_from_submodule,
     quotient_rep,
-    reduce,
     submodule_from_point,
-    transition_matrix,
-    validate_representation,
     with_field,
 )
 from quivergrass import cli, polynomials as poly
 from quivergrass.charts import chart_context, ideal_generators
-from quivergrass.linalg import Echelon, Expander, mat_mul, is_invertible, rref
+from quivergrass.linalg import Echelon, Expander, mat_mul, rref
 from quivergrass.presentation import all_paths
 from quivergrass.skeletons import skeleton_expander
 
 from algebras import catalogue, loop_arrow, merge, path_of, simple_tops, two_loop_fork
-from references import reduce_element_worklist
-from vertexwise import module_from_point
+from references import normal_form, reduce_element_worklist
+from vertexwise import module_from_point, validate_representation
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 import inputs  # noqa: E402
@@ -69,7 +66,7 @@ def test_reduce_binomial(fork_chart):
         QQ,
         {path_of(q, "w1", "a1"): QQ.one, path_of(q, "w2", "a2"): QQ.coerce(-1)},
     )
-    out = reduce(alg, sk, z)
+    out = chart_context(alg, sk).reduce_element(z)
     assert set(out) == {path_of(q, "w1", "a1")}
     # 1 - X1*X4 in the chart coordinates
     assert out[path_of(q, "w1", "a1")] == {
@@ -81,7 +78,7 @@ def test_reduce_binomial(fork_chart):
 def test_reduce_skeleton_path_is_unit(fork_chart):
     alg, sk = fork_chart
     p = sk.paths[1]
-    out = reduce(alg, sk, AlgElement.of_path(QQ, p))
+    out = chart_context(alg, sk).reduce_element(AlgElement.of_path(QQ, p))
     assert out == {p: {(0, 0, 0, 0): QQ.one}}
 
 
@@ -90,7 +87,7 @@ def test_reduce_loop_squares_vanish(fork_chart):
     q = alg.quiver
     for i in ("w1", "w2"):
         for j in ("w1", "w2"):
-            assert reduce(alg, sk, AlgElement.of_path(QQ, path_of(q, i, j))) == {}
+            assert chart_context(alg, sk).reduce_element(AlgElement.of_path(QQ, path_of(q, i, j))) == {}
 
 
 _monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
@@ -319,63 +316,6 @@ def _sigma_to_complement(alg, sk, point):
     return mats
 
 
-def test_transition_matrix_examples():
-    alg = loop_arrow()
-    q = alg.quiver
-    sk1 = make_skeleton(alg, (1,), [Path(1), path_of(q, "w"), path_of(q, "a")])
-    sk2 = make_skeleton(alg, (1,), [Path(1), path_of(q, "w"), path_of(q, "w", "a")])
-    cover = ProjectiveCover(alg, (1,))
-    k = QQ.coerce(4)
-    gen = AlgElement.of_path(QQ, path_of(q, "a")).sub(
-        AlgElement.of_path(QQ, path_of(q, "w", "a")).scale(k)
-    )
-    point = SubmodulePoint.from_elements(cover, [(0, gen)])
-    same = transition_matrix(alg, sk2, sk2, point)
-    assert same == tuple(
-        tuple(QQ.one if i == j else QQ.zero for j in range(3)) for i in range(3)
-    )
-    g12 = transition_matrix(alg, sk1, sk2, point)
-    g21 = transition_matrix(alg, sk2, sk1, point)
-    assert is_invertible(QQ, g12, 3) and is_invertible(QQ, g21, 3)
-    flat = [x for row in g12 for x in row] + [x for row in g21 for x in row]
-    assert QQ.coerce(Fraction(1, 4)) in flat or QQ.coerce(4) in flat
-    assert mat_mul(QQ, g12, g21, 3) == same
-
-    # at k = 0 the first skeleton is not a basis of the quotient
-    zero_gen = AlgElement.of_path(QQ, path_of(q, "a"))
-    zero_point = SubmodulePoint.from_elements(cover, [(0, zero_gen)])
-    with pytest.raises(SkeletonMismatchError):
-        transition_matrix(alg, sk1, sk2, zero_point)
-
-
-def test_transition_cocycle_on_shared_point():
-    alg = with_field(two_loop_fork(), GF(5))
-    f = alg.field
-    d = 4
-    from quivergrass.oracle import chart_solutions
-
-    sks = enumerate_skeletons(alg, (1,), d)
-    # find a point carried by three skeleton bases
-    for sk in sks:
-        for c in chart_solutions(alg, sk):
-            pt = submodule_from_point(alg, sk, c)
-            carriers = []
-            for other in sks:
-                try:
-                    transition_matrix(alg, other, sk, pt)
-                    carriers.append(other)
-                except SkeletonMismatchError:
-                    continue
-                if len(carriers) == 3:
-                    a, b, cc = carriers
-                    g_ab = transition_matrix(alg, a, b, pt)
-                    g_bc = transition_matrix(alg, b, cc, pt)
-                    g_ac = transition_matrix(alg, a, cc, pt)
-                    assert mat_mul(f, g_ab, g_bc, d) == g_ac
-                    return
-    pytest.skip("no point with three carrying bases found")
-
-
 def test_chart_module_has_its_skeleton():
     for alg, tops in ((with_field(two_loop_fork(), GF(2)), (1,)),):
         from quivergrass.oracle import chart_solutions
@@ -446,7 +386,7 @@ def test_chart_soundness_at_points():
                             acc = [f.add(a, f.mul(val, b)) for a, b in zip(acc, vec)]
                     # the combination must agree with g modulo the submodule
                     gvec = [f.zero] * cover.dim
-                    for p, cc in alg.normal_form(g).terms.items():
+                    for p, cc in normal_form(alg, g).terms.items():
                         vec = cover.vector_of(0, AlgElement.of_path(f, p, cc))
                         gvec = [f.add(a, b) for a, b in zip(gvec, vec)]
                     diff = [f.sub(a, b) for a, b in zip(gvec, acc)]

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from quivergrass import (
     GF,
-    OracleConfig,
     OracleScaleError,
     ProjectiveCover,
     cli,
@@ -63,15 +62,15 @@ def _candidates(alg, tops, d):
     return cover, block_cols, compositions, total
 
 
-def _filtered_rows(alg, tops, d, config):
+def _filtered_rows(alg, tops, d, budget):
     """Reference: the sorted rows of every candidate that no arrow moves out
     of its span, behind the same budget refusal."""
     f = alg.field
     cover, block_cols, compositions, total = _candidates(alg, tops, d)
     if cover.dim < d:
         return ()
-    if total > config.budget:
-        raise OracleScaleError(f"{total} candidate subspaces exceed the budget {config.budget}")
+    if total > budget:
+        raise OracleScaleError(f"{total} candidate subspaces exceed the budget {budget}")
     dims = [len(cols) for cols in block_cols.values()]
     points = []
     for split in compositions:
@@ -89,14 +88,14 @@ def _filtered_rows(alg, tops, d, config):
     return tuple(sorted(points))
 
 
-def _enumerated_rows(alg, tops, d, config):
-    return tuple(p.rows for p in enumerate_points(alg, tops, d, config).points)
+def _enumerated_rows(alg, tops, d, budget):
+    return tuple(p.rows for p in enumerate_points(alg, tops, d, budget).points)
 
 
 def _outcome(enumerate_rows, alg, tops, d, budget):
     """The rows, or the refusal message, under the given candidate budget."""
     try:
-        return enumerate_rows(alg, tops, d, OracleConfig(budget=budget))
+        return enumerate_rows(alg, tops, d, budget)
     except OracleScaleError as exc:
         return str(exc)
 
@@ -154,5 +153,5 @@ def test_enumeration_tests_no_candidate_for_stability(monkeypatch):
     assert len(calls) <= len(scene.points)
     # the candidate filter tests every candidate
     calls.clear()
-    assert _filtered_rows(alg, (1,), 3, OracleConfig()) == tuple(p.rows for p in scene.points)
+    assert _filtered_rows(alg, (1,), 3, 10 ** 6) == tuple(p.rows for p in scene.points)
     assert len(calls) == 1695

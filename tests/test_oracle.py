@@ -3,11 +3,10 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quivergrass import (
     GF,
-    OracleConfig,
     OracleScaleError,
     ProjectiveCover,
     TopNotSquarefreeError,
@@ -19,16 +18,14 @@ from quivergrass import (
     has_skeleton,
     iso_classes,
     make_skeleton,
-    orbit_size_consistency,
     orbits,
-    unipotent_orbits,
     with_field,
     Path,
 )
 from quivergrass import oracle
 from quivergrass import polynomials as poly
 from quivergrass.linalg import is_invertible
-from quivergrass.moduli import is_fully_invariant, orbit_dim
+from quivergrass.moduli import is_fully_invariant, orbit_dim, unipotent_orbit_dim
 from quivergrass.oracle import OracleScene, _modules_isomorphic, chart_solutions, group_size, orbit_provenance
 from quivergrass.representations import (
     hom_basis,
@@ -92,7 +89,7 @@ def test_enumerate_double_triple_count():
 def test_enumerate_budget():
     alg = with_field(double_triple(), GF(2))
     with pytest.raises(OracleScaleError):
-        enumerate_points(alg, (1,), 4, OracleConfig(budget=10))
+        enumerate_points(alg, (1,), 4, budget=10)
 
 
 def test_orbits_loop_arrow():
@@ -233,28 +230,36 @@ def test_point_layerings_compatible_with_charts():
                 assert compatible(sk, scene.layerings()[i], alg.quiver.vertices)
 
 
-def test_orbit_size_consistency_examples():
-    scene = enumerate_points(with_field(nilpotent_loop_arrow(2), GF(2)), (1,), 4)
-    report = orbit_size_consistency(scene)
-    assert report.ok
-    scene3 = enumerate_points(with_field(loop_arrow(), GF(3)), (1,), 3)
-    orbs = orbits(scene3)
-    assert sorted(len(o) for o in orbs) == [1, 3]
-    assert orbit_size_consistency(scene3).ok
+def test_orbit_size_consistency_examples(catalogue_scenes):
+    """On every catalogue scene with a squarefree top, each orbit of the
+    unipotent radical of Aut(P), from the scan over all its elements, has
+    q^{unipotent_orbit_dim} points, and on a simple top each Aut(P) orbit
+    has q^{orbit_dim} points.  At loop_arrow over F3, d = 3, the Aut(P)
+    orbits have 1 and 3 points."""
+    for label, scene in catalogue_scenes:
+        if not scene.squarefree:
+            continue
+        for orb in full_orbit_partition(scene, True):
+            for i in orb:
+                assert len(orb) == scene.q ** unipotent_orbit_dim(scene.alg, scene.points[i]), (label, i)
+        if len(scene.tops) == 1:
+            for orb in orbits(scene):
+                for i in orb:
+                    assert len(orb) == scene.q ** orbit_dim(scene.alg, scene.points[i]), (label, i)
+    [scene] = [scene for label, scene in catalogue_scenes if label == "loop_arrow (1,) F3 d=3"]
+    assert sorted(len(o) for o in orbits(scene)) == [1, 3]
 
 
 def test_unipotent_orbits_sizes():
     scene = enumerate_points(with_field(nilpotent_loop_arrow(2), GF(2)), (1,), 4)
-    u_orbs = unipotent_orbits(scene)
-    assert sorted(len(o) for o in u_orbs) == [1, 1, 2, 4]
+    assert sorted(len(o) for o in full_orbit_partition(scene, True)) == [1, 1, 2, 4]
 
 
 def test_orbit_bfs_fallback_matches_exhaustive(small_scenes):
-    """The generator BFS finds the exhaustive orbits, of Aut(P) and of its
-    unipotent radical, also on the repeated top (1, 1) of the fork, where
-    the GL_2 scalings and transvections act.  The BFS runs on the same
-    points under a budget of 1, which forces it whenever the group is not
-    trivial."""
+    """The generator BFS finds the exhaustive orbits of Aut(P), also on the
+    repeated top (1, 1) of the fork, where the GL_2 scalings and
+    transvections act.  The BFS runs on the same points under a budget of 1,
+    which forces it whenever the group is not trivial."""
     from quivergrass.oracle import orbit_provenance
 
     scenes = list(small_scenes)
@@ -264,11 +269,10 @@ def test_orbit_bfs_fallback_matches_exhaustive(small_scenes):
             scenes.append((f"fork (1, 1) F{prime} d={d}", enumerate_points(alg, (1, 1), d)))
     for label, full in scenes:
         assert orbit_provenance(full) == "exhaustive", label
-        small = OracleScene(full.alg, full.tops, full.d, full.cover, full.points, OracleConfig(budget=1))
+        small = OracleScene(full.alg, full.tops, full.d, full.cover, full.points, budget=1)
         assert orbits(small) == orbits(full), label
         bfs = "generator-bfs" if group_size(small.cover) > 1 else "exhaustive"
         assert orbit_provenance(small) == bfs, label
-        assert unipotent_orbits(small) == unipotent_orbits(full), label
 
 
 def _hom_scan_isomorphic(m, n):
@@ -407,7 +411,6 @@ def test_orbits_match_the_full_group_scan(catalogue_scenes):
     for label, scene in catalogue_scenes:
         assert orbit_provenance(scene) == "exhaustive", label
         assert orbits(scene) == full_orbit_partition(scene), label
-        assert unipotent_orbits(scene) == full_orbit_partition(scene, True), label
 
 
 def test_refined_iso_key_is_constant_on_orbits(catalogue_scenes):
@@ -454,7 +457,6 @@ def test_classify_counts_stay_pinned(monkeypatch):
     scene = enumerate_points(with_field(two_loop_fork(), GF(3)), (1,), 3)
     assert group_size(scene.cover) == 18
     assert len(orbits(scene)) == 30 and calls["_moved_rows"] == 240
-    assert len(unipotent_orbits(scene)) == 30 and calls["_moved_rows"] == 480
 
 
 @settings(max_examples=40, deadline=None)
@@ -468,7 +470,10 @@ def test_orbits_are_iso_classes_on_random_presentations(start, k, d):
     tops = simple_tops(alg)
     top = tops[k % len(tops)]
     d = 1 + (d - 1) % ProjectiveCover(alg, (top,)).dim
-    scene = enumerate_points(alg, (top,), d)
+    try:
+        scene = enumerate_points(alg, (top,), d)
+    except OracleScaleError:
+        assume(False)  # past the default candidate budget, as at start=304, k=1, d=4
     orbs = orbits(scene)
     assert orbit_provenance(scene) == "exhaustive"
     assert set(map(frozenset, orbs)) == set(map(frozenset, iso_classes(scene)))
@@ -521,7 +526,7 @@ def _two_loop_cross_validate_chart(scene, sk):
     oracle module, so a monkeypatch there reaches both versions."""
     alg = scene.alg
     mismatches = []
-    sols = oracle.chart_solutions(alg, sk, scene.config)
+    sols = oracle.chart_solutions(alg, sk, scene.budget)
     image = {}
     for c in sols:
         pt = oracle.submodule_from_point(alg, sk, c, cover=scene.cover)

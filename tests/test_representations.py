@@ -1,11 +1,9 @@
 """Representations: quotients, hom spaces, layerings, semisimple sequences."""
 
-import itertools
 import random
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
 
 from quivergrass import (
     AlgElement,
@@ -15,24 +13,21 @@ from quivergrass import (
     ProjectiveCover,
     QQ,
     Representation,
-    SemisimpleSequence,
     SubmodulePoint,
     TopNotSquarefreeError,
     build_algebra,
     Quiver,
-    dim_vector,
     hom_basis,
-    multiplicity_mu,
     quotient_rep,
     radical_layering,
-    sseq_leq,
-    validate_representation,
+    top_multiplicity_criterion,
     with_field,
 )
 from quivergrass.linalg import is_invertible, mat_mul
+from quivergrass.moduli import _top_dims
 
 from algebras import fork, loop_arrow, nilpotent_loop_arrow, path_of, random_presentation, two_loop_fork
-from vertexwise import cover_rep, hom_dim, layering_of_rep, radical_submodule, submodule_as_rep
+from vertexwise import cover_rep, hom_dim, layering_of_rep, radical_submodule, submodule_as_rep, validate_representation
 
 
 @pytest.fixture(scope="module")
@@ -195,62 +190,14 @@ def test_layering_of_semisimple():
     assert radical_layering(SubmodulePoint.from_elements(cover, jp)).layers == ((1, 1), (0, 0))
 
 
-def test_sseq_leq_examples():
-    s = SemisimpleSequence(((1, 0), (1, 0), (0, 1)))
-    t = SemisimpleSequence(((1, 0), (1, 1), (0, 0)))
-    assert sseq_leq(s, t)
-    assert not sseq_leq(t, s)
-    assert sseq_leq(s, s)
-    bigger = SemisimpleSequence(((1, 0), (1, 0), (0, 2)))
-    assert not sseq_leq(s, bigger)
-
-
-def test_dim_vector_examples():
-    assert dim_vector(SemisimpleSequence(((1, 0), (1, 0), (0, 1)))) == (1, 1, 1)
-    assert dim_vector(SemisimpleSequence(((1, 0), (1, 1), (0, 0)))) == (1, 2, 0)
-    assert dim_vector(SemisimpleSequence(((0, 0), (0, 0)))) == (0, 0)
-
-
-def _small_sseqs():
-    layers = list(itertools.product(range(2), repeat=2))
-    seqs = [
-        SemisimpleSequence((l0, l1))
-        for l0 in layers
-        for l1 in layers
-    ]
-    return st.sampled_from(seqs)
-
-
-@settings(max_examples=80, deadline=None)
-@given(a=_small_sseqs(), b=_small_sseqs(), c=_small_sseqs())
-def test_sseq_partial_order(a, b, c):
-    assert sseq_leq(a, a)
-    if sseq_leq(a, b) and sseq_leq(b, a):
-        assert a == b
-    if sseq_leq(a, b) and sseq_leq(b, c):
-        assert sseq_leq(a, c)
-    if sseq_leq(a, b):
-        assert dim_vector(a) <= dim_vector(b)
-
-
-def test_top_stable_degeneration_dim_vectors(la):
-    """The two layerings of the quotients are comparable the expected way."""
-    q = la.quiver
-    _, point_a = _point(la, [path_of(q, "a")])
-    _, point_aw = _point(la, [path_of(q, "w", "a")])
-    s = radical_layering(point_a)
-    t = radical_layering(point_aw)
-    assert sseq_leq(s, t)
-    assert dim_vector(s) < dim_vector(t)
-
-
 def test_multiplicity_examples(la):
+    """The multiplicity of the top simples in M = P/C, sum_s dim M_{v_s},
+    as the orbit dimensions and the count criterion read it."""
     q = la.quiver
     _, point_aw = _point(la, [path_of(q, "w", "a")])
-    m = quotient_rep(la, point_aw)
-    assert multiplicity_mu(m, (1,)) == 2
+    assert _top_dims(la, point_aw)[0] == 2
     with pytest.raises(TopNotSquarefreeError):
-        multiplicity_mu(m, (1, 1))
+        top_multiplicity_criterion(la, SubmodulePoint(ProjectiveCover(la, (1, 1)), ()))
 
     nl = nilpotent_loop_arrow(2)
     cover = ProjectiveCover(nl, (1,))
@@ -263,7 +210,7 @@ def test_multiplicity_examples(la):
             (0, AlgElement.of_path(QQ, Path(1, (w, w, a)))),
         ],
     )
-    assert multiplicity_mu(quotient_rep(nl, c1), (1,)) == 3
+    assert _top_dims(nl, c1)[0] == 3
 
 
 def test_multiplicity_of_top_itself():
@@ -272,8 +219,7 @@ def test_multiplicity_of_top_itself():
     cover = ProjectiveCover(alg, (1, 2))
     jp = [(s, AlgElement.of_path(QQ, p)) for s, p in cover.basis if p.length >= 1]
     point = SubmodulePoint.from_elements(cover, jp)
-    top = quotient_rep(alg, point)
-    assert multiplicity_mu(top, (1, 2)) == 2
+    assert _top_dims(alg, point)[0] == 2
 
 
 def _random_invertible(field, n, rng):

@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivergrass import (
-    AlgElement,
     GF,
-    OracleConfig,
     OracleScaleError,
     Path,
     ProjectiveCover,
     QQ,
     Skeleton,
-    SubmodulePoint,
     TopNotSquarefreeError,
     build_algebra,
     compatible,
@@ -27,7 +24,6 @@ from quivergrass import (
     make_skeleton,
     quotient_rep,
     radical_layering,
-    skeleton_of,
     with_field,
 )
 from quivergrass import cli, skeletons
@@ -44,7 +40,7 @@ from algebras import (
     simple_tops,
     two_loop_fork,
 )
-from vertexwise import layering_of_rep, skeleton_of_rep
+from vertexwise import layering_of_rep
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 import inputs  # noqa: E402
@@ -138,10 +134,10 @@ def test_carried_candidates_match_the_rebuilding_growth():
 
 
 def test_growth_builds_each_extension_once(monkeypatch):
-    """On one algebra, skeleton growth (pruned and unpruned), `skeleton_of`
-    and `critical_pairs` together extend each path by each arrow at most
-    once: all of them read the algebra's `arrow_extensions`.  The old growth
-    rebuilt every node's candidates from all of its paths."""
+    """On one algebra, skeleton growth (pruned and unpruned) and
+    `critical_pairs` together extend each path by each arrow at most once:
+    both read the algebra's `arrow_extensions`.  The old growth rebuilt
+    every node's candidates from all of its paths."""
     built = []
     extended_by = Path.extended_by
 
@@ -150,19 +146,14 @@ def test_growth_builds_each_extension_once(monkeypatch):
         return built[-1]
 
     alg = with_field(two_loop_fork(), GF(2))
-    # the cover lists its own paths for the rows of J^mP: file them first,
-    # and take the points from a scene of another copy of the algebra
+    # the cover lists its own paths for the rows of J^mP: file them first
     cover = ProjectiveCover(alg, (1,))
     for m in range(1, alg.loewy_bound + 2):
         cover.radical_rows(m)
     monkeypatch.setattr(skeletons, "ProjectiveCover", lambda alg, tops: cover)
-    other = with_field(two_loop_fork(), GF(2))
-    points = [SubmodulePoint(cover, pt.rows) for d in (3, 4) for pt in enumerate_points(other, (1,), d).points]
     monkeypatch.setattr(Path, "extended_by", counted)
     sks = [sk for d in range(1, 6) for prune in (False, True) for sk in enumerate_skeletons(alg, (1,), d, prune)]
-    assert sks and points
-    for pt in points:
-        skeleton_of(pt)
+    assert sks
     for sk in sks:
         critical_pairs(alg, sk)
     assert 0 < len(built) == len(set(built))
@@ -478,70 +469,22 @@ def test_compatible_examples():
     assert compatible(trivial, top_only, q.vertices)
 
 
-def test_skeleton_of_examples():
-    alg = loop_arrow()
-    q = alg.quiver
-    cover = ProjectiveCover(alg, (1,))
-    point_aw = SubmodulePoint.from_elements(
-        cover, [(0, AlgElement.of_path(QQ, path_of(q, "w", "a")))]
-    )
-    got = skeleton_of(point_aw)
-    assert got.render() == "{e1, w, a}"
-
-    point_a = SubmodulePoint.from_elements(
-        cover, [(0, AlgElement.of_path(QQ, path_of(q, "a")))]
-    )
-    got = skeleton_of(point_a)
-    assert got.render() == "{e1, w, a*w}"
-
-    jp = SubmodulePoint.from_elements(
-        cover, [(0, AlgElement.of_path(QQ, p)) for _, p in cover.basis if p.length >= 1]
-    )
-    got = skeleton_of(jp)
-    assert got.paths == (Path(1),)
-
-
-def test_skeleton_of_refuses_a_repeated_top():
-    alg = with_field(loop_arrow(), GF(2))
-    scene = enumerate_points(alg, (1, 1), 5)
-    assert scene.points
-    for point in (SubmodulePoint(scene.cover, ()), scene.points[0]):
-        with pytest.raises(TopNotSquarefreeError):
-            skeleton_of(point)
-
-
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
-def test_layering_and_skeleton_match_the_matrix_references(seed):
+def test_layering_matches_the_matrix_reference(seed):
     """Random admissible presentations of the catalogue's random shape over
     F2, at the tops (v,) and (v, v) for each vertex v and at the first two
-    vertices, every d within the candidate budget: the layering and skeleton
-    read in P's basis are those read from the matrices of P/C.  A failing
-    presentation joins the catalogue in algebras.py."""
+    vertices, every d within the candidate budget: the layering read in P's
+    basis is the one read from the matrices of P/C.  A failing presentation
+    joins the catalogue in algebras.py."""
     alg = with_field(random_presentation(start=seed), GF(2))
     vs = alg.quiver.vertices
     for tops in [(v,) for v in vs] + [(v, v) for v in vs] + [vs[:2]]:
         for d in range(ProjectiveCover(alg, tops).dim + 1):
             try:
-                scene = enumerate_points(alg, tops, d, OracleConfig(budget=2000))
+                scene = enumerate_points(alg, tops, d, budget=2000)
             except OracleScaleError:
                 continue
             for point in scene.points:
                 rep = quotient_rep(alg, point)
                 assert radical_layering(point) == layering_of_rep(rep), (point, tops, d)
-                if point.cover.squarefree:
-                    assert skeleton_of(point) == skeleton_of_rep(alg, rep, tops), (point, tops, d)
-
-
-def test_skeleton_of_is_compatible_with_layering():
-    from quivergrass.oracle import enumerate_points
-
-    for name, alg in catalogue().items():
-        algp = with_field(alg, GF(2))
-        v = simple_tops(algp)[0]
-        cover_dim = sum(1 for p in algp.basis if p.start == v)
-        for d in range(1, cover_dim + 1):
-            scene = enumerate_points(algp, (v,), d)
-            for point in scene.points:
-                sk = skeleton_of(point)
-                assert compatible(sk, radical_layering(point), algp.quiver.vertices)

@@ -2,19 +2,20 @@
 
 The library builds every module as a quotient P/C (`quotient_rep`), reads
 every Hom space from one Yoneda kernel (`hom_from_quotient`), and reads the
-radical layering and skeleton of P/C from C's rows in P's basis.  The code
-here builds the same modules on other bases (the cover's path basis, a
-chart's skeleton basis, submodules on their own echelon bases), measures Hom
-vertex-wise through `hom_basis`, and reads the radical layers of any
-representation from its matrices, so the tests can compare the two routes.
+radical layering of P/C from C's rows in P's basis.  The code here builds
+the same modules on other bases (the cover's path basis, a chart's skeleton
+basis, submodules on their own echelon bases), measures Hom vertex-wise
+through `hom_basis`, reads the radical layers of any representation from
+its matrices, and checks that a representation satisfies the relations
+(`validate_representation`), so the tests can compare the two routes.
 """
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from quivergrass.charts import chart_context, chart_ideal, point_on_chart
-from quivergrass.errors import NotOnChartError, NotSubmoduleError, TopMismatchError
-from quivergrass.linalg import Echelon, Expander, identity, mat_vec, rref
-from quivergrass.presentation import Path
+from quivergrass.errors import NotOnChartError, NotSubmoduleError
+from quivergrass.linalg import Echelon, Expander, identity, rref
+from quivergrass.presentation import all_paths
 from quivergrass.representations import (
     ProjectiveCover,
     Representation,
@@ -23,7 +24,46 @@ from quivergrass.representations import (
     hom_basis,
     representation_on_blocks,
 )
-from quivergrass.skeletons import Skeleton
+
+
+def mat_vec(field, mat, vec):
+    f = field
+    out = []
+    for row in mat:
+        acc = f.zero
+        for a, x in zip(row, vec):
+            if a != f.zero and x != f.zero:
+                acc = f.add(acc, f.mul(a, x))
+        out.append(acc)
+    return out
+
+
+def validate_representation(rep: Representation):
+    """Check the relations and the vanishing of length-(L+1) paths."""
+    alg = rep.alg
+    f = alg.field
+    for rel in alg.relations:
+        per_pair: Dict[Tuple[int, int], object] = {}
+        for p, c in rel.terms.items():
+            key = (p.start, p.end)
+            m = rep.path_matrix(p)
+            scaled = tuple(tuple(f.mul(c, x) for x in row) for row in m)
+            cur = per_pair.get(key)
+            if cur is None:
+                per_pair[key] = scaled
+            else:
+                per_pair[key] = tuple(
+                    tuple(f.add(a, b) for a, b in zip(r1, r2))
+                    for r1, r2 in zip(cur, scaled)
+                )
+        for m in per_pair.values():
+            if any(x != f.zero for row in m for x in row):
+                raise ValueError("relation does not annihilate the representation")
+    for w in all_paths(alg.quiver, alg.loewy_bound + 1):
+        if w.length == alg.loewy_bound + 1:
+            m = rep.path_matrix(w)
+            if any(x != f.zero for row in m for x in row):
+                raise ValueError("a path beyond the nilpotency bound acts nontrivially")
 
 
 def cover_rep(cover: ProjectiveCover) -> Representation:
@@ -164,72 +204,3 @@ def layering_of_rep(rep: Representation) -> SemisimpleSequence:
             for jl, jl1 in zip(filtration, filtration[1:])
         )
     )
-
-
-def skeleton_of_rep(alg, rep: Representation, tops) -> Skeleton:
-    """A canonical skeleton of a module with squarefree top.
-
-    Layer by layer, extensions alpha*p of already chosen paths are scanned in
-    path order; a path is kept when its image extends a basis of the layer
-    modulo the next radical power.
-    """
-    tops = tuple(sorted(set(tops), key=alg.quiver.vertex_index.__getitem__))
-    f = alg.field
-    vs = alg.quiver.vertices
-    filtration = radical_filtration(rep)  # J^l M per vertex, l = 0..L+1
-    top = tuple(filtration[0][v].rank - filtration[1][v].rank for v in vs)
-    if top != tuple(1 if v in tops else 0 for v in vs):
-        raise TopMismatchError(f"module top {top} does not match {tops}")
-
-    n_total = rep.dim
-    offsets = {}
-    run = 0
-    for v in vs:
-        offsets[v] = run
-        run += rep.dim_at(v)
-
-    def embed(v, block_vec):
-        out = [f.zero] * n_total
-        for k, c in enumerate(block_vec):
-            out[offsets[v] + k] = c
-        return out
-
-    # deterministic top elements: first standard vector outside JM per top vertex
-    gen_vec = {}
-    for v in tops:
-        for cand in identity(f, rep.dim_at(v)):
-            if not filtration[1][v].contains(cand):
-                gen_vec[v] = embed(v, cand)
-                break
-
-    def act(path: Path):
-        vec = gen_vec[path.start]
-        for a in path.arrows:
-            block = [
-                vec[offsets[a.source] + k] for k in range(rep.dim_at(a.source))
-            ]
-            img = mat_vec(f, rep.mat(a.name), block)
-            vec = embed(a.target, img)
-        return vec
-
-    chosen_paths = [Path(v) for v in tops]
-    layer_paths = list(chosen_paths)
-    for l in range(1, alg.loewy_bound + 1):
-        ech = Echelon(f, n_total)
-        for v in vs:
-            for row in filtration[l + 1][v].rows:
-                ech.add(embed(v, row))
-        new_layer = []
-        candidates = []
-        for p in layer_paths:
-            for a in alg.quiver.arrows_from(p.end):
-                candidates.append(p.extended_by(a))
-        for q in sorted(set(candidates), key=alg.path_key):
-            if ech.add(act(q)):
-                new_layer.append(q)
-        chosen_paths.extend(new_layer)
-        layer_paths = new_layer
-    sk = Skeleton(tuple(tops), tuple(sorted(chosen_paths, key=alg.path_key)))
-    if sk.dim != rep.dim:
-        raise TopMismatchError("greedy growth did not exhaust the module")
-    return sk
