@@ -71,7 +71,6 @@ from .representations import (
     ProjectiveCover,
     SubmodulePoint,
     hom_from_quotient,
-    quotient_rep,
     radical_layering,
 )
 from .skeletons import enumerate_skeletons, make_skeleton
@@ -362,7 +361,7 @@ def _dim_from(args, pf: ProblemFile):
 
 
 def _parse_point(text, nvars, field, flag):
-    toks = [tok.strip() for tok in text.split(",") if tok != ""] if text else []
+    toks = [tok.strip() for tok in text.split(",")] if text else []
     try:
         if not all(_COEFF_RE.fullmatch(tok) for tok in toks):
             raise ValueError("not a coefficient")
@@ -588,7 +587,7 @@ def cmd_hom(args, pf, out):
     else:
         sk2, pt2, c_n = sk, pt, c_m
         label = "End(M)"
-    dim = len(hom_from_quotient(c_m, quotient_rep(alg, c_n)))
+    dim = len(hom_from_quotient(c_m, c_n.quotient))
     if args.json:
         _print_json(args, out, {
             "dim": dim,
@@ -670,7 +669,7 @@ def cmd_orbit_dims(args, pf, out):
     rows = [
         {"index": i, "point": repr(pt), "orbit_dim": orbit_dim(alg, pt),
          "unipotent_orbit_dim": unipotent_orbit_dim(alg, pt), "layering": _layering_json(lay)}
-        for i, (pt, lay) in enumerate(zip(scene.points, scene.layerings()))
+        for i, (pt, lay) in enumerate(zip(scene.points, scene.layerings))
     ]
     if args.json:
         _print_json(args, out, {"top": list(tops), "dim": d, "points": rows})
@@ -701,7 +700,7 @@ def cmd_enumerate(args, pf, out):
             "orbits": [list(o) for o in orbs],
             "orbit_provenance": orbit_provenance(scene),
             "iso_classes": [list(c) for c in iso],
-            "layerings": [_layering_json(s) for s in scene.layerings()],
+            "layerings": [_layering_json(s) for s in scene.layerings],
         })
     else:
         out(
@@ -753,10 +752,13 @@ def cmd_cross_validate(args, pf, out):
 
 
 def cmd_local_type(args, pf, out):
-    alg = pf.algebra("Q")  # rational presentation; coerced to F_q internally
+    alg = pf.algebra()
     tops = _tops_from(args, pf)
     if len(tops) != 1:
         raise SemanticError("local-type needs a simple top (one vertex)")
+    if alg.field.char not in (0, args.q):
+        # the check runs over F_q, and F_p coefficients do not move there
+        raise SemanticError(f"local-type over {alg.field.tag} needs -q {alg.field.char}")
     report = finite_local_type_check(alg, tops[0], args.q, args.budget)
     if args.json:
         _print_json(args, out, {

@@ -61,10 +61,6 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         return _integral(Fraction(1) / a)
 
-    @property
-    def finite(self):
-        return False
-
     def elements(self):
         raise FieldError("Q is infinite; cannot enumerate elements")
 
@@ -146,10 +142,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    @property
-    def finite(self):
-        return True
 
     def elements(self):
         return range(self.p)

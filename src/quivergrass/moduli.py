@@ -7,8 +7,10 @@ orbits use, to the rows of the point.  The quiver-level test for a simple
 top S_e, lambda*omega in Lambda*lambda for every lambda in Je and omega in
 eJe, is the same test in the basis of P = Lambda*e: each cyclic submodule
 Lambda*lambda of JP must be fully invariant.  Orbit dimensions come from
-Yoneda: End(M) for M = P/C is the space K of tuples (x_s), x_s in M_{v_s},
-that C kills, and Hom(M, JM) is its part with zero length-0 coordinates.
+Yoneda: End(M) for M = P/C is the nullspace of the equations E on the
+tuples (x_s), x_s in M_{v_s}, that say C is killed, and Hom(M, JM) the
+part with zero generator coordinates, so both orbit dimensions are ranks
+of E (`SubmodulePoint.orbit_ranks`).
 """
 
 from __future__ import annotations
@@ -19,17 +21,11 @@ from typing import Optional, Tuple
 
 from .charts import has_skeleton
 from .errors import OracleScaleError, TopNotSquarefreeError
-from .linalg import Echelon, rank
+from .linalg import Echelon
 from .oracle import enumerate_points, iso_classes, orbits
 from .presentation import AlgElement, AlgebraPresentation, Path, with_field
 from .fields import GF
-from .representations import (
-    ProjectiveCover,
-    SubmodulePoint,
-    end_kernel,
-    generator_coordinates,
-    quotient_rep,
-)
+from .representations import ProjectiveCover, SubmodulePoint
 from .skeletons import enumerate_skeletons
 
 
@@ -55,7 +51,7 @@ def is_fully_invariant(alg: AlgebraPresentation, point: SubmodulePoint) -> Invar
     cover = point.cover
     if not cover.squarefree:
         raise TopNotSquarefreeError("full invariance needs a squarefree top")
-    ech = point.echelon()
+    ech = point.echelon
     # the unit triples are the identity, which preserves C
     radical = [t for t in cover.end_basis if t[2].length >= 1]
     for triple in sorted(radical, key=lambda t: alg.basis_index[t[2]]):
@@ -67,41 +63,26 @@ def is_fully_invariant(alg: AlgebraPresentation, point: SubmodulePoint) -> Invar
     return InvarianceResult(True)
 
 
-def _top_dims(alg: AlgebraPresentation, point: SubmodulePoint):
-    """(sum_s dim M_{v_s}, dim End(M), dim Hom(M, JM)) for M = P/C, the
-    last being the vectors of end_kernel with zero generator coordinates;
-    kept on the point beside end_kernel, and dropped with it when
-    quotient_rep rebuilds P/C."""
-    m = quotient_rep(alg, point)
-    if point._top_dims is None:
-        coords = [c for g in generator_coordinates(point, point) for row in g for c in row]
-        kernel = end_kernel(alg, point)
-        top_rank = rank(alg.field, [[x[c] for c in coords] for x in kernel], len(coords))
-        point._top_dims = (sum(m.dim_at(v) for v in point.cover.slots), len(kernel), len(kernel) - top_rank)
-    return point._top_dims
-
-
 def orbit_dim(alg: AlgebraPresentation, point: SubmodulePoint) -> int:
-    """dim End(P) - dim Hom(P, C) - dim End(P/C) = sum_s dim M_{v_s} - dim K."""
-    at_slots, end_m, _ = _top_dims(alg, point)
-    return at_slots - end_m
+    """dim End(P) - dim Hom(P, C) - dim End(P/C) = sum_s dim M_{v_s} -
+    dim End(M), the rank of the Yoneda equations of End(M)."""
+    return point.orbit_ranks[0]
 
 
 def unipotent_orbit_dim(alg: AlgebraPresentation, point: SubmodulePoint) -> int:
-    """dim Hom(P, JM) - dim Hom(M, JM) for M = P/C; (JM)_{v_s} is M_{v_s}
-    less the generators of the slots at v_s."""
-    at_slots, _, hom_m_jm = _top_dims(alg, point)
-    return at_slots - sum(len(g) ** 2 for g in point.cover.slot_groups) - hom_m_jm
+    """dim Hom(P, JM) - dim Hom(M, JM) for M = P/C, the rank of the Yoneda
+    equations of End(M) off the generator coordinates; (JM)_{v_s} is
+    M_{v_s} less the generators of the slots at v_s."""
+    return point.orbit_ranks[1]
 
 
 def top_multiplicity_criterion(alg, point) -> bool:
     """Numeric half of the singleton-orbit criterion: the multiplicity of the
-    top simples in M, sum_s dim M_{v_s}, equals t + dim Hom(M, JM)."""
-    cover = point.cover
-    if not cover.squarefree:
+    top simples in M, sum_s dim M_{v_s}, equals t + dim Hom(M, JM), that is,
+    the unipotent orbit dimension is 0."""
+    if not point.cover.squarefree:
         raise TopNotSquarefreeError("the criterion needs a squarefree top")
-    mu, _, hom_m_jm = _top_dims(alg, point)
-    return mu == len(cover.slots) + hom_m_jm
+    return point.orbit_ranks[1] == 0
 
 
 @dataclass(frozen=True)
@@ -232,7 +213,7 @@ def finite_local_type_check(alg: AlgebraPresentation, e, q: int, budget: int = 1
     charts_ok = True
     for d in range(1, dim_p + 1):
         scene = enumerate_points(alg_q, (e,), d, budget)
-        lay_classes = scene.layering_classes()
+        lay_classes = scene.layering_classes
         iso = iso_classes(scene)
         per_d.append((d, len(scene.points), len(lay_classes), len(iso)))
         if len(lay_classes) != len(iso):

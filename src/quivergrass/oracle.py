@@ -17,20 +17,22 @@ group element but the identity, and on a squarefree top only by those
 whose first unit is 1, since scalars move no subspace (exhaustive scan);
 else by the one-parameter generators 1 + c*b, closing each orbit breadth
 first (generator BFS).  Isomorphism is decided through Yoneda (see
-`iso_classes`), only between points with equal exact invariants: radical
+`_iso_partition`), only between points with equal exact invariants: radical
 layering and path-action ranks, and, where those leave a candidate, the
 ranks of a + c*b for parallel arrows a, b.  The layering of P/C is read
-from C's rows in P's basis; P/C is built as matrices (`quotient_rep`) only
-for the ranks and as the target of a Hom space, so cross-validation builds
-none.  Everything is exact and deterministic; budgets guard against
-blowups.
+from C's rows in P's basis; P/C is built as matrices (a point's
+`quotient`) only for the ranks and as the target of a Hom space, so
+cross-validation builds none.  A scene keeps its layerings, orbits and
+isomorphism classes, and a point its P/C, each computed on first read.
+Everything is exact and deterministic; budgets guard against blowups.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 from . import polynomials as poly
 from .charts import (
@@ -44,14 +46,12 @@ from .linalg import Echelon, is_invertible, rank
 from .presentation import AlgebraPresentation
 from .representations import (
     ProjectiveCover,
-    Representation,
     SemisimpleSequence,
     SubmodulePoint,
     generator_coordinates,
     hom_from_quotient,
     parallel_arrow_ranks,
     path_ranks,
-    quotient_rep,
     radical_layering,
 )
 from .skeletons import Skeleton, compatible
@@ -94,20 +94,19 @@ class OracleScene:
 
     budget bounds every exponential scan of the scene: the group elements
     of an exhaustive orbit scan (beyond it, orbits are closed by generator
-    BFS), the chart scan over F_q^n and the Hom-space scan."""
+    BFS), the chart scan over F_q^n and the Hom-space scan.  What the points
+    determine is computed once, on first read: their layerings and layering
+    classes, the orbit partition and the isomorphism classes."""
 
-    def __init__(self, alg, tops, d, cover, points, budget):
-        self.alg = alg
-        self.tops = tuple(tops)
-        self.d = d
+    def __init__(self, cover, d, points, budget):
         self.cover = cover
+        self.d = d
         self.points: Tuple[SubmodulePoint, ...] = tuple(points)
         self.budget = budget
-        self._layerings: Optional[List[SemisimpleSequence]] = None
-        self._layering_classes = None
-        self._orbits = None
-        self._orbit_provenance = None
-        self._iso = None
+
+    @property
+    def alg(self):
+        return self.cover.alg
 
     @property
     def q(self):
@@ -117,21 +116,26 @@ class OracleScene:
     def squarefree(self):
         return self.cover.squarefree
 
-    def quotient(self, i) -> Representation:
-        return quotient_rep(self.alg, self.points[i])
+    @cached_property
+    def layerings(self) -> Tuple[SemisimpleSequence, ...]:
+        return tuple(radical_layering(p) for p in self.points)
 
-    def layerings(self) -> List[SemisimpleSequence]:
-        if self._layerings is None:
-            self._layerings = [radical_layering(p) for p in self.points]
-        return self._layerings
-
+    @cached_property
     def layering_classes(self) -> Dict[SemisimpleSequence, Tuple[int, ...]]:
-        if self._layering_classes is None:
-            out: Dict[SemisimpleSequence, List[int]] = {}
-            for i, s in enumerate(self.layerings()):
-                out.setdefault(s, []).append(i)
-            self._layering_classes = {s: tuple(idx) for s, idx in out.items()}
-        return self._layering_classes
+        out: Dict[SemisimpleSequence, List[int]] = {}
+        for i, s in enumerate(self.layerings):
+            out.setdefault(s, []).append(i)
+        return {s: tuple(idx) for s, idx in out.items()}
+
+    @cached_property
+    def orbit_partition(self):
+        """The orbits of Aut(P) and how they were found (`_orbit_partition`)."""
+        return _orbit_partition(self)
+
+    @cached_property
+    def iso_classes(self):
+        """The isomorphism classes of the quotients (`_iso_partition`)."""
+        return _iso_partition(self)
 
     def skeleton_candidates(self, sk: Skeleton) -> Tuple[int, ...]:
         """Sorted indices of the points that can carry sk: those whose
@@ -140,7 +144,7 @@ class OracleScene:
         vs = self.alg.quiver.vertices
         return tuple(sorted(
             i
-            for sseq, members in self.layering_classes().items()
+            for sseq, members in self.layering_classes.items()
             if compatible(sk, sseq, vs)
             for i in members
         ))
@@ -166,7 +170,7 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, budget: int = 10 ** 6) -
     cover = ProjectiveCover(alg, tops)
     dp = cover.dim - d
     if dp < 0:
-        return OracleScene(alg, cover.slots, d, cover, (), budget)
+        return OracleScene(cover, d, (), budget)
     vs = alg.quiver.vertices
     # the columns of (JP)_v: the pairs of positive length ending at v
     block_cols = [[i for i, (_, p) in enumerate(cover.basis) if p.length and p.end == v] for v in vs]
@@ -218,7 +222,7 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, budget: int = 10 ** 6) -
             rows.sort(key=lambda pr: pr[0])
             points.append(SubmodulePoint(cover, [r for _, r in rows]))
     points.sort(key=lambda p: p.rows)
-    return OracleScene(alg, cover.slots, d, cover, points, budget)
+    return OracleScene(cover, d, points, budget)
 
 
 class _BlockChoice:
@@ -404,14 +408,12 @@ def _moved_rows(f, dim, moved, coeffs):
 
 def orbits(scene: OracleScene):
     """Partition of the points into automorphism orbits."""
-    if scene._orbits is None:
-        scene._orbits, scene._orbit_provenance = _orbit_partition(scene)
-    return scene._orbits
+    return scene.orbit_partition[0]
 
 
 def orbit_provenance(scene: OracleScene):
-    orbits(scene)
-    return scene._orbit_provenance
+    """"exhaustive" or "generator-bfs", the scan that found the orbits."""
+    return scene.orbit_partition[1]
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +424,7 @@ def _modules_isomorphic(scene: OracleScene, i, j) -> bool:
     """Whether P/C_i is isomorphic to N = P/C_j: some x in K(C_i, N) has all
     its generator matrices invertible.  The points of a scene share their
     codimension d, so the modules have equal dimension."""
-    kernel = hom_from_quotient(scene.points[i], scene.quotient(j))
+    kernel = hom_from_quotient(scene.points[i], scene.points[j].quotient)
     tops = generator_coordinates(scene.points[i], scene.points[j])
     return _generates(scene.alg.field, kernel, tops, scene.squarefree, scene.budget)
 
@@ -448,7 +450,7 @@ def _generates(f, kernel, tops, squarefree, budget) -> bool:
     return False
 
 
-def iso_classes(scene: OracleScene):
+def _iso_partition(scene: OracleScene):
     """Partition of the points into isomorphism classes of their quotients,
     sorted by least point.
 
@@ -463,30 +465,34 @@ def iso_classes(scene: OracleScene):
     every element x of the algebra from s to t, and it fixes the dimension
     vector.
     """
-    if scene._iso is None:
-        layerings = scene.layerings()
-        reps: Dict[tuple, List[int]] = {}
-        classes: Dict[int, List[int]] = {}
-        refined: Dict[int, Tuple[int, ...]] = {}
+    layerings = scene.layerings
+    reps: Dict[tuple, List[int]] = {}
+    classes: Dict[int, List[int]] = {}
+    refined: Dict[int, Tuple[int, ...]] = {}
 
-        def refined_key(k):
-            if k not in refined:
-                refined[k] = parallel_arrow_ranks(scene.quotient(k))
-            return refined[k]
+    def refined_key(k):
+        if k not in refined:
+            refined[k] = parallel_arrow_ranks(scene.points[k].quotient)
+        return refined[k]
 
-        for i in range(len(scene.points)):
-            bucket = reps.setdefault((layerings[i], path_ranks(scene.quotient(i))), [])
-            r = None
-            if bucket:
-                key = refined_key(i)
-                r = next((r for r in bucket if refined_key(r) == key and _modules_isomorphic(scene, r, i)), None)
-            if r is None:
-                bucket.append(i)
-                classes[i] = [i]
-            else:
-                classes[r].append(i)
-        scene._iso = tuple(tuple(c) for c in classes.values())
-    return scene._iso
+    for i, point in enumerate(scene.points):
+        bucket = reps.setdefault((layerings[i], path_ranks(point.quotient)), [])
+        r = None
+        if bucket:
+            key = refined_key(i)
+            r = next((r for r in bucket if refined_key(r) == key and _modules_isomorphic(scene, r, i)), None)
+        if r is None:
+            bucket.append(i)
+            classes[i] = [i]
+        else:
+            classes[r].append(i)
+    return tuple(tuple(c) for c in classes.values())
+
+
+def iso_classes(scene: OracleScene):
+    """Partition of the points into isomorphism classes of their quotients
+    (`_iso_partition`)."""
+    return scene.iso_classes
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ images, the action of each arrow, the path basis of End(P) with its right
 action, and the test of whether a subspace is a submodule.  `image`
 applies such an action to a vector, and `closure` closes a span under the
 arrows.  A submodule C of JP is a subspace of P whose rows vanish at the
-length-0 pairs.
+length-0 pairs.  What C determines is kept on its `SubmodulePoint` and
+computed on first read: P/C as matrices (`quotient_rep`) and the ranks of
+the Yoneda equations of End(P/C) (`yoneda_equations`), from which the
+orbit dimensions are read.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, groupby
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import NotSubmoduleError
-from .linalg import Echelon, identity, mat_mul, nullspace, rank
+from .linalg import Echelon, identity, mat_mul, nullspace, rank, rref
 from .presentation import AlgElement, AlgebraPresentation, Path, all_paths
 
 
@@ -268,19 +271,13 @@ class SubmodulePoint:
 
     Rows of a submodule are homogeneous for the end-vertex grading, so the
     RREF over the (slot, path)-ordered columns doubles as a per-vertex
-    description.
+    description.  What the rows determine is computed once, on first read:
+    their echelon, the vertex blocks of P/C, P/C itself and its orbit ranks.
     """
 
     def __init__(self, cover: ProjectiveCover, rows):
         self.cover = cover
         self.rows = tuple(tuple(r) for r in rows)
-        self._ech = None
-        # P/C with its vertex blocks, a basis of End(P/C) and moduli._top_dims
-        # of P/C; quotient_rep drops the kernel and the dimensions it outdates
-        self._quotient: Optional[Representation] = None
-        self._blocks: Optional[Dict[object, List[int]]] = None
-        self._end_kernel: Optional[list] = None
-        self._top_dims: Optional[tuple] = None
 
     @classmethod
     def from_rows(cls, cover: ProjectiveCover, raw_rows):
@@ -306,11 +303,6 @@ class SubmodulePoint:
             raise NotSubmoduleError(f"row space is not stable under the arrow {arrow.name}")
         return cls(cover, rows)
 
-    @classmethod
-    def from_elements(cls, cover: ProjectiveCover, slot_elements):
-        """Spanning set given as (slot, AlgElement) pairs inside JP."""
-        return cls.from_rows(cover, [cover.vector_of(s, x) for s, x in slot_elements])
-
     @property
     def alg(self):
         return self.cover.alg
@@ -323,12 +315,43 @@ class SubmodulePoint:
     def quotient_dim(self):
         return self.cover.dim - self.rank
 
+    @cached_property
     def echelon(self) -> Echelon:
         """The rows as an Echelon; every constructor passes canonical RREF
         rows sorted by pivot, so they are filed as they are."""
-        if self._ech is None:
-            self._ech = Echelon.of_reduced(self.alg.field, self.cover.dim, self.rows)
-        return self._ech
+        return Echelon.of_reduced(self.alg.field, self.cover.dim, self.rows)
+
+    @cached_property
+    def blocks(self) -> Dict[object, List[int]]:
+        """Per vertex, the columns of P off the pivots of C: the basis of P/C."""
+        pivot_cols = set(self.echelon.pivots)
+        blocks = {v: [] for v in self.alg.quiver.vertices}
+        for i, (_, p) in enumerate(self.cover.basis):
+            if i not in pivot_cols:
+                blocks[p.end].append(i)
+        return blocks
+
+    @cached_property
+    def quotient(self) -> Representation:
+        """M = P/C as matrices, built by `quotient_rep`."""
+        return quotient_rep(self)
+
+    @cached_property
+    def orbit_ranks(self) -> Tuple[int, int]:
+        """The rank of the Yoneda equations E of End(M), M = P/C, and the
+        rank of E on the columns off `generator_coordinates(self, self)`.
+
+        E has one column per coordinate of the tuples (x_s), x_s in M_{v_s},
+        so dim End(M) is the width less the first rank, and dim Hom(M, JM),
+        the solutions with zero generator coordinates, is the width less
+        the generator columns less the second.  One elimination gives both:
+        with the generator columns last, the pivots before them count the
+        second rank."""
+        equations, width = yoneda_equations(self, self.quotient)
+        gens = {c for g in generator_coordinates(self, self) for row in g for c in row}
+        order = [c for c in range(width) if c not in gens] + sorted(gens)
+        ech = rref(self.alg.field, ([eq[c] for c in order] for eq in equations), width)
+        return ech.rank, sum(1 for piv in ech.pivots if piv < width - len(gens))
 
     def __eq__(self, other):
         return (
@@ -348,31 +371,16 @@ class SubmodulePoint:
         return "SubmodulePoint<" + "; ".join(elems) + ">"
 
 
-def _quotient_blocks(point: SubmodulePoint):
-    """Per vertex, the columns of P off the pivots of C: the basis of P/C,
-    kept on the point beside its quotient (it depends on the rows only)."""
-    if point._blocks is None:
-        pivot_cols = set(point.echelon().pivots)
-        blocks = point._blocks = {v: [] for v in point.alg.quiver.vertices}
-        for i, (_, p) in enumerate(point.cover.basis):
-            if i not in pivot_cols:
-                blocks[p.end].append(i)
-    return point._blocks
-
-
-def quotient_rep(alg: AlgebraPresentation, point) -> Representation:
-    """P/C on the echelon-pivot complement basis of C, kept on the point.
+def quotient_rep(point: SubmodulePoint) -> Representation:
+    """P/C on the echelon-pivot complement basis of C; read it as
+    `point.quotient`, which builds it once.
 
     Modulo C's reduced rows, a pivot column is minus the rest of its row and
     any other column is itself, so an arrow's image of a column is read from
     the rows without a reduction."""
-    if not isinstance(point, SubmodulePoint):
-        raise NotSubmoduleError("expected a SubmodulePoint (use from_rows/from_elements)")
-    if point._quotient is not None and point._quotient.alg is alg:
-        return point._quotient
     cover = point.cover
-    f = alg.field
-    ech = point.echelon()
+    f = cover.alg.field
+    ech = point.echelon
     rest = {
         piv: [(j, f.neg(x)) for j, x in enumerate(row) if x and j != piv]
         for piv, row in zip(ech.pivots, ech.rows)
@@ -386,17 +394,16 @@ def quotient_rep(alg: AlgebraPresentation, point) -> Representation:
             else:
                 yield i, c
 
-    point._quotient = representation_on_blocks(alg, _quotient_blocks(point), column_action)
-    point._end_kernel = None
-    point._top_dims = None
-    return point._quotient
+    return representation_on_blocks(cover.alg, point.blocks, column_action)
 
 
-def hom_from_quotient(point: SubmodulePoint, n: Representation):
-    """Canonical basis of Hom(P/C, N) by Yoneda: a map P -> N is the tuple
-    x = (x_s), x_s in N_{v_s}, of the images of the slot generators, here
-    flattened slot by slot; it factors through P/C when it kills each row c
-    of C, that is, when sum_{(s, p)} c_{s,p} N_p x_s = 0."""
+def yoneda_equations(point: SubmodulePoint, n: Representation):
+    """The Yoneda equations E of Hom(P/C, N), with their width.
+
+    A map P -> N is the tuple x = (x_s), x_s in N_{v_s}, of the images of
+    the slot generators, here flattened slot by slot; it factors through P/C
+    when it kills each row c of C, that is, when
+    sum_{(s, p)} c_{s,p} N_p x_s = 0.  These are the rows of E."""
     cover = point.cover
     f = cover.alg.field
     offsets = [0, *accumulate(n.dim_at(v) for v in cover.slots)]
@@ -413,15 +420,12 @@ def hom_from_quotient(point: SubmodulePoint, n: Representation):
                         if a != f.zero:
                             eq[j] = f.add(eq[j], f.mul(c, a))
         equations.extend(block or ())
-    return nullspace(f, equations, offsets[-1])
+    return equations, offsets[-1]
 
 
-def end_kernel(alg: AlgebraPresentation, point: SubmodulePoint):
-    """hom_from_quotient(point, P/C), a basis of End(P/C), kept on the point."""
-    m = quotient_rep(alg, point)
-    if point._end_kernel is None:
-        point._end_kernel = hom_from_quotient(point, m)
-    return point._end_kernel
+def hom_from_quotient(point: SubmodulePoint, n: Representation):
+    """Canonical basis of Hom(P/C, N): the nullspace of `yoneda_equations`."""
+    return nullspace(point.alg.field, *yoneda_equations(point, n))
 
 
 def generator_coordinates(point: SubmodulePoint, target: SubmodulePoint):
@@ -431,7 +435,7 @@ def generator_coordinates(point: SubmodulePoint, target: SubmodulePoint):
     rest of N_v spans (JN)_v: x maps into JN when these vanish, and onto N
     (Nakayama) when each matrix is invertible."""
     cover = point.cover
-    blocks = _quotient_blocks(target)
+    blocks = target.blocks
     offsets = [0, *accumulate(len(blocks[v]) for v in cover.slots)]
     gens = [blocks[v].index(cover.index[(s, Path(v))]) for s, v in enumerate(cover.slots)]  # e_s in N_v
     return [[[offsets[s] + gens[s2] for s2 in g] for s in g] for g in cover.slot_groups]

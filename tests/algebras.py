@@ -13,6 +13,7 @@ from quivergrass import (
     Path,
     QQ,
     Quiver,
+    SubmodulePoint,
     build_algebra,
 )
 
@@ -21,6 +22,11 @@ def path_of(quiver, *names_applied_first):
     """Path from arrow names listed in order of application."""
     arrows = tuple(quiver.arrow_by_name[n] for n in names_applied_first)
     return Path(arrows[0].source, arrows)
+
+
+def point_of(cover, slot_elements):
+    """The submodule point spanned by (slot, AlgElement) pairs inside JP."""
+    return SubmodulePoint.from_rows(cover, [cover.vector_of(s, x) for s, x in slot_elements])
 
 
 def loop_arrow():

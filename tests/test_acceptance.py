@@ -42,6 +42,7 @@ from algebras import (
     loop_arrow,
     nilpotent_loop_arrow,
     path_of,
+    point_of,
     simple_tops,
     triple_arrow,
     two_loop_fork,
@@ -127,7 +128,7 @@ def test_acceptance_02_loop_arrow_suite():
         assert sorted(len(o) for o in orbs) == [1, 2]
         assert len(iso_classes(scene)) == 2
 
-        layerings = {s.layers for s in scene.layerings()}
+        layerings = {s.layers for s in scene.layerings}
         assert layerings == {((1, 0), (1, 0), (0, 1)), ((1, 0), (1, 1), (0, 0))}
 
         invariant_points = [
@@ -153,7 +154,7 @@ def test_acceptance_03_hereditary_counts():
         dt = with_field(double_triple(), GF(2))
         scene = enumerate_points(dt, (1,), 4)
         assert len(scene.points) == 2 + 2 * 49
-        classes = scene.layering_classes()
+        classes = scene.layering_classes
         assert len(classes) == 4
         assert sorted(len(v) for v in classes.values()) == [1, 1, 49, 49]
 
@@ -166,16 +167,14 @@ def test_acceptance_04_nilpotent_loop_orbit_chain():
         orbs = orbits(scene)
         # the (m+1, 1) dimension-vector locus carries the affine orbit chain
         locus = [
-            i for i in range(len(scene.points)) if scene.layerings()[i].totals_per_vertex() == (3, 1)
+            i for i in range(len(scene.points)) if scene.layerings[i].totals_per_vertex() == (3, 1)
         ]
         chain_orbits = [o for o in orbs if set(o) <= set(locus)]
         assert sorted(len(o) for o in chain_orbits) == [1, 2, 4]
-        assert all(scene.layerings()[i].totals_per_vertex() == (3, 1) for i in locus)
+        assert all(scene.layerings[i].totals_per_vertex() == (3, 1) for i in locus)
         assert len(locus) == 7
 
         # orbit dimensions 0, 1, 2 on the monomial submodules C_0, C_1, C_2
-        from quivergrass import SubmodulePoint
-
         q = alg2.quiver
         w, a = q.arrow_by_name["w"], q.arrow_by_name["a"]
         cover = scene.cover
@@ -186,7 +185,7 @@ def test_acceptance_04_nilpotent_loop_orbit_chain():
                 for i in range(3)
                 if i != j
             ]
-            c_j = SubmodulePoint.from_elements(cover, gens)
+            c_j = point_of(cover, gens)
             assert orbit_dim(alg2, c_j) == j
             size = next(len(o) for o in orbs if index_of(scene, c_j) in o)
             assert size == 2 ** j
@@ -197,7 +196,7 @@ def test_acceptance_04_nilpotent_loop_orbit_chain():
         assert sorted(len(o) for o in orbs) == [1, 1, 2, 4]
         outside = [i for i in range(len(scene.points)) if i not in locus]
         assert len(outside) == 1
-        assert scene.layerings()[outside[0]].totals_per_vertex() == (2, 2)
+        assert scene.layerings[outside[0]].totals_per_vertex() == (2, 2)
         assert is_fully_invariant(alg2, scene.points[outside[0]]).holds
 
         report = finite_local_type_check(alg, 1, 2)
@@ -282,7 +281,7 @@ def test_acceptance_08_square_top_oracle():
     with Stopwatch("08 square-top oracle", 10.0):
         alg = with_field(fork(), GF(2))
         scene = enumerate_points(alg, (1, 1), 4)
-        classes = scene.layering_classes()
+        classes = scene.layering_classes
         mixed = [s for s in classes if s.layers == ((2, 0, 0), (0, 1, 1))]
         assert len(mixed) == 1
         members = classes[mixed[0]]

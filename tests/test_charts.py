@@ -41,7 +41,7 @@ from quivergrass.linalg import Echelon, Expander, mat_mul, rref
 from quivergrass.presentation import all_paths
 from quivergrass.skeletons import skeleton_expander
 
-from algebras import catalogue, loop_arrow, merge, path_of, simple_tops, two_loop_fork
+from algebras import catalogue, loop_arrow, merge, path_of, point_of, simple_tops, two_loop_fork
 from references import normal_form, reduce_element_worklist
 from vertexwise import module_from_point, validate_representation
 
@@ -139,7 +139,7 @@ def test_submodule_from_point_examples():
     k = QQ.coerce(Fraction(5))
     pt = submodule_from_point(alg, sk2, (k,))
     cover = pt.cover
-    expected = SubmodulePoint.from_elements(
+    expected = point_of(
         cover,
         [(0, AlgElement.of_path(QQ, path_of(q, "a")).sub(
             AlgElement.of_path(QQ, path_of(q, "w", "a")).scale(k)))],
@@ -148,7 +148,7 @@ def test_submodule_from_point_examples():
 
     sk1 = make_skeleton(alg, (1,), [Path(1), path_of(q, "w"), path_of(q, "a")])
     pt1 = submodule_from_point(alg, sk1, ())
-    expected1 = SubmodulePoint.from_elements(
+    expected1 = point_of(
         cover, [(0, AlgElement.of_path(QQ, path_of(q, "w", "a")))]
     )
     assert pt1.rows == expected1.rows
@@ -167,7 +167,7 @@ def test_zero_point_on_free_chart():
     sk2 = make_skeleton(alg, (1,), [Path(1), path_of(q, "w"), path_of(q, "w", "a")])
     pt = submodule_from_point(alg, sk2, (QQ.zero,))
     # U(0) is generated by the critical product a itself
-    expected = SubmodulePoint.from_elements(
+    expected = point_of(
         pt.cover, [(0, AlgElement.of_path(QQ, path_of(q, "a")))]
     )
     assert pt.rows == expected.rows
@@ -183,7 +183,7 @@ def test_chart_points_are_canonical_submodules(top_scenes, rational_points):
     for label, scene in top_scenes:
         if not scene.squarefree:
             continue
-        for sk in enumerate_skeletons(scene.alg, scene.tops, scene.d, prune=True):
+        for sk in enumerate_skeletons(scene.alg, scene.cover.slots, scene.d, prune=True):
             for c in chart_solutions(scene.alg, sk):
                 points.append(submodule_from_point(scene.alg, sk, c, cover=scene.cover))
     # b*a + d*c + f*e ends at three vertices; build_algebra splits it, so
@@ -211,7 +211,7 @@ def test_point_from_submodule_examples():
     gen = AlgElement.of_path(QQ, path_of(q, "a")).sub(
         AlgElement.of_path(QQ, path_of(q, "w", "a")).scale(k)
     )
-    point = SubmodulePoint.from_elements(cover, [(0, gen)])
+    point = point_of(cover, [(0, gen)])
     assert point_from_submodule(alg, sk2, point) == (k,)
     # round trip
     assert submodule_from_point(alg, sk2, (k,)).rows == point.rows
@@ -275,7 +275,7 @@ def test_module_from_point_matches_quotient():
                 for c in chart_solutions(algp, sk):
                     m_chart = module_from_point(algp, sk, c)
                     pt = submodule_from_point(algp, sk, c)
-                    m_quot = quotient_rep(algp, pt)
+                    m_quot = quotient_rep(pt)
                     assert m_chart.dims == m_quot.dims
                     t = _sigma_to_complement(algp, sk, pt)
                     for arrow in algp.quiver.arrows:
@@ -294,7 +294,7 @@ def _sigma_to_complement(alg, sk, point):
     complement basis of the quotient."""
     f = alg.field
     cover = point.cover
-    ech = point.echelon()
+    ech = point.echelon
     pivot_cols = set(ech.pivots)
     complement = [i for i in range(cover.dim) if i not in pivot_cols]
     by_vertex_cols = {v: [] for v in alg.quiver.vertices}
@@ -390,7 +390,7 @@ def test_chart_soundness_at_points():
                         vec = cover.vector_of(0, AlgElement.of_path(f, p, cc))
                         gvec = [f.add(a, b) for a, b in zip(gvec, vec)]
                     diff = [f.sub(a, b) for a, b in zip(gvec, acc)]
-                    assert pt.echelon().contains(diff)
+                    assert pt.echelon.contains(diff)
 
 
 # Reference for chart membership and chart coordinates, by the definition:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quivergrass import GF, cli, enumerate_skeletons, moduli, oracle, representations, with_field
+from quivergrass import GF, cli, enumerate_skeletons, representations, with_field
 from quivergrass.cli import main, parse_problem
 from quivergrass.errors import AdmissibilityError, ParseError, SemanticError
 from quivergrass.oracle import chart_solutions
@@ -390,12 +390,12 @@ def test_cli_cross_validate_exit_codes(problem_file):
 
 def test_cli_cross_validate_builds_no_quotient_rep(problem_file, monkeypatch):
     """cross-validate reads each point's layering from its rows in P's
-    basis, so it builds no module as matrices."""
+    basis, so it builds no module as matrices; P/C is built only by
+    quotient_rep, through a point's quotient."""
     def refuse(*args):
         raise AssertionError("quotient_rep called")
 
-    for module in (representations, oracle, moduli, cli):
-        monkeypatch.setattr(module, "quotient_rep", refuse)
+    monkeypatch.setattr(representations, "quotient_rep", refuse)
     path = problem_file(TWO_LOOP_FORK_TEXT)
     for d in range(1, 6):
         for field in ("F2", "F3"):
@@ -410,6 +410,20 @@ def test_cli_local_type(problem_file):
     doc = json.loads(out)
     assert doc["verdict"] is True
     assert doc["provenance"] == "finite-field"
+
+
+def test_cli_local_type_reads_the_field_line(problem_file, capsys):
+    """Over F3 the relation w^2 + 3*w is w^2, so local-type runs at -q 3 as
+    enumerate does; at another q it is refused, as F3 coefficients do not
+    move to F_q."""
+    path = problem_file(LOOP_ARROW_TEXT.replace("field: Q", "field: F3").replace("  w^2", "  w^2 + 3*w"))
+    code, out = run_cli(["local-type", path, "-q", "3", "--json"])
+    assert code == 0 and json.loads(out)["verdict"] is True
+    assert run_cli(["enumerate", path, "--dim", "2"])[0] == 0
+    capsys.readouterr()
+    code, out = run_cli(["local-type", path, "-q", "2"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "input error: local-type over F3 needs -q 3\n"
 
 
 def test_cli_invariant_check_exit_codes(problem_file):
@@ -477,6 +491,8 @@ def test_cli_layering_repeated_top_exit_2(problem_file, capsys):
         [None, "skeletons", "--dim", "2"],
         ["layering", "--point", "5"],
         ["hom", "--skeleton", "e1,w,a*w", "--point", "0", "--point2", "9"],
+        ["layering", "--skeleton", "e1,w,a*w", "--point", "5,,"],
+        ["layering", "--skeleton", "e1,w,a*w", "--point", ",5"],
     ],
     ids=["unknown-top", "non-integer-top", "zero-denominator", "non-numeric-point",
          "negative-dim-skeletons", "negative-dim-enumerate", "repeated-skeleton-path",
@@ -485,7 +501,7 @@ def test_cli_layering_repeated_top_exit_2(problem_file, capsys):
          "zero-budget", "exponent-past-digit-limit", "non-integer-dim",
          "non-integer-budget", "composite-q", "moduli-check-field-not-q", "composite-field",
          "abbreviated-flag", "unknown-command", "missing-problem", "point-without-skeleton",
-         "point2-without-skeleton2"],
+         "point2-without-skeleton2", "empty-trailing-coordinates", "empty-leading-coordinate"],
 )
 def test_cli_bad_flag_values_exit_2(problem_file, capsys, argv):
     path = problem_file(LOOP_ARROW_TEXT)

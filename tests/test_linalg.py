@@ -12,7 +12,7 @@ FIELDS = [GF(2), GF(3), QQ]
 
 
 def scalars(field):
-    if field.finite:
+    if field.char:
         return st.sampled_from(list(field.elements()))
     return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 

@@ -14,11 +14,11 @@ from quivergrass import (
     Path,
     ProjectiveCover,
     QQ,
-    SubmodulePoint,
     simple_top_moduli_criterion,
     enumerate_points,
     finite_local_type_check,
     is_fully_invariant,
+    iso_classes,
     orbit_dim,
     orbits,
     point_report,
@@ -28,7 +28,7 @@ from quivergrass import (
     build_algebra,
     Quiver,
 )
-from quivergrass import cli, moduli
+from quivergrass import cli, representations
 from quivergrass.linalg import Echelon
 from quivergrass.moduli import ModuliCriterionReport
 from quivergrass.presentation import all_paths
@@ -39,6 +39,7 @@ from algebras import (
     loop_arrow,
     nilpotent_loop_arrow,
     path_of,
+    point_of,
     random_presentation,
     triple_arrow,
 )
@@ -119,13 +120,13 @@ def _loop_arrow_points(alg):
     q = alg.quiver
     cover = ProjectiveCover(alg, (1,))
     f = alg.field
-    span_aw = SubmodulePoint.from_elements(
+    span_aw = point_of(
         cover, [(0, AlgElement.of_path(f, path_of(q, "w", "a")))]
     )
-    span_a = SubmodulePoint.from_elements(
+    span_a = point_of(
         cover, [(0, AlgElement.of_path(f, path_of(q, "a")))]
     )
-    jp = SubmodulePoint.from_elements(
+    jp = point_of(
         cover, [(0, AlgElement.of_path(f, p)) for _, p in cover.basis if p.length >= 1]
     )
     return span_aw, span_a, jp
@@ -170,7 +171,7 @@ def _full_p_invariance(alg, point):
         if path.length == 0 or path.start not in cover.slots or path.end not in cover.slots:
             continue
         for row in point.rows:
-            if not point.echelon().contains(_right_multiply(alg, cover, row, path)):
+            if not point.echelon.contains(_right_multiply(alg, cover, row, path)):
                 return False, path, row
     return True, None, None
 
@@ -193,7 +194,7 @@ def test_invariance_witness_reverifies():
     res = is_fully_invariant(alg, span_a)
     cover = span_a.cover
     image = _right_multiply(alg, cover, res.witness_row, res.witness_path)
-    assert not span_a.echelon().contains(image)
+    assert not span_a.echelon.contains(image)
 
 
 def test_orbit_dim_examples():
@@ -219,7 +220,7 @@ def test_orbit_dims_nilpotent_loop():
 
     for j in (0, 1, 2):
         gens = [(0, aw(i)) for i in range(3) if i != j]
-        point = SubmodulePoint.from_elements(cover, gens)
+        point = point_of(cover, gens)
         assert orbit_dim(alg, point) == j
         assert unipotent_orbit_dim(alg, point) == j
         assert is_fully_invariant(alg, point).holds == (j == 0)
@@ -316,30 +317,33 @@ def test_point_report():
 
 
 def test_top_dimensions_are_read_once_per_point(monkeypatch):
-    """orbit_dim, unipotent_orbit_dim and top_multiplicity_criterion share
-    one reading of P/C per point: one generator_coordinates call for the
-    three, and one more only once quotient_rep rebuilds P/C for another
-    algebra object."""
-    calls = []
-    real = moduli.generator_coordinates
+    """orbit_dim, unipotent_orbit_dim, top_multiplicity_criterion,
+    point_report and iso_classes share one build of P/C and one elimination
+    of the Yoneda equations of End(P/C) per point."""
+    builds, eliminations = [], []
+    real_quotient, real_equations = representations.quotient_rep, representations.yoneda_equations
 
-    def counting(point, target):
-        calls.append(point)
-        return real(point, target)
+    def counting_quotient(point):
+        builds.append(point)
+        return real_quotient(point)
 
-    monkeypatch.setattr(moduli, "generator_coordinates", counting)
+    def counting_equations(point, n):
+        if n is vars(point).get("quotient"):  # End(P/C), not a Hom of the iso scan
+            eliminations.append(point)
+        return real_equations(point, n)
+
+    monkeypatch.setattr(representations, "quotient_rep", counting_quotient)
+    monkeypatch.setattr(representations, "yoneda_equations", counting_equations)
     alg = with_field(loop_arrow(), GF(3))
     scene = enumerate_points(alg, (1,), 3)
     assert len(scene.points) > 1
     for pt in scene.points:
-        calls.clear()
         dims = (orbit_dim(alg, pt), unipotent_orbit_dim(alg, pt), top_multiplicity_criterion(alg, pt))
-        assert point_report(alg, pt).orbit_dimension == dims[0]
-        assert len(calls) == 1
-        other = with_field(loop_arrow(), GF(3))
-        quotient_rep(other, pt)
-        assert (orbit_dim(other, pt), unipotent_orbit_dim(other, pt), top_multiplicity_criterion(other, pt)) == dims
-        assert len(calls) == 2
+        report = point_report(alg, pt)
+        assert (report.orbit_dimension, report.unipotent_orbit_dimension, report.split_count_holds) == dims
+    iso_classes(scene)
+    assert builds == list(scene.points)
+    assert eliminations == list(scene.points)
 
 
 def test_finite_local_type_examples():
@@ -386,7 +390,7 @@ def _hom_formulas(alg, point):
     and, for a squarefree top, mu(M) == t + dim Hom(M, JM)."""
     cover = point.cover
     rep_p = cover_rep(cover)
-    m = quotient_rep(alg, point)
+    m = quotient_rep(point)
     jm = radical_submodule(m)
     end_p = hom_dim(rep_p, rep_p)
     values = [

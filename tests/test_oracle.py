@@ -74,14 +74,14 @@ def test_enumerate_tops_have_top_layer():
     for d in (1, 2, 3, 4):
         scene = enumerate_points(alg, (1,), d)
         for i in range(len(scene.points)):
-            assert scene.layerings()[i].layers[0] == (1, 0)
+            assert scene.layerings[i].layers[0] == (1, 0)
 
 
 def test_enumerate_double_triple_count():
     alg = with_field(double_triple(), GF(2))
     scene = enumerate_points(alg, (1,), 4)
     assert len(scene.points) == 100
-    classes = scene.layering_classes()
+    classes = scene.layering_classes
     assert len(classes) == 4
     assert sorted(len(v) for v in classes.values()) == [1, 1, 49, 49]
 
@@ -111,7 +111,7 @@ def test_orbits_nilpotent_loop():
     locus = {
         i
         for i in range(len(scene.points))
-        if scene.layerings()[i].totals_per_vertex() == (3, 1)
+        if scene.layerings[i].totals_per_vertex() == (3, 1)
     }
     inside = [o for o in orbs if set(o) <= locus]
     assert sorted(len(o) for o in inside) == [1, 2, 4]
@@ -140,7 +140,7 @@ def test_fork_non_squarefree_scene():
     scene = enumerate_points(alg, (1, 1), 4)
     assert not scene.squarefree
     assert len(scene.points) == 11
-    classes = scene.layering_classes()
+    classes = scene.layering_classes
     mixed = [s for s in classes if s.layers == ((2, 0, 0), (0, 1, 1))]
     assert len(mixed) == 1
     members = classes[mixed[0]]
@@ -227,7 +227,7 @@ def test_point_layerings_compatible_with_charts():
     for sk in enumerate_skeletons(alg, (1,), 3):
         for i in range(len(scene.points)):
             if has_skeleton(alg, scene.points[i], sk):
-                assert compatible(sk, scene.layerings()[i], alg.quiver.vertices)
+                assert compatible(sk, scene.layerings[i], alg.quiver.vertices)
 
 
 def test_orbit_size_consistency_examples(catalogue_scenes):
@@ -242,7 +242,7 @@ def test_orbit_size_consistency_examples(catalogue_scenes):
         for orb in full_orbit_partition(scene, True):
             for i in orb:
                 assert len(orb) == scene.q ** unipotent_orbit_dim(scene.alg, scene.points[i]), (label, i)
-        if len(scene.tops) == 1:
+        if len(scene.cover.slots) == 1:
             for orb in orbits(scene):
                 for i in orb:
                     assert len(orb) == scene.q ** orbit_dim(scene.alg, scene.points[i]), (label, i)
@@ -269,7 +269,7 @@ def test_orbit_bfs_fallback_matches_exhaustive(small_scenes):
             scenes.append((f"fork (1, 1) F{prime} d={d}", enumerate_points(alg, (1, 1), d)))
     for label, full in scenes:
         assert orbit_provenance(full) == "exhaustive", label
-        small = OracleScene(full.alg, full.tops, full.d, full.cover, full.points, budget=1)
+        small = OracleScene(full.cover, full.d, full.points, budget=1)
         assert orbits(small) == orbits(full), label
         bfs = "generator-bfs" if group_size(small.cover) > 1 else "exhaustive"
         assert orbit_provenance(small) == bfs, label
@@ -314,7 +314,7 @@ def test_iso_classes_match_unbucketed_pairwise_partition(top_scenes):
     for label, scene in top_scenes:
         n = len(scene.points)
         linked = {
-            i: {j for j in range(n) if _hom_scan_isomorphic(scene.quotient(i), scene.quotient(j))}
+            i: {j for j in range(n) if _hom_scan_isomorphic(scene.points[i].quotient, scene.points[j].quotient)}
             for i in range(n)
         }
         for i in range(n):
@@ -336,9 +336,9 @@ def test_hom_from_quotient_has_the_dimension_of_hom(top_scenes, rational_points)
     for label, alg, points in groups:
         for pi in points:
             for pj in points:
-                n = quotient_rep(alg, pj)
+                n = quotient_rep(pj)
                 kernel = hom_from_quotient(pi, n)
-                assert len(kernel) == hom_dim(quotient_rep(alg, pi), n), label
+                assert len(kernel) == hom_dim(quotient_rep(pi), n), label
 
 
 def test_iso_classes_do_not_use_the_orbit_code(top_scenes, monkeypatch):
@@ -352,7 +352,7 @@ def test_iso_classes_do_not_use_the_orbit_code(top_scenes, monkeypatch):
     monkeypatch.setattr(ProjectiveCover, "end_basis", property(forbidden))
     monkeypatch.setattr(ProjectiveCover, "right_action", forbidden)
     for label, scene in top_scenes:
-        fresh = enumerate_points(scene.alg, scene.tops, scene.d)
+        fresh = enumerate_points(scene.alg, scene.cover.slots, scene.d)
         assert iso_classes(fresh) == iso_classes(scene), label
 
 
@@ -374,9 +374,9 @@ def test_generating_vector_is_scanned_for_more_than_q_top_vertices():
 
 def test_orbits_have_a_single_iso_key(small_scenes):
     for label, scene in small_scenes:
-        assert len(scene.tops) == 1
+        assert len(scene.cover.slots) == 1
         for orb in orbits(scene):
-            keys = {(scene.layerings()[i], path_ranks(scene.quotient(i))) for i in orb}
+            keys = {(scene.layerings[i], path_ranks(scene.points[i].quotient)) for i in orb}
             assert len(keys) == 1, label
 
 
@@ -384,7 +384,7 @@ def test_path_ranks_on_trivial_paths_are_the_dimension_vector(small_scenes):
     for label, scene in small_scenes:
         alg = scene.alg
         for i in range(len(scene.points)):
-            rep = scene.quotient(i)
+            rep = scene.points[i].quotient
             ranks = dict(zip(alg.basis, path_ranks(rep)))
             assert tuple(ranks[Path(v)] for v in alg.quiver.vertices) == rep.dims, label
 
@@ -417,7 +417,7 @@ def test_refined_iso_key_is_constant_on_orbits(catalogue_scenes):
     for label, scene in catalogue_scenes:
         for orb in orbits(scene):
             keys = {
-                (scene.layerings()[i], path_ranks(scene.quotient(i)), parallel_arrow_ranks(scene.quotient(i)))
+                (scene.layerings[i], path_ranks(scene.points[i].quotient), parallel_arrow_ranks(scene.points[i].quotient))
                 for i in orb
             }
             assert len(keys) == 1, label
@@ -432,7 +432,7 @@ def test_iso_classes_do_not_depend_on_the_parallel_arrow_ranks(top_scenes, monke
     expected = [iso_classes(scene) for _, scene in scenes]
     monkeypatch.setattr(oracle, "parallel_arrow_ranks", lambda rep: ())
     for (label, scene), iso in zip(scenes, expected):
-        fresh = enumerate_points(scene.alg, scene.tops, scene.d)
+        fresh = enumerate_points(scene.alg, scene.cover.slots, scene.d)
         assert iso_classes(fresh) == iso, label
 
 
@@ -533,7 +533,7 @@ def _two_loop_cross_validate_chart(scene, sk):
         image[c] = pt.rows
         if oracle.point_from_submodule(alg, sk, pt) != c:
             mismatches.append(f"round trip failed for chart point {c}")
-    layerings = scene.layerings()
+    layerings = scene.layerings
     vs = alg.quiver.vertices
     with_sk = [
         i
@@ -640,7 +640,7 @@ def test_cross_validation_computes_each_chart_value_once(monkeypatch):
         monkeypatch.setattr(oracle, name, counting(name))
     alg = with_field(two_loop_fork(), GF(3))
     scene = enumerate_points(alg, (1,), 3)
-    n_classes = len(scene.layering_classes())
+    n_classes = len(scene.layering_classes)
     assert len(scene.points) == 54 and n_classes == 4
     n_solutions = 0
     for sk in enumerate_skeletons(alg, (1,), 3):

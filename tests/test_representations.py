@@ -24,9 +24,8 @@ from quivergrass import (
     with_field,
 )
 from quivergrass.linalg import is_invertible, mat_mul
-from quivergrass.moduli import _top_dims
 
-from algebras import fork, loop_arrow, nilpotent_loop_arrow, path_of, random_presentation, two_loop_fork
+from algebras import fork, loop_arrow, nilpotent_loop_arrow, path_of, point_of, random_presentation, two_loop_fork
 from vertexwise import cover_rep, hom_dim, layering_of_rep, radical_submodule, submodule_as_rep, validate_representation
 
 
@@ -37,7 +36,7 @@ def la():
 
 def _point(alg, elems):
     cover = ProjectiveCover(alg, (1,))
-    return cover, SubmodulePoint.from_elements(
+    return cover, point_of(
         cover, [(0, AlgElement.of_path(alg.field, p)) for p in elems]
     )
 
@@ -45,7 +44,7 @@ def _point(alg, elems):
 def test_quotient_span_aw(la):
     q = la.quiver
     cover, point = _point(la, [path_of(q, "w", "a")])
-    m = quotient_rep(la, point)
+    m = quotient_rep(point)
     validate_representation(m)
     assert m.dims == (2, 1)
     # w sends e1 to w, a sends e1 to a (the complement column)
@@ -57,10 +56,10 @@ def test_quotient_by_radical_is_top(la):
     q = la.quiver
     cover = ProjectiveCover(la, (1,))
     jp = [p for _, p in cover.basis if p.length >= 1]
-    point = SubmodulePoint.from_elements(
+    point = point_of(
         cover, [(0, AlgElement.of_path(QQ, p)) for p in jp]
     )
-    m = quotient_rep(la, point)
+    m = quotient_rep(point)
     assert m.dims == (1, 0)
     assert all(x == QQ.zero for mat in m.mats.values() for row in mat for x in row)
 
@@ -72,8 +71,8 @@ def test_quotient_twisted_line(la):
         AlgElement.of_path(QQ, path_of(q, "w", "a")).scale(k)
     )
     cover = ProjectiveCover(la, (1,))
-    point = SubmodulePoint.from_elements(cover, [(0, gen)])
-    m = quotient_rep(la, point)
+    point = point_of(cover, [(0, gen)])
+    m = quotient_rep(point)
     assert m.dims == (2, 1)
     # a*e1 is congruent to k * (a*w) modulo the line
     col = [m.mat("a")[0][j] for j in range(2)]
@@ -84,7 +83,7 @@ def test_not_submodule_error(la):
     cover = ProjectiveCover(la, (1,))
     # span(w) is not stable: a*w escapes (w*w = 0 stays inside)
     with pytest.raises(NotSubmoduleError, match=r"stable under the arrow a$"):
-        SubmodulePoint.from_elements(
+        point_of(
             cover, [(0, AlgElement.of_path(QQ, path_of(la.quiver, "w")))]
         )
 
@@ -101,7 +100,8 @@ def _assert_rows_in_jp(point, label):
 def test_point_rows_are_vectors_of_p_inside_jp(top_scenes, rational_points):
     """Points from enumerate_points (tops of several and repeated vertices
     too), from submodule_from_point at rational chart points and from
-    from_elements all have rows in the cover's basis, inside JP."""
+    SubmodulePoint.from_rows (through point_of) all have rows in the cover's
+    basis, inside JP."""
     for label, scene in top_scenes:
         for point in scene.points:
             _assert_rows_in_jp(point, label)
@@ -113,7 +113,7 @@ def test_point_rows_are_vectors_of_p_inside_jp(top_scenes, rational_points):
         for m in range(1, alg.loewy_bound + 2):
             # J^m P, spanned by the paths of length >= m over every slot
             elems = [(s, AlgElement.of_path(alg.field, p)) for s, p in cover.basis if p.length >= m]
-            point = SubmodulePoint.from_elements(cover, elems)
+            point = point_of(cover, elems)
             assert point.rank == sum(1 for _, p in cover.basis if p.length >= m)
             _assert_rows_in_jp(point, (tops, m))
 
@@ -126,7 +126,7 @@ def test_from_rows_refuses_rows_outside_jp_and_rows_of_another_length(la):
     with pytest.raises(NotSubmoduleError, match="not inside JP"):
         SubmodulePoint.from_rows(cover, every)
     with pytest.raises(NotSubmoduleError, match="not inside JP"):
-        SubmodulePoint.from_elements(cover, [(0, AlgElement.of_path(f, Path(1)))])
+        point_of(cover, [(0, AlgElement.of_path(f, Path(1)))])
     # a row over the basis of JP alone is one column short
     for width in (cover.dim - 1, cover.dim + 1):
         with pytest.raises(NotSubmoduleError, match="not a vector of P"):
@@ -187,15 +187,19 @@ def test_layering_of_semisimple():
     assert layering_of_rep(semi).layers == ((1, 1), (0, 0))
     cover = ProjectiveCover(alg, (1, 2))
     jp = [(s, AlgElement.of_path(QQ, p)) for s, p in cover.basis if p.length >= 1]
-    assert radical_layering(SubmodulePoint.from_elements(cover, jp)).layers == ((1, 1), (0, 0))
+    assert radical_layering(point_of(cover, jp)).layers == ((1, 1), (0, 0))
+
+
+def _top_multiplicity(point):
+    """The multiplicity of the top simples in M = P/C, sum_s dim M_{v_s}:
+    the width of the Yoneda equations of End(M)."""
+    return sum(point.quotient.dim_at(v) for v in point.cover.slots)
 
 
 def test_multiplicity_examples(la):
-    """The multiplicity of the top simples in M = P/C, sum_s dim M_{v_s},
-    as the orbit dimensions and the count criterion read it."""
     q = la.quiver
     _, point_aw = _point(la, [path_of(q, "w", "a")])
-    assert _top_dims(la, point_aw)[0] == 2
+    assert _top_multiplicity(point_aw) == 2
     with pytest.raises(TopNotSquarefreeError):
         top_multiplicity_criterion(la, SubmodulePoint(ProjectiveCover(la, (1, 1)), ()))
 
@@ -203,14 +207,14 @@ def test_multiplicity_examples(la):
     cover = ProjectiveCover(nl, (1,))
     w = nl.quiver.arrow_by_name["w"]
     a = nl.quiver.arrow_by_name["a"]
-    c1 = SubmodulePoint.from_elements(
+    c1 = point_of(
         cover,
         [
             (0, AlgElement.of_path(QQ, Path(1, (a,)))),
             (0, AlgElement.of_path(QQ, Path(1, (w, w, a)))),
         ],
     )
-    assert _top_dims(nl, c1)[0] == 3
+    assert _top_multiplicity(c1) == 3
 
 
 def test_multiplicity_of_top_itself():
@@ -218,8 +222,8 @@ def test_multiplicity_of_top_itself():
     alg = build_algebra(q, [], 1, QQ)
     cover = ProjectiveCover(alg, (1, 2))
     jp = [(s, AlgElement.of_path(QQ, p)) for s, p in cover.basis if p.length >= 1]
-    point = SubmodulePoint.from_elements(cover, jp)
-    assert _top_dims(alg, point)[0] == 2
+    point = point_of(cover, jp)
+    assert _top_multiplicity(point) == 2
 
 
 def _random_invertible(field, n, rng):

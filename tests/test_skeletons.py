@@ -486,5 +486,5 @@ def test_layering_matches_the_matrix_reference(seed):
             except OracleScaleError:
                 continue
             for point in scene.points:
-                rep = quotient_rep(alg, point)
+                rep = quotient_rep(point)
                 assert radical_layering(point) == layering_of_rep(rep), (point, tops, d)
