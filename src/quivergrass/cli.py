@@ -587,7 +587,7 @@ def cmd_hom(args, pf, out):
     else:
         sk2, pt2, c_n = sk, pt, c_m
         label = "End(M)"
-    dim = len(hom_from_quotient(c_m, c_n.quotient))
+    dim = len(hom_from_quotient(c_m, c_n))
     if args.json:
         _print_json(args, out, {
             "dim": dim,

@@ -178,30 +178,5 @@ def nullspace(field, rows, width):
     return basis
 
 
-def mat_mul(field, a, b, inner_cols):
-    """Product a*b where a is r x inner and b is inner x c; inner_cols = c."""
-    f = field
-    if not a:
-        return ()
-    if not b:
-        return tuple((f.zero,) * inner_cols for _ in a)
-    out = []
-    for row in a:
-        acc = [f.zero] * inner_cols
-        for coeff, brow in zip(row, b):
-            if coeff != f.zero:
-                for j, v in enumerate(brow):
-                    if v != f.zero:
-                        acc[j] = f.add(acc[j], f.mul(coeff, v))
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def identity(field, n):
-    return tuple(
-        tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
-    )
-
-
 def is_invertible(field, mat, n):
     return n == 0 or (len(mat) == n and rank(field, mat, n) == n)

@@ -7,10 +7,11 @@ orbits use, to the rows of the point.  The quiver-level test for a simple
 top S_e, lambda*omega in Lambda*lambda for every lambda in Je and omega in
 eJe, is the same test in the basis of P = Lambda*e: each cyclic submodule
 Lambda*lambda of JP must be fully invariant.  Orbit dimensions come from
-Yoneda: End(M) for M = P/C is the nullspace of the equations E on the
-tuples (x_s), x_s in M_{v_s}, that say C is killed, and Hom(M, JM) the
-part with zero generator coordinates, so both orbit dimensions are ranks
-of E (`SubmodulePoint.orbit_ranks`).
+the same action, linearised: the stabiliser of C in Aut(P) is the unit
+group of {phi in End(P) : phi(C) in C}, the kernel of phi -> (phi on C,
+modulo C), so the orbit dimension is the rank of that map over the End(P)
+path basis, and the unipotent orbit dimension its rank over the radical
+triples (`SubmodulePoint.orbit_ranks`).
 """
 
 from __future__ import annotations
@@ -64,15 +65,14 @@ def is_fully_invariant(alg: AlgebraPresentation, point: SubmodulePoint) -> Invar
 
 
 def orbit_dim(alg: AlgebraPresentation, point: SubmodulePoint) -> int:
-    """dim End(P) - dim Hom(P, C) - dim End(P/C) = sum_s dim M_{v_s} -
-    dim End(M), the rank of the Yoneda equations of End(M)."""
+    """dim End(P) - dim Hom(P, C) - dim End(P/C), the rank of
+    phi -> (phi on C, modulo C) over End(P)."""
     return point.orbit_ranks[0]
 
 
 def unipotent_orbit_dim(alg: AlgebraPresentation, point: SubmodulePoint) -> int:
-    """dim Hom(P, JM) - dim Hom(M, JM) for M = P/C, the rank of the Yoneda
-    equations of End(M) off the generator coordinates; (JM)_{v_s} is
-    M_{v_s} less the generators of the slots at v_s."""
+    """dim Hom(P, JM) - dim Hom(M, JM) for M = P/C, the rank of
+    phi -> (phi on C, modulo C) over Hom(P, JP)."""
     return point.orbit_ranks[1]
 
 

@@ -3,27 +3,29 @@
 Enumerates all submodule points of a Grassmannian of top-T quotients over
 F_q, partitions them into automorphism orbits and isomorphism classes, and
 cross-validates the chart machinery against the enumeration.  A submodule
-of JP is built one vertex block at a time, and a partial choice of blocks
-is dropped as soon as an arrow between two chosen blocks moves a row out of
-its target block, so no candidate subspace is ever tested as a whole.
+of JP is built one vertex block at a time.  The arrows from earlier blocks
+force their images into the next block, so that block is chosen only among
+the subspaces holding the forced span, and the loops at its vertex and the
+arrows back into earlier blocks drop a partial choice as soon as they move
+a row out of its target block; no candidate subspace is ever tested as a
+whole.
 
 Aut(P) acts through the path basis of End(P) that the projective cover
 owns: each basis triple (r, s, p) sends the generator of slot r to p times
 the generator of slot s, and acts on P by a sparse right multiplication
-kept on the cover, which the invariance test of `moduli` reads too.  A group
-element is a coefficient vector over that basis.  One orbit loop moves a
-point's rows by such vectors: when the group fits the budget, by every
-group element but the identity, and on a squarefree top only by those
-whose first unit is 1, since scalars move no subspace (exhaustive scan);
-else by the one-parameter generators 1 + c*b, closing each orbit breadth
-first (generator BFS).  Isomorphism is decided through Yoneda (see
-`_iso_partition`), only between points with equal exact invariants: radical
-layering and path-action ranks, and, where those leave a candidate, the
-ranks of a + c*b for parallel arrows a, b.  The layering of P/C is read
-from C's rows in P's basis; P/C is built as matrices (a point's
-`quotient`) only for the ranks and as the target of a Hom space, so
-cross-validation builds none.  A scene keeps its layerings, orbits and
-isomorphism classes, and a point its P/C, each computed on first read.
+kept on the cover, which the invariance test and the orbit ranks of a point
+read too.  A group element is a coefficient vector over that basis.  One
+orbit loop moves a point's rows by such vectors: when the group fits the
+budget, by every group element but the identity, and on a squarefree top
+only by those whose first unit is 1, since scalars move no subspace
+(exhaustive scan); else by the one-parameter generators 1 + c*b, closing
+each orbit breadth first (generator BFS).  Isomorphism is decided through
+Yoneda (see `_iso_partition`), only between points with equal exact
+invariants: radical layering and path-action ranks, and, where those leave
+a candidate, the ranks of a + c*b for parallel arrows a, b.  Every one of
+these is read from C's reduced rows in P's basis, through the cover's
+sparse actions, and no module is built as matrices.  A scene keeps its
+layerings, orbits and isomorphism classes, each computed on first read.
 Everything is exact and deterministic; budgets guard against blowups.
 """
 
@@ -155,13 +157,15 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, budget: int = 10 ** 6) -
 
     A submodule C is graded by end vertex, C = sum of its blocks C_v in
     (JP)_v, and stable under every arrow.  For each composition of dim C over
-    the vertices, the blocks are chosen one vertex at a time among the
-    reduced echelon matrices of their size that the loops at the vertex keep
-    (`_block_choices`), and a partial choice is dropped as soon as an arrow
-    between two chosen blocks maps a row out of its target block.  The rows
-    of a full choice, sorted by pivot, are already the canonical RREF of C.
+    the vertices, the blocks are chosen one vertex at a time.  The arrows
+    into a block from earlier blocks force their images into it, so it is
+    chosen among the subspaces of its size that hold that forced span and
+    that the loops at its vertex keep (`_block_choices`, once per vertex,
+    size and forced span), and a partial choice is dropped as soon as an
+    arrow back into an earlier block maps a row out of it.  The rows of a
+    full choice, sorted by pivot, are already the canonical RREF of C.
     The budget bounds the candidates: the graded subspaces of dimension
-    dim C, each of which this search would otherwise have to test.
+    dim C, each of which a test of every candidate would have to try.
     """
     if alg.field.char == 0:
         raise OracleScaleError("the oracle needs a finite coefficient field")
@@ -188,29 +192,30 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, budget: int = 10 ** 6) -
     if total > budget:
         raise OracleScaleError(f"{total} candidate subspaces exceed the budget {budget}")
 
-    # per vertex position j, the arrows between block j and an earlier block
-    # i, as (i, arrow name, whether the arrow points into block j)
-    links = [[] for _ in vs]
+    # per vertex position j, the arrows into block j from an earlier block
+    # i, which force their images into it, and the arrows out of block j
+    # into an earlier block, which filter; each as (i, arrow name)
+    forcing = [[] for _ in vs]
+    back = [[] for _ in vs]
     vi = alg.quiver.vertex_index
     for a in alg.quiver.arrows:
         i, j = vi[a.source], vi[a.target]
         if i < j:
-            links[j].append((i, a.name, True))
+            forcing[j].append((i, a.name))
         elif i > j:
-            links[i].append((j, a.name, False))
-    choices = {}  # (vertex position, dim) -> loop-stable block choices
+            back[i].append((j, a.name))
+    choices = {}  # (vertex position, dim, forced span) -> the blocks holding it
     points = []
     for split in compositions:
         partial = [()]
         for j, k in enumerate(split):
-            if (j, k) not in choices:
-                choices[j, k] = _block_choices(cover, block_cols, j, k)
-            partial = [
-                chosen + (ch,)
-                for chosen in partial
-                for ch in choices[j, k]
-                if _fits(ch, chosen, links[j])
-            ]
+            grown = []
+            for chosen in partial:
+                key = (j, k, _forced_span(f, block_dims[j], chosen, forcing[j]))
+                if key not in choices:
+                    choices[key] = _block_choices(cover, block_cols, *key)
+                grown.extend(chosen + (ch,) for ch in choices[key] if _fits(ch, chosen, back[j]))
+            partial = grown
         for chosen in partial:
             rows = []
             for cols, ch in zip(block_cols, chosen):
@@ -237,9 +242,25 @@ class _BlockChoice:
         self.images = images
 
 
-def _block_choices(cover: ProjectiveCover, block_cols, j, k):
-    """The k-dimensional blocks at the j-th vertex that its loops keep, in
-    the order of `_echelon_block_matrices`."""
+def _forced_span(f, n, chosen, forcing):
+    """Canonical rows, in the n block coordinates, of the span that the
+    chosen earlier blocks force into the next one: their images along the
+    arrows of forcing."""
+    images = [x for i, name in forcing for x in chosen[i].images[name]]
+    if not images:
+        return ()
+    ech = Echelon(f, n)
+    for x in images:
+        ech.add(x)
+    return ech.snapshot()
+
+
+def _block_choices(cover: ProjectiveCover, block_cols, j, k, forced):
+    """The k-dimensional blocks at the j-th vertex that hold the forced rows
+    and that its loops keep.  Each is the forced span plus the lift of a
+    reduced echelon matrix over the columns off the forced pivots, a
+    subspace of the block modulo the forced span, in the order of
+    `_echelon_block_matrices`."""
     alg = cover.alg
     f = alg.field
     v = alg.quiver.vertices[j]
@@ -247,17 +268,20 @@ def _block_choices(cover: ProjectiveCover, block_cols, j, k):
     arrows = alg.quiver.arrows_from(v)
     targets = [block_cols[alg.quiver.vertex_index[a.target]] for a in arrows]
     actions = [cover.arrow_action(a) for a in arrows]
+    pivots = {r.index(f.one) for r in forced}
+    free = [c for c in range(len(cols)) if c not in pivots]
     out = []
-    for rows in _echelon_block_matrices(f, k, len(cols)):
-        ech = Echelon.of_reduced(f, len(cols), rows)
+    if len(forced) > k:
+        return out
+    for lifted in _echelon_block_matrices(f, k - len(forced), len(free)):
+        ech = Echelon.of_reduced(f, len(cols), [_spread(f, len(cols), free, r) for r in lifted])
+        for r in forced:
+            ech.add(r)
         images = {}
         for a, act, tcols in zip(arrows, actions, targets):
             moved = images[a.name] = []
-            for r in rows:
-                vec = [f.zero] * cover.dim
-                for c, x in zip(cols, r):
-                    vec[c] = x
-                img = cover.image(act, vec)
+            for r in ech.rows:
+                img = cover.image(act, _spread(f, cover.dim, cols, r))
                 if img is not None:
                     moved.append([img[c] for c in tcols])
         if all(ech.contains(x) for a in arrows if a.target == v for x in images[a.name]):
@@ -265,14 +289,18 @@ def _block_choices(cover: ProjectiveCover, block_cols, j, k):
     return out
 
 
-def _fits(ch: _BlockChoice, chosen, links) -> bool:
-    """Whether every arrow between the block ch and a chosen block maps the
-    rows of its source block into the span of its target block."""
-    for i, name, into_ch in links:
-        src, tgt = (chosen[i], ch) if into_ch else (ch, chosen[i])
-        if not all(tgt.ech.contains(x) for x in src.images[name]):
-            return False
-    return True
+def _spread(f, n, cols, values):
+    """The vector of length n holding values at the positions cols."""
+    vec = [f.zero] * n
+    for c, x in zip(cols, values):
+        vec[c] = x
+    return vec
+
+
+def _fits(ch: _BlockChoice, chosen, back) -> bool:
+    """Whether every arrow of back maps the rows of the block ch into the
+    span of its chosen target block."""
+    return all(chosen[i].ech.contains(x) for i, name in back for x in ch.images[name])
 
 
 def _compositions(total, bounds):
@@ -368,15 +396,16 @@ def _orbit_partition(scene: OracleScene):
         frontier = [i]
         while frontier:
             rows = scene.points[frontier.pop()].rows
-            # per row, its image under each basis triple as (column, value) terms
-            moved = [
-                [
-                    [(j, c * a % p) for k, c in enumerate(row) if c for j, a in act.get(k, ())]
-                    for act in actions
-                ]
-                for row in rows
-            ]
+            moved = None
             for coeffs in moves():
+                if moved is None:  # per row, its image under each basis triple as (column, value) terms
+                    moved = [
+                        [
+                            [(j, c * a % p) for k, c in enumerate(row) if c for j, a in act.get(k, ())]
+                            for act in actions
+                        ]
+                        for row in rows
+                    ]
                 k = index.get(_moved_rows(f, cover.dim, moved, coeffs))
                 if k is None:
                     raise OracleScaleError("group action left the enumerated point set")
@@ -424,7 +453,7 @@ def _modules_isomorphic(scene: OracleScene, i, j) -> bool:
     """Whether P/C_i is isomorphic to N = P/C_j: some x in K(C_i, N) has all
     its generator matrices invertible.  The points of a scene share their
     codimension d, so the modules have equal dimension."""
-    kernel = hom_from_quotient(scene.points[i], scene.points[j].quotient)
+    kernel = hom_from_quotient(scene.points[i], scene.points[j])
     tops = generator_coordinates(scene.points[i], scene.points[j])
     return _generates(scene.alg.field, kernel, tops, scene.squarefree, scene.budget)
 
@@ -472,11 +501,11 @@ def _iso_partition(scene: OracleScene):
 
     def refined_key(k):
         if k not in refined:
-            refined[k] = parallel_arrow_ranks(scene.points[k].quotient)
+            refined[k] = parallel_arrow_ranks(scene.points[k])
         return refined[k]
 
     for i, point in enumerate(scene.points):
-        bucket = reps.setdefault((layerings[i], path_ranks(point.quotient)), [])
+        bucket = reps.setdefault((layerings[i], path_ranks(point)), [])
         r = None
         if bucket:
             key = refined_key(i)

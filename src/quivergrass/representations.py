@@ -1,30 +1,35 @@
-"""Modules as matrix representations; projective covers and submodule points.
+"""Projective covers and submodule points, with P/C read from C's rows.
 
-A representation assigns a vector space dimension to each vertex and a
-(target x source) matrix to each arrow.  The projective cover of a top is
-handled through an explicit path basis with one slot per top generator, so
-tops with repeated simples (needed by the brute-force oracle) work the same
-way as squarefree ones.  `ProjectiveCover` is the one owner of that basis,
-and every vector, row and action is written in it: the coordinates of path
-images, the action of each arrow, the path basis of End(P) with its right
-action, and the test of whether a subspace is a submodule.  `image`
-applies such an action to a vector, and `closure` closes a span under the
-arrows.  A submodule C of JP is a subspace of P whose rows vanish at the
-length-0 pairs.  What C determines is kept on its `SubmodulePoint` and
-computed on first read: P/C as matrices (`quotient_rep`) and the ranks of
-the Yoneda equations of End(P/C) (`yoneda_equations`), from which the
-orbit dimensions are read.
+The projective cover of a top is handled through an explicit path basis
+with one slot per top generator, so tops with repeated simples (needed by
+the brute-force oracle) work the same way as squarefree ones.
+`ProjectiveCover` is the one owner of that basis, and every vector, row and
+action is written in it: the coordinates of path images, the sparse action
+of each arrow and path, the path basis of End(P) with its right action, and
+the test of whether a subspace is a submodule.  `image` applies such an
+action to a vector, and `closure` closes a span under the arrows.  A
+submodule C of JP is a subspace of P whose rows vanish at the length-0
+pairs.  The module M = P/C is never built: its basis is the columns of P
+off C's pivots, a pivot column is minus the rest of its reduced row, and
+what C determines is read from its rows through the cover's actions.  A
+`SubmodulePoint` keeps, computed on first read, each column of P modulo C
+and the orbit ranks (the linearised action of End(P) on C); the Yoneda
+equations of Hom(M, N), the radical layering and the path ranks are read
+the same way (`yoneda_equations`, `radical_layering`, `path_ranks`).
+A `Representation`, a matrix per
+arrow, is what `quotient_rep` builds and `hom_basis` compares: the
+vertex-wise route the tests check the library against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, groupby
 from typing import Dict, List, Tuple
 
 from .errors import NotSubmoduleError
-from .linalg import Echelon, identity, mat_mul, nullspace, rank, rref
+from .linalg import Echelon, nullspace, rank
 from .presentation import AlgElement, AlgebraPresentation, Path, all_paths
 
 
@@ -52,7 +57,7 @@ class ProjectiveCover:
                 if p.start == v:
                     self.basis.append((s, p))
         self.index = {bp: i for i, bp in enumerate(self.basis)}
-        # sparse actions, keyed by arrow name or by end_basis triple
+        # sparse actions, keyed by arrow name, path or end_basis triple
         self._actions: Dict[object, Dict[int, List[Tuple[int, object]]]] = {}
         self._radical_rows: Dict[int, Tuple[Tuple[object, ...], ...]] = {}
         self._path_vectors: Dict[Path, Tuple[object, ...]] = {}
@@ -112,6 +117,16 @@ class ProjectiveCover:
         if act is None:
             act = self._sparse_action(arrow.name, (
                 (i, s, p.extended_by(arrow)) for i, (s, p) in enumerate(self.basis) if p.end == arrow.source
+            ))
+        return act
+
+    def path_action(self, path) -> Dict[int, List[Tuple[int, object]]]:
+        """Sparse left action of a path: the column (s, q), for q ending at
+        the path's start, goes to q then path in slot s."""
+        act = self._actions.get(path)
+        if act is None:
+            act = self._sparse_action(path, (
+                (i, s, q.then(path)) for i, (s, q) in enumerate(self.basis) if q.end == path.start
             ))
         return act
 
@@ -231,7 +246,6 @@ class Representation:
     alg: AlgebraPresentation
     dims: Tuple[int, ...]
     mats: Dict[str, Tuple[Tuple[object, ...], ...]]
-    _paths: Dict[Path, tuple] = field(default_factory=dict, init=False, repr=False)  # by path_matrix
 
     @property
     def dim(self):
@@ -242,16 +256,6 @@ class Representation:
 
     def mat(self, arrow_name):
         return self.mats[arrow_name]
-
-    def path_matrix(self, path: Path):
-        """Matrix of the path action, from the start block to the end block;
-        computed once per path, from the matrix of its prefix."""
-        if path not in self._paths:
-            f, n = self.alg.field, self.dim_at(path.start)
-            self._paths[path] = identity(f, n) if not path.arrows else mat_mul(
-                f, self.mats[path.arrows[-1].name], self.path_matrix(path.parent), n
-            )
-        return self._paths[path]
 
     def __eq__(self, other):
         return (
@@ -272,7 +276,8 @@ class SubmodulePoint:
     Rows of a submodule are homogeneous for the end-vertex grading, so the
     RREF over the (slot, path)-ordered columns doubles as a per-vertex
     description.  What the rows determine is computed once, on first read:
-    their echelon, the vertex blocks of P/C, P/C itself and its orbit ranks.
+    their echelon, the vertex blocks of P/C, each column of P modulo C and
+    the orbit ranks.
     """
 
     def __init__(self, cover: ProjectiveCover, rows):
@@ -332,26 +337,36 @@ class SubmodulePoint:
         return blocks
 
     @cached_property
-    def quotient(self) -> Representation:
-        """M = P/C as matrices, built by `quotient_rep`."""
-        return quotient_rep(self)
+    def residues(self) -> Tuple[Tuple[Tuple[int, object], ...], ...]:
+        """Per column of P, the column modulo C in the basis of P/C, the
+        columns off C's pivots numbered in column order, as (number,
+        coefficient) terms: a free column is itself, and a pivot column is
+        minus the rest of its reduced row."""
+        f = self.alg.field
+        rows = dict(zip(self.echelon.pivots, self.rows))
+        number = {}
+        for i in range(self.cover.dim):
+            if i not in rows:
+                number[i] = len(number)
+        return tuple(
+            tuple((number[j], f.neg(x)) for j, x in enumerate(rows[i]) if x and j != i)
+            if i in rows else ((number[i], f.one),)
+            for i in range(self.cover.dim)
+        )
+
+    def image_terms(self, action, col):
+        """The image of the column col of P under a sparse action of the
+        cover, modulo C, as (number, coefficient) terms in the basis of
+        `residues`; a number may repeat and a coefficient is left unreduced,
+        for the caller to sum."""
+        res = self.residues
+        return [(k, a * x) for j, a in action.get(col, ()) for k, x in res[j]]
 
     @cached_property
     def orbit_ranks(self) -> Tuple[int, int]:
-        """The rank of the Yoneda equations E of End(M), M = P/C, and the
-        rank of E on the columns off `generator_coordinates(self, self)`.
-
-        E has one column per coordinate of the tuples (x_s), x_s in M_{v_s},
-        so dim End(M) is the width less the first rank, and dim Hom(M, JM),
-        the solutions with zero generator coordinates, is the width less
-        the generator columns less the second.  One elimination gives both:
-        with the generator columns last, the pivots before them count the
-        second rank."""
-        equations, width = yoneda_equations(self, self.quotient)
-        gens = {c for g in generator_coordinates(self, self) for row in g for c in row}
-        order = [c for c in range(width) if c not in gens] + sorted(gens)
-        ech = rref(self.alg.field, ([eq[c] for c in order] for eq in equations), width)
-        return ech.rank, sum(1 for piv in ech.pivots if piv < width - len(gens))
+        """The ranks of the linearised action on C (`stabiliser_ranks`):
+        the orbit dimension and the unipotent orbit dimension."""
+        return stabiliser_ranks(self)
 
     def __eq__(self, other):
         return (
@@ -372,66 +387,102 @@ class SubmodulePoint:
 
 
 def quotient_rep(point: SubmodulePoint) -> Representation:
-    """P/C on the echelon-pivot complement basis of C; read it as
-    `point.quotient`, which builds it once.
-
-    Modulo C's reduced rows, a pivot column is minus the rest of its row and
-    any other column is itself, so an arrow's image of a column is read from
-    the rows without a reduction."""
+    """P/C as matrices on the echelon-pivot complement basis of C, an
+    arrow's image of a column read from C's rows (`SubmodulePoint.residues`).
+    The library reads P/C from C's rows without building it; the tests
+    compare the two routes through this module."""
     cover = point.cover
     f = cover.alg.field
-    ech = point.echelon
-    rest = {
-        piv: [(j, f.neg(x)) for j, x in enumerate(row) if x and j != piv]
-        for piv, row in zip(ech.pivots, ech.rows)
-    }
+    pivots = set(point.echelon.pivots)
+    free = [i for i in range(cover.dim) if i not in pivots]
 
     def column_action(arrow, col):
-        for i, c in cover.arrow_action(arrow).get(col, ()):
-            if i in rest:
-                for j, x in rest[i]:
-                    yield j, f.mul(c, x)
-            else:
-                yield i, c
+        return [(free[k], f.coerce(x)) for k, x in point.image_terms(cover.arrow_action(arrow), col)]
 
     return representation_on_blocks(cover.alg, point.blocks, column_action)
 
 
-def yoneda_equations(point: SubmodulePoint, n: Representation):
-    """The Yoneda equations E of Hom(P/C, N), with their width.
+def _field_vector(f, vec):
+    """A vector summed with int or Fraction arithmetic, as field elements:
+    over F_p each entry is reduced mod p once."""
+    p = f.char
+    return [x % p for x in vec] if p else [f.coerce(x) for x in vec]
+
+
+def stabiliser_ranks(point: SubmodulePoint) -> Tuple[int, int]:
+    """The rank of phi -> (phi restricted to C, taken modulo C) over the
+    triples of `cover.end_basis`, and its rank over the radical triples.
+
+    The stabiliser of C in Aut(P) is the unit group of the algebra
+    {phi in End(P) : phi(C) in C}, the kernel of this map, so the first
+    rank is the orbit dimension dim End(P) - dim Hom(P, C) - dim End(P/C).
+    The radical triples span Hom(P, JP), and the second rank is the
+    unipotent orbit dimension dim Hom(P, JM) - dim Hom(M, JM), M = P/C.
+    One elimination gives both: the radical triples are added first."""
+    cover = point.cover
+    f = point.alg.field
+    n = point.quotient_dim
+    rows = [[(i, c) for i, c in enumerate(row) if c] for row in point.rows]
+    width = n * len(rows)
+    radical = [t for t in cover.end_basis if t[2].length]
+    units = [t for t in cover.end_basis if not t[2].length]
+    ech = Echelon(f, width)
+    ranks = []
+    for triples in (radical, units):
+        for triple in triples:
+            act = cover.right_action(triple)
+            vec = [0] * width
+            for base, row in zip(range(0, width, n), rows):
+                for i, c in row:
+                    for k, x in point.image_terms(act, i):
+                        vec[base + k] += c * x
+            ech.add(_field_vector(f, vec))
+        ranks.append(ech.rank)
+    unipotent, full = ranks
+    return full, unipotent
+
+
+def yoneda_equations(point: SubmodulePoint, target: SubmodulePoint):
+    """The Yoneda equations E of Hom(P/C, N), N = P/C' for the point
+    target on a cover of the same slots, with their width.
 
     A map P -> N is the tuple x = (x_s), x_s in N_{v_s}, of the images of
-    the slot generators, here flattened slot by slot; it factors through P/C
-    when it kills each row c of C, that is, when
-    sum_{(s, p)} c_{s,p} N_p x_s = 0.  These are the rows of E."""
+    the slot generators, each in the basis `target.blocks[v_s]`, here
+    flattened slot by slot; it factors through P/C when it kills each row c
+    of C, that is, when sum_{(s, p)} c_{s,p} p x_s = 0 in N.  A path acts on
+    N through the cover's sparse path action, taken modulo C'.  Each row of
+    C gives one row of E per basis vector of N that its sum reaches."""
     cover = point.cover
-    f = cover.alg.field
-    offsets = [0, *accumulate(n.dim_at(v) for v in cover.slots)]
+    f = point.alg.field
+    blocks = target.blocks
+    offsets = [0, *accumulate(len(blocks[v]) for v in cover.slots)]
     equations = []
     for row in point.rows:
-        block = None  # dim N_w equations, w the end vertex of the row
+        block = {}  # per basis vector of N, its coefficient in the sum
         for i, c in enumerate(row):
-            if c != f.zero:
+            if c:
                 s, p = cover.basis[i]
-                mat = n.path_matrix(p)
-                block = block or [[f.zero] * offsets[-1] for _ in mat]
-                for eq, mrow in zip(block, mat):
-                    for j, a in enumerate(mrow, offsets[s]):
-                        if a != f.zero:
-                            eq[j] = f.add(eq[j], f.mul(c, a))
-        equations.extend(block or ())
+                act = target.cover.path_action(p)
+                for x_col, col in enumerate(blocks[cover.slots[s]], offsets[s]):
+                    for k, a in target.image_terms(act, col):
+                        eq = block.get(k)
+                        if eq is None:
+                            eq = block[k] = [0] * offsets[-1]
+                        eq[x_col] += c * a
+        equations.extend(_field_vector(f, eq) for eq in block.values())
     return equations, offsets[-1]
 
 
-def hom_from_quotient(point: SubmodulePoint, n: Representation):
-    """Canonical basis of Hom(P/C, N): the nullspace of `yoneda_equations`."""
-    return nullspace(point.alg.field, *yoneda_equations(point, n))
+def hom_from_quotient(point: SubmodulePoint, target: SubmodulePoint):
+    """Canonical basis of Hom(P/C, N), N the quotient of target: the
+    nullspace of `yoneda_equations`."""
+    return nullspace(point.alg.field, *yoneda_equations(point, target))
 
 
 def generator_coordinates(point: SubmodulePoint, target: SubmodulePoint):
     """Per group of slots at one vertex, the square matrix of the positions
-    where x in hom_from_quotient(point, N), N the quotient of target on the
-    same cover, holds the coefficient of generator e_s2 of N in x_s.  The
+    where x in hom_from_quotient(point, target) holds the coefficient of
+    the generator e_s2 of N, the quotient of target, in x_s.  The
     rest of N_v spans (JN)_v: x maps into JN when these vanish, and onto N
     (Nakayama) when each matrix is invertible."""
     cover = point.cover
@@ -465,33 +516,53 @@ def radical_layering(point: SubmodulePoint) -> "SemisimpleSequence":
     return SemisimpleSequence(tuple(map(tuple, layers)))
 
 
-def path_ranks(rep: Representation) -> Tuple[int, ...]:
-    """Rank of the action of each basis path of the algebra, in basis order;
-    on the trivial paths these are the dimensions at the vertices."""
-    f = rep.alg.field
+def _action_rank(point: SubmodulePoint, actions, cols) -> int:
+    """Rank on M = P/C of the sum of the sparse actions, given as
+    (coefficient, action) pairs, on the basis columns cols of M at a
+    vertex; a column that no action moves adds no image."""
+    f = point.alg.field
+    res = point.residues
+    n = len(res) - len(point.rows)
+    images = []
+    for col in cols:
+        vec = None
+        for c, act in actions:
+            for j, a in act.get(col, ()):
+                vec = vec or [0] * n
+                for k, x in res[j]:
+                    vec[k] += c * a * x
+        if vec:
+            images.append(_field_vector(f, vec))
+    return rank(f, images, n)
+
+
+def path_ranks(point: SubmodulePoint) -> Tuple[int, ...]:
+    """Rank of the action of each basis path of the algebra on M = P/C, in
+    basis order, read from the cover's path actions modulo C; on the
+    trivial paths these are the dimensions of M at the vertices."""
+    cover, blocks = point.cover, point.blocks
     return tuple(
-        rank(f, rep.path_matrix(p), rep.dim_at(p.start)) if p.length else rep.dim_at(p.start)
-        for p in rep.alg.basis
+        _action_rank(point, [(1, cover.path_action(p))], blocks[p.start]) if p.length else len(blocks[p.start])
+        for p in point.alg.basis
     )
 
 
-def parallel_arrow_ranks(rep: Representation) -> Tuple[int, ...]:
-    """Rank of the action of a + c*b for each pair of parallel arrows a
-    before b, in arrow order, and each c != 0 of the finite field.  Each
-    a + c*b is an element of the algebra, so these ranks are isomorphism
-    invariants, like `path_ranks`."""
-    f = rep.alg.field
-    arrows = rep.alg.quiver.arrows
+def parallel_arrow_ranks(point: SubmodulePoint) -> Tuple[int, ...]:
+    """Rank of the action of a + c*b on M = P/C for each pair of parallel
+    arrows a before b, in arrow order, and each c != 0 of the finite field.
+    Each a + c*b is an element of the algebra, so these ranks are
+    isomorphism invariants, like `path_ranks`."""
+    cover = point.cover
+    f = point.alg.field
+    arrows = point.alg.quiver.arrows
     out = []
     for k, a in enumerate(arrows):
         for b in arrows[k + 1 :]:
             if a.source == b.source and a.target == b.target:
-                ma, mb = rep.mats[a.name], rep.mats[b.name]
-                width = rep.dim_at(a.source)
+                pair = (cover.arrow_action(a), cover.arrow_action(b))
                 for c in f.elements():
                     if c:
-                        summed = [[f.add(x, f.mul(c, y)) for x, y in zip(ra, rb)] for ra, rb in zip(ma, mb)]
-                        out.append(rank(f, summed, width))
+                        out.append(_action_rank(point, [(1, pair[0]), (c, pair[1])], point.blocks[a.source]))
     return tuple(out)
 
 

@@ -37,13 +37,13 @@ from quivergrass import (
 )
 from quivergrass import cli, polynomials as poly
 from quivergrass.charts import chart_context, ideal_generators
-from quivergrass.linalg import Echelon, Expander, mat_mul, rref
+from quivergrass.linalg import Echelon, Expander, rref
 from quivergrass.presentation import all_paths
 from quivergrass.skeletons import skeleton_expander
 
 from algebras import catalogue, loop_arrow, merge, path_of, point_of, simple_tops, two_loop_fork
 from references import normal_form, reduce_element_worklist
-from vertexwise import module_from_point, validate_representation
+from vertexwise import mat_mul, module_from_point, validate_representation
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 import inputs  # noqa: E402

@@ -390,8 +390,8 @@ def test_cli_cross_validate_exit_codes(problem_file):
 
 def test_cli_cross_validate_builds_no_quotient_rep(problem_file, monkeypatch):
     """cross-validate reads each point's layering from its rows in P's
-    basis, so it builds no module as matrices; P/C is built only by
-    quotient_rep, through a point's quotient."""
+    basis, so it builds no module as matrices; the library builds P/C as
+    matrices only in quotient_rep, which no command calls."""
     def refuse(*args):
         raise AssertionError("quotient_rep called")
 

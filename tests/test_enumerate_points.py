@@ -155,3 +155,24 @@ def test_enumeration_tests_no_candidate_for_stability(monkeypatch):
     calls.clear()
     assert _filtered_rows(alg, (1,), 3, 10 ** 6) == tuple(p.rows for p in scene.points)
     assert len(calls) == 1695
+
+
+def test_blocks_are_chosen_among_those_holding_the_forced_span(monkeypatch):
+    """On two_loop_fork over F3 at d = 3, the arrows 1 -> 2 force the images
+    of the block at vertex 1 into the block at vertex 2, so that block is
+    chosen only among the subspaces holding them, once per (vertex, dim,
+    forced span): 60 blocks are built for 54 points, where choosing among
+    every loop-stable block and filtering built 1 338."""
+    built = []
+    block_choices = oracle._block_choices
+
+    def counted(cover, block_cols, j, k, forced):
+        out = block_choices(cover, block_cols, j, k, forced)
+        built.append((j, k, len(forced), len(out)))
+        return out
+
+    monkeypatch.setattr(oracle, "_block_choices", counted)
+    scene = enumerate_points(with_field(two_loop_fork(), GF(3)), (1,), 3)
+    assert len(scene.points) == 54
+    assert len(built) == 9 and sum(n for *_, n in built) == 60
+    assert sorted({key[:3] for key in built}) == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 3, 3), (1, 4, 2), (1, 5, 0)]

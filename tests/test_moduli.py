@@ -318,22 +318,21 @@ def test_point_report():
 
 def test_top_dimensions_are_read_once_per_point(monkeypatch):
     """orbit_dim, unipotent_orbit_dim, top_multiplicity_criterion,
-    point_report and iso_classes share one build of P/C and one elimination
-    of the Yoneda equations of End(P/C) per point."""
+    point_report and iso_classes build no P/C as matrices, and share one
+    elimination of the linearised action on C per point."""
     builds, eliminations = [], []
-    real_quotient, real_equations = representations.quotient_rep, representations.yoneda_equations
+    real_quotient, real_ranks = representations.quotient_rep, representations.stabiliser_ranks
 
     def counting_quotient(point):
         builds.append(point)
         return real_quotient(point)
 
-    def counting_equations(point, n):
-        if n is vars(point).get("quotient"):  # End(P/C), not a Hom of the iso scan
-            eliminations.append(point)
-        return real_equations(point, n)
+    def counting_ranks(point):
+        eliminations.append(point)
+        return real_ranks(point)
 
     monkeypatch.setattr(representations, "quotient_rep", counting_quotient)
-    monkeypatch.setattr(representations, "yoneda_equations", counting_equations)
+    monkeypatch.setattr(representations, "stabiliser_ranks", counting_ranks)
     alg = with_field(loop_arrow(), GF(3))
     scene = enumerate_points(alg, (1,), 3)
     assert len(scene.points) > 1
@@ -342,7 +341,7 @@ def test_top_dimensions_are_read_once_per_point(monkeypatch):
         report = point_report(alg, pt)
         assert (report.orbit_dimension, report.unipotent_orbit_dimension, report.split_count_holds) == dims
     iso_classes(scene)
-    assert builds == list(scene.points)
+    assert builds == []
     assert eliminations == list(scene.points)
 
 
@@ -415,3 +414,25 @@ def test_yoneda_dimensions_match_hom_formulas(top_scenes, rational_points):
             if point.cover.squarefree:
                 values.append(top_multiplicity_criterion(alg, point))
             assert values == _hom_formulas(alg, point), (label, point)
+
+
+@settings(max_examples=25, deadline=None)
+@given(start=st.integers(0, 400), tops=st.sampled_from([(1,), (1, 1), (1, 2)]), d=st.integers(1, 16))
+def test_orbit_ranks_match_hom_formulas_on_random_presentations(start, tops, d):
+    """The orbit dimensions, read from the linearised action of End(P) on
+    C, equal the vertex-wise Hom formulas at every point of a random
+    presentation over F2, at a simple, a repeated and a two-vertex top,
+    within the default budgets.  With test_yoneda_dimensions_match_hom_formulas
+    this keeps the orbit dimensions independent of the orbit scan, which
+    acts by the same group."""
+    alg = with_field(random_presentation(start=start), GF(2))
+    d = 1 + (d - 1) % ProjectiveCover(alg, tops).dim
+    try:
+        scene = enumerate_points(alg, tops, d)
+    except OracleScaleError:
+        assume(False)
+    for point in scene.points:
+        values = [len(point.cover.end_basis), orbit_dim(alg, point), unipotent_orbit_dim(alg, point)]
+        if point.cover.squarefree:
+            values.append(top_multiplicity_criterion(alg, point))
+        assert values == _hom_formulas(alg, point), (tops, d, point)

@@ -313,8 +313,9 @@ def test_iso_classes_match_unbucketed_pairwise_partition(top_scenes):
     and iso_classes is the partition that scan gives."""
     for label, scene in top_scenes:
         n = len(scene.points)
+        quotients = [quotient_rep(p) for p in scene.points]
         linked = {
-            i: {j for j in range(n) if _hom_scan_isomorphic(scene.points[i].quotient, scene.points[j].quotient)}
+            i: {j for j in range(n) if _hom_scan_isomorphic(quotients[i], quotients[j])}
             for i in range(n)
         }
         for i in range(n):
@@ -336,9 +337,8 @@ def test_hom_from_quotient_has_the_dimension_of_hom(top_scenes, rational_points)
     for label, alg, points in groups:
         for pi in points:
             for pj in points:
-                n = quotient_rep(pj)
-                kernel = hom_from_quotient(pi, n)
-                assert len(kernel) == hom_dim(quotient_rep(pi), n), label
+                kernel = hom_from_quotient(pi, pj)
+                assert len(kernel) == hom_dim(quotient_rep(pi), quotient_rep(pj)), label
 
 
 def test_iso_classes_do_not_use_the_orbit_code(top_scenes, monkeypatch):
@@ -376,7 +376,7 @@ def test_orbits_have_a_single_iso_key(small_scenes):
     for label, scene in small_scenes:
         assert len(scene.cover.slots) == 1
         for orb in orbits(scene):
-            keys = {(scene.layerings[i], path_ranks(scene.points[i].quotient)) for i in orb}
+            keys = {(scene.layerings[i], path_ranks(scene.points[i])) for i in orb}
             assert len(keys) == 1, label
 
 
@@ -384,8 +384,8 @@ def test_path_ranks_on_trivial_paths_are_the_dimension_vector(small_scenes):
     for label, scene in small_scenes:
         alg = scene.alg
         for i in range(len(scene.points)):
-            rep = scene.points[i].quotient
-            ranks = dict(zip(alg.basis, path_ranks(rep)))
+            rep = quotient_rep(scene.points[i])
+            ranks = dict(zip(alg.basis, path_ranks(scene.points[i])))
             assert tuple(ranks[Path(v)] for v in alg.quiver.vertices) == rep.dims, label
 
 
@@ -393,9 +393,9 @@ def test_iso_scan_hom_calls_stay_bucketed(monkeypatch):
     hom_from_quotient = oracle.hom_from_quotient
     calls = []
 
-    def counting_hom_from_quotient(point, n):
+    def counting_hom_from_quotient(point, target):
         calls.append(1)
-        return hom_from_quotient(point, n)
+        return hom_from_quotient(point, target)
 
     monkeypatch.setattr(oracle, "hom_from_quotient", counting_hom_from_quotient)
     scene = enumerate_points(with_field(double_triple(), GF(3)), (1,), 3)
@@ -417,7 +417,7 @@ def test_refined_iso_key_is_constant_on_orbits(catalogue_scenes):
     for label, scene in catalogue_scenes:
         for orb in orbits(scene):
             keys = {
-                (scene.layerings[i], path_ranks(scene.points[i].quotient), parallel_arrow_ranks(scene.points[i].quotient))
+                (scene.layerings[i], path_ranks(scene.points[i]), parallel_arrow_ranks(scene.points[i]))
                 for i in orb
             }
             assert len(keys) == 1, label
@@ -430,7 +430,7 @@ def test_iso_classes_do_not_depend_on_the_parallel_arrow_ranks(top_scenes, monke
     scenes = list(top_scenes)
     scenes.append(("double_triple F3 d=3", enumerate_points(with_field(double_triple(), GF(3)), (1,), 3)))
     expected = [iso_classes(scene) for _, scene in scenes]
-    monkeypatch.setattr(oracle, "parallel_arrow_ranks", lambda rep: ())
+    monkeypatch.setattr(oracle, "parallel_arrow_ranks", lambda point: ())
     for (label, scene), iso in zip(scenes, expected):
         fresh = enumerate_points(scene.alg, scene.cover.slots, scene.d)
         assert iso_classes(fresh) == iso, label

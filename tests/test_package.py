@@ -30,6 +30,9 @@ def test_runtime_imports_only_the_standard_library():
 # the package calls, each kept for a reason outside the package
 UNCALLED = {
     "hom_basis": "perfbench traces it as a layer, and the tests' vertex-wise Hom reference uses it",
+    "quotient_rep": "perfbench traces it as a layer, and the tests build P/C as matrices through it, the "
+    "reference for what the library reads from C's rows",
+    "Representation.dim_at": "the tests' vertex-wise references read a module's dimension at a vertex through it",
     "ideal_generators": "the tests read the generator memo of chart_ideal through it",
     "_Parser.error": "argparse calls it on a bad command line",
     "SubmodulePoint.from_rows": "the library's checked constructor of a point from raw rows, which raises "

@@ -1,4 +1,4 @@
-"""How long interned paths live.
+"""How long interned paths, and what the library builds from them, live.
 
 A path is interned by value: while any object holds a path, building one of
 equal value returns that object.  So each check here uses vertices and arrow
@@ -10,9 +10,30 @@ import gc
 import io
 import weakref
 
-from quivergrass import AlgElement, QQ, Quiver, build_algebra, cli
+from quivergrass import (
+    AlgElement,
+    GF,
+    QQ,
+    Quiver,
+    build_algebra,
+    cli,
+    cross_validate_chart,
+    enumerate_points,
+    enumerate_skeletons,
+    iso_classes,
+    orbits,
+    with_field,
+)
+from quivergrass import oracle
+from quivergrass.moduli import (
+    is_fully_invariant,
+    orbit_dim,
+    point_report,
+    top_multiplicity_criterion,
+    unipotent_orbit_dim,
+)
 
-from algebras import path_of
+from algebras import path_of, two_loop_fork
 
 PROBLEM = """\
 field: Q
@@ -90,3 +111,61 @@ def test_quivers_reusing_an_arrow_name_build_their_own_paths():
             arrows = alg.quiver.arrow_by_name
             assert all(a == arrows[a.name] for p in alg.ascending for a in p.arrows)
             assert all(p.end == (p.arrows[-1].target if p.arrows else p.start) for p in alg.ascending)
+
+
+def _cyclic_garbage(run):
+    """The objects that the cycle collector finds unreachable once run() has
+    returned, with the collector off during the call and its output
+    dropped."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_commands_leave_no_cyclic_garbage(monkeypatch):
+    """A classify scene (enumeration, the per-point moduli calls, orbits
+    with their moves and isomorphism classes with their Hom tests), a
+    cross-validation pass and a `charts-all --prune --json` call free all
+    they build by reference counting: no value a point, scene or algebra
+    keeps refers back to its owner."""
+    hom_tests = []
+    isomorphic = oracle._modules_isomorphic
+
+    def counted(*args):
+        hom_tests.append(1)
+        return isomorphic(*args)
+
+    monkeypatch.setattr(oracle, "_modules_isomorphic", counted)
+
+    def classify():
+        alg = with_field(two_loop_fork(), GF(3))
+        scene = enumerate_points(alg, (1,), 3)
+        for pt in scene.points:
+            is_fully_invariant(alg, pt)
+            orbit_dim(alg, pt)
+            unipotent_orbit_dim(alg, pt)
+            top_multiplicity_criterion(alg, pt)
+            point_report(alg, pt)
+        orbits(scene)
+        iso_classes(scene)
+
+    def crossval():
+        alg = with_field(two_loop_fork(), GF(2))
+        scene = enumerate_points(alg, (1,), 3)
+        for sk in enumerate_skeletons(alg, (1,), 3):
+            assert cross_validate_chart(scene, sk).ok
+
+    def charts_all():
+        assert cli.main(["charts-all", "-", "--prune", "--json"], stdout=io.StringIO()) == 0
+
+    assert _cyclic_garbage(classify) == 0
+    assert hom_tests
+    assert _cyclic_garbage(crossval) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(PROBLEM))
+    assert _cyclic_garbage(charts_all) == 0

@@ -1,12 +1,13 @@
 """Vertex-wise module builders, Hom and radical layers, kept as test references.
 
-The library builds every module as a quotient P/C (`quotient_rep`), reads
-every Hom space from one Yoneda kernel (`hom_from_quotient`), and reads the
-radical layering of P/C from C's rows in P's basis.  The code here builds
-the same modules on other bases (the cover's path basis, a chart's skeleton
-basis, submodules on their own echelon bases), measures Hom vertex-wise
-through `hom_basis`, reads the radical layers of any representation from
-its matrices, and checks that a representation satisfies the relations
+The library reads every module P/C from C's rows in P's basis: its Hom
+spaces from one Yoneda kernel (`hom_from_quotient`), its radical layering,
+path ranks and orbit ranks, with no matrices.  The code here builds modules
+as matrices (`quotient_rep`, and on other bases: the cover's path basis, a
+chart's skeleton basis, submodules on their own echelon bases), multiplies
+them along paths (`path_matrix`), measures Hom vertex-wise through
+`hom_basis`, reads the radical layers of any representation from its
+matrices, and checks that a representation satisfies the relations
 (`validate_representation`), so the tests can compare the two routes.
 """
 
@@ -14,7 +15,7 @@ from typing import Dict, List, Tuple
 
 from quivergrass.charts import chart_context, chart_ideal, point_on_chart
 from quivergrass.errors import NotOnChartError, NotSubmoduleError
-from quivergrass.linalg import Echelon, Expander, identity, rref
+from quivergrass.linalg import Echelon, Expander, rref
 from quivergrass.presentation import all_paths
 from quivergrass.representations import (
     ProjectiveCover,
@@ -24,6 +25,41 @@ from quivergrass.representations import (
     hom_basis,
     representation_on_blocks,
 )
+
+
+def mat_mul(field, a, b, inner_cols):
+    """Product a*b where a is r x inner and b is inner x c; inner_cols = c."""
+    f = field
+    if not a:
+        return ()
+    if not b:
+        return tuple((f.zero,) * inner_cols for _ in a)
+    out = []
+    for row in a:
+        acc = [f.zero] * inner_cols
+        for coeff, brow in zip(row, b):
+            if coeff != f.zero:
+                for j, v in enumerate(brow):
+                    if v != f.zero:
+                        acc[j] = f.add(acc[j], f.mul(coeff, v))
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def identity(field, n):
+    return tuple(
+        tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
+    )
+
+
+def path_matrix(rep: Representation, path):
+    """Matrix of the path action on rep, from the start block to the end
+    block, multiplied out arrow by arrow."""
+    f = rep.alg.field
+    out = identity(f, rep.dim_at(path.start))
+    for arrow in path.arrows:
+        out = mat_mul(f, rep.mat(arrow.name), out, rep.dim_at(path.start))
+    return out
 
 
 def mat_vec(field, mat, vec):
@@ -46,7 +82,7 @@ def validate_representation(rep: Representation):
         per_pair: Dict[Tuple[int, int], object] = {}
         for p, c in rel.terms.items():
             key = (p.start, p.end)
-            m = rep.path_matrix(p)
+            m = path_matrix(rep, p)
             scaled = tuple(tuple(f.mul(c, x) for x in row) for row in m)
             cur = per_pair.get(key)
             if cur is None:
@@ -61,7 +97,7 @@ def validate_representation(rep: Representation):
                 raise ValueError("relation does not annihilate the representation")
     for w in all_paths(alg.quiver, alg.loewy_bound + 1):
         if w.length == alg.loewy_bound + 1:
-            m = rep.path_matrix(w)
+            m = path_matrix(rep, w)
             if any(x != f.zero for row in m for x in row):
                 raise ValueError("a path beyond the nilpotency bound acts nontrivially")
 
