@@ -13,6 +13,7 @@ the membership test (`has_skeleton`) are one pass of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import polynomials as poly
@@ -36,13 +37,11 @@ class ChartVariable:
     product: Path
     target: Path
 
-    def render(self):
-        return f"{self.product.render()} -> {self.target.render()}"
-
 
 class ChartContext:
-    """Variables, critical pairs, and the memoized path rewriter for one
-    (algebra, skeleton) pair."""
+    """Variables, critical pairs, the ideal generators of the skeleton's
+    tops, the memoized path rewriter and the chart ideal for one (algebra,
+    skeleton) pair."""
 
     def __init__(self, alg: AlgebraPresentation, sk: Skeleton):
         if len(set(sk.tops)) != len(sk.tops):
@@ -61,7 +60,7 @@ class ChartContext:
                 self.variables.append(ChartVariable(cp.product, q))
         self.path_set = set(sk.paths)
         self._memo: Dict[Path, Dict[Path, dict]] = {}
-        self.ideal: Optional[ChartIdeal] = None  # filled by chart_ideal
+        self.generators, self.generator_lengths = _generators_and_lengths(alg, tuple(sk.tops))
 
     @property
     def nvars(self):
@@ -107,6 +106,18 @@ class ChartContext:
                 out[q] = poly.add(f, out.get(q, {}), poly.scale(f, coeff, c))
         return {q: c for q, c in out.items() if c}
 
+    @cached_property
+    def ideal(self) -> "ChartIdeal":
+        """The chart's variables and defining polynomials (`chart_ideal`):
+        the nonzero coefficients of the rewritten generators, canonical."""
+        polys = set()
+        top_length = self.sk.max_length()
+        for g, length in zip(self.generators, self.generator_lengths):
+            if length > top_length:
+                continue  # rewriting never shortens a path, so g rewrites to zero
+            polys.update(poly.frozen(poly.canonicalize(self.field, c)) for c in self.reduce_element(g).values())
+        return ChartIdeal(self.sk, tuple(self.variables), tuple(sorted(polys)))
+
 
 def chart_context(alg, sk: Skeleton) -> ChartContext:
     """The chart context of sk, memoized on the algebra."""
@@ -133,9 +144,11 @@ class ChartIdeal:
 
 
 def _generators_and_lengths(alg: AlgebraPresentation, tops: tuple):
-    """The ideal generators of tops and, next to them, each one's
-    `min_length()`, both computed once and memoized on the algebra as one
-    pair."""
+    """Left-ideal generators of the relations restricted to the top
+    vertices: right multiples rho*u by paths u from a top vertex, bounded in
+    length so that some term can still have length <= L.  Next to them, each
+    one's `min_length()`; both are computed once and memoized on the
+    algebra as one pair."""
     memo = alg.ideal_generators_by_tops.get(tops)
     if memo is None:
         f = alg.field
@@ -144,7 +157,7 @@ def _generators_and_lengths(alg: AlgebraPresentation, tops: tuple):
             budget = alg.loewy_bound - rel.min_length()
             if budget < 0:
                 # every term too long to matter: such generators rewrite to
-                # zero, and chart_ideal skips them
+                # zero, and the chart ideal skips them
                 for v in tops:
                     keep = AlgElement(
                         f, {p: c for p, c in rel.terms.items() if p.start == v}
@@ -161,37 +174,13 @@ def _generators_and_lengths(alg: AlgebraPresentation, tops: tuple):
     return memo
 
 
-def ideal_generators(alg: AlgebraPresentation, tops) -> List[AlgElement]:
-    """Left-ideal generators of the relations restricted to the top vertices:
-    right multiples rho*u by paths u from a top vertex, bounded in length so
-    that some term can still have length <= L.  Memoized on the algebra, with
-    each generator's least term length beside them for `chart_ideal`; each
-    call returns a new list."""
-    return list(_generators_and_lengths(alg, tuple(tops))[0])
-
-
 def chart_ideal(alg, sk: Skeleton) -> ChartIdeal:
     """Variables and defining polynomials of the chart of a skeleton: the
     coefficients of the rewritten ideal generators, skipping those longer
     than every skeleton path.  The polynomials are deduplicated and sorted,
-    so the order in which they are met does not matter."""
-    ctx = chart_context(alg, sk)
-    if ctx.ideal is not None:
-        return ctx.ideal
-    f = alg.field
-    polys = []
-    seen = set()
-    top_length = sk.max_length()
-    for g, length in zip(*_generators_and_lengths(alg, tuple(sk.tops))):
-        if length > top_length:
-            continue  # rewriting never shortens a path, so g rewrites to zero
-        for coeff in ctx.reduce_element(g).values():
-            canon = poly.frozen(poly.canonicalize(f, coeff))
-            if canon and canon not in seen:
-                seen.add(canon)
-                polys.append(canon)
-    ctx.ideal = ChartIdeal(sk, tuple(ctx.variables), tuple(sorted(polys)))
-    return ctx.ideal
+    so the order in which they are met does not matter.  Computed once, on
+    the chart context."""
+    return chart_context(alg, sk).ideal
 
 
 def point_on_chart(alg, ideal: ChartIdeal, point) -> bool:

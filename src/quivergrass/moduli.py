@@ -202,8 +202,10 @@ def finite_local_type_check(alg: AlgebraPresentation, e, q: int, budget: int = 1
     """Oracle evidence for finite local type at the simple top S_e over F_q.
 
     For every d up to dim P, points are grouped by radical layering and by
-    isomorphism class (the layering must determine the class), and every
-    nonempty chart must consist of a single orbit.
+    isomorphism class, and the layering must determine the class: every
+    class lies in one layering class (`iso_classes` keys by the layering),
+    so it does exactly when the two counts agree.  Every nonempty chart
+    must consist of a single orbit.
     """
     alg_q = with_field(alg, GF(q))
     cover = ProjectiveCover(alg_q, (e,))
@@ -218,14 +220,6 @@ def finite_local_type_check(alg: AlgebraPresentation, e, q: int, budget: int = 1
         per_d.append((d, len(scene.points), len(lay_classes), len(iso)))
         if len(lay_classes) != len(iso):
             layering_ok = False
-        else:
-            iso_of_point = {}
-            for k, cls in enumerate(iso):
-                for i in cls:
-                    iso_of_point[i] = k
-            for members in lay_classes.values():
-                if len({iso_of_point[i] for i in members}) != 1:
-                    layering_ok = False
         orbit_of_point = {}
         for k, orb in enumerate(orbits(scene)):
             for i in orb:

@@ -21,12 +21,13 @@ only by those whose first unit is 1, since scalars move no subspace
 (exhaustive scan); else by the one-parameter generators 1 + c*b, closing
 each orbit breadth first (generator BFS).  Isomorphism is decided through
 Yoneda (see `_iso_partition`), only between points with equal exact
-invariants: radical layering and path-action ranks, and, where those leave
-a candidate, the ranks of a + c*b for parallel arrows a, b.  Every one of
-these is read from C's reduced rows in P's basis, through the cover's
-sparse actions, and no module is built as matrices.  A scene keeps its
-layerings, orbits and isomorphism classes, each computed on first read.
-Everything is exact and deterministic; budgets guard against blowups.
+invariants: the radical layering, and the ranks of the positive-length
+paths that act on P and of a + c*b for parallel arrows a, b
+(`invariant_ranks`).  Every one of these is read from C's reduced rows in
+P's basis, through the cover's sparse actions, and no module is built as
+matrices.  A scene keeps its layerings, orbits and isomorphism classes,
+each computed on first read.  Everything is exact and deterministic;
+budgets guard against blowups.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ from .representations import (
     SubmodulePoint,
     generator_coordinates,
     hom_from_quotient,
-    parallel_arrow_ranks,
-    path_ranks,
+    invariant_ranks,
     radical_layering,
 )
 from .skeletons import Skeleton, compatible
@@ -485,31 +485,18 @@ def _iso_partition(scene: OracleScene):
 
     By Yoneda, Hom(P/C_i, N) is the space K of tuples (x_s), x_s in N_{v_s},
     that C_i kills, and P/C_i = N when some x in K generates N.  A point is
-    tested only against the class representatives sharing its key, the
-    radical layering and the rank of every basis path's action, and, once
-    its bucket holds a representative, the rank of a + c*b for each pair of
-    parallel arrows a, b and c != 0 (`parallel_arrow_ranks`, computed only
-    for such points and their representatives, once per point).  The keys
-    are exact: an isomorphism phi: M -> N gives N_x = phi_t M_x phi_s^-1 for
-    every element x of the algebra from s to t, and it fixes the dimension
-    vector.
+    tested only against the class representatives sharing its key: its
+    radical layering and its `invariant_ranks`, the ranks of the cover's
+    `rank_elements`.  The key is exact: an isomorphism phi: M -> N gives
+    N_x = phi_t M_x phi_s^-1 for every element x of the algebra from s to
+    t, and it fixes the layering.  So every class lies in one layering
+    class.
     """
-    layerings = scene.layerings
     reps: Dict[tuple, List[int]] = {}
     classes: Dict[int, List[int]] = {}
-    refined: Dict[int, Tuple[int, ...]] = {}
-
-    def refined_key(k):
-        if k not in refined:
-            refined[k] = parallel_arrow_ranks(scene.points[k])
-        return refined[k]
-
-    for i, point in enumerate(scene.points):
-        bucket = reps.setdefault((layerings[i], path_ranks(point)), [])
-        r = None
-        if bucket:
-            key = refined_key(i)
-            r = next((r for r in bucket if refined_key(r) == key and _modules_isomorphic(scene, r, i)), None)
+    for i, (layering, point) in enumerate(zip(scene.layerings, scene.points)):
+        bucket = reps.setdefault((layering, invariant_ranks(point)), [])
+        r = next((r for r in bucket if _modules_isomorphic(scene, r, i)), None)
         if r is None:
             bucket.append(i)
             classes[i] = [i]
@@ -533,12 +520,11 @@ class CrossValidationReport:
     skeleton: Skeleton
     n_solutions: int
     n_points: int
-    matched: bool
     mismatches: Tuple[str, ...] = ()
 
     @property
     def ok(self):
-        return self.matched and not self.mismatches
+        return not self.mismatches
 
 
 def chart_solutions(alg, sk: Skeleton, budget: int = 10 ** 6):
@@ -619,6 +605,5 @@ def cross_validate_chart(scene: OracleScene, sk: Skeleton) -> CrossValidationRep
         skeleton=sk,
         n_solutions=len(sols),
         n_points=len(with_sk),
-        matched=image_set == point_set,
         mismatches=tuple(mismatches),
     )

@@ -269,7 +269,7 @@ class AlgebraPresentation:
         self._extensions: Dict[Path, Tuple[tuple, ...]] = {}
         # charts.ChartContext per skeleton, filled by charts.chart_context,
         # and per tops tuple the ideal generators with their least term
-        # lengths, by charts.ideal_generators
+        # lengths, which each chart context of those tops reads
         self.chart_contexts: Dict[object, object] = {}
         self.ideal_generators_by_tops: Dict[tuple, Tuple[tuple, tuple]] = {}
 

@@ -14,8 +14,9 @@ off C's pivots, a pivot column is minus the rest of its reduced row, and
 what C determines is read from its rows through the cover's actions.  A
 `SubmodulePoint` keeps, computed on first read, each column of P modulo C
 and the orbit ranks (the linearised action of End(P) on C); the Yoneda
-equations of Hom(M, N), the radical layering and the path ranks are read
-the same way (`yoneda_equations`, `radical_layering`, `path_ranks`).
+equations of Hom(M, N), the radical layering and the ranks of the algebra
+elements that key an isomorphism class are read the same way
+(`yoneda_equations`, `radical_layering`, `invariant_ranks`).
 A `Representation`, a matrix per
 arrow, is what `quotient_rep` builds and `hom_basis` compares: the
 vertex-wise route the tests check the library against.
@@ -198,6 +199,25 @@ class ProjectiveCover:
                 (i, s, p.then(q)) for i, (slot, q) in enumerate(self.basis) if slot == r
             ))
         return act
+
+    @cached_property
+    def rank_elements(self) -> Tuple[tuple, ...]:
+        """The algebra elements whose ranks on P/C key an isomorphism class
+        (`invariant_ranks`), each as (start vertex, [(coefficient, sparse
+        action)]): every basis path of positive length that moves some
+        column of P, in basis order, then a + c*b for each pair of parallel
+        arrows a before b, in arrow order, and each c != 0 of the field.
+        A path that moves no column acts by 0 on every P/C, and the trivial
+        paths' ranks, the dimension vector, are the layering's totals."""
+        f = self.alg.field
+        arrows = self.alg.quiver.arrows
+        out = [(p.start, [(1, act)]) for p in self.alg.basis if p.length and (act := self.path_action(p))]
+        for k, a in enumerate(arrows):
+            for b in arrows[k + 1 :]:
+                if a.source == b.source and a.target == b.target:
+                    act_a, act_b = self.arrow_action(a), self.arrow_action(b)
+                    out.extend((a.source, [(1, act_a), (c, act_b)]) for c in f.elements() if c)
+        return tuple(out)
 
     def radical_rows(self, m: int):
         """Canonical echelon rows of J^m P, for m >= 1."""
@@ -516,53 +536,26 @@ def radical_layering(point: SubmodulePoint) -> "SemisimpleSequence":
     return SemisimpleSequence(tuple(map(tuple, layers)))
 
 
-def _action_rank(point: SubmodulePoint, actions, cols) -> int:
-    """Rank on M = P/C of the sum of the sparse actions, given as
-    (coefficient, action) pairs, on the basis columns cols of M at a
-    vertex; a column that no action moves adds no image."""
+def invariant_ranks(point: SubmodulePoint) -> Tuple[int, ...]:
+    """The rank on M = P/C of each element of the cover's `rank_elements`,
+    read from its sparse actions modulo C, on the basis columns of M at the
+    element's start vertex; a column that no action moves adds no image."""
     f = point.alg.field
     res = point.residues
-    n = len(res) - len(point.rows)
-    images = []
-    for col in cols:
-        vec = None
-        for c, act in actions:
-            for j, a in act.get(col, ()):
-                vec = vec or [0] * n
-                for k, x in res[j]:
-                    vec[k] += c * a * x
-        if vec:
-            images.append(_field_vector(f, vec))
-    return rank(f, images, n)
-
-
-def path_ranks(point: SubmodulePoint) -> Tuple[int, ...]:
-    """Rank of the action of each basis path of the algebra on M = P/C, in
-    basis order, read from the cover's path actions modulo C; on the
-    trivial paths these are the dimensions of M at the vertices."""
-    cover, blocks = point.cover, point.blocks
-    return tuple(
-        _action_rank(point, [(1, cover.path_action(p))], blocks[p.start]) if p.length else len(blocks[p.start])
-        for p in point.alg.basis
-    )
-
-
-def parallel_arrow_ranks(point: SubmodulePoint) -> Tuple[int, ...]:
-    """Rank of the action of a + c*b on M = P/C for each pair of parallel
-    arrows a before b, in arrow order, and each c != 0 of the finite field.
-    Each a + c*b is an element of the algebra, so these ranks are
-    isomorphism invariants, like `path_ranks`."""
-    cover = point.cover
-    f = point.alg.field
-    arrows = point.alg.quiver.arrows
+    n = point.quotient_dim
     out = []
-    for k, a in enumerate(arrows):
-        for b in arrows[k + 1 :]:
-            if a.source == b.source and a.target == b.target:
-                pair = (cover.arrow_action(a), cover.arrow_action(b))
-                for c in f.elements():
-                    if c:
-                        out.append(_action_rank(point, [(1, pair[0]), (c, pair[1])], point.blocks[a.source]))
+    for v, actions in point.cover.rank_elements:
+        images = []
+        for col in point.blocks[v]:
+            vec = None
+            for c, act in actions:
+                for j, a in act.get(col, ()):
+                    vec = vec or [0] * n
+                    for k, x in res[j]:
+                        vec[k] += c * a * x
+            if vec:
+                images.append(_field_vector(f, vec))
+        out.append(rank(f, images, n))
     return tuple(out)
 
 

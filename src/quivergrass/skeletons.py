@@ -204,9 +204,6 @@ class CriticalPair:
     targets: Tuple[Path, ...]
     product: Path = field(compare=False, repr=False)
 
-    def render(self):
-        return f"({self.arrow.name}, {self.path.render()})"
-
 
 def critical_pairs(alg: AlgebraPresentation, sk: Skeleton) -> List[CriticalPair]:
     """All critical pairs of the skeleton, in path order of alpha*p.

@@ -31,7 +31,7 @@ from quivergrass import (
     with_field,
 )
 from quivergrass import polynomials as poly
-from quivergrass.charts import chart_context, ideal_generators
+from quivergrass.charts import chart_context
 from quivergrass.presentation import all_paths
 
 from algebras import (
@@ -231,7 +231,7 @@ def test_acceptance_06_reduction_properties(cat):
             sks = enumerate_skeletons(alg, tops, d)
             inputs = []
             for sk in sks:
-                gens = ideal_generators(alg, sk.tops)
+                gens = list(chart_context(alg, sk).generators)
                 paths = [
                     AlgElement.of_path(alg.field, p)
                     for p in all_paths(alg.quiver, alg.loewy_bound + 1, start=tops[0])

@@ -36,7 +36,7 @@ from quivergrass import (
     with_field,
 )
 from quivergrass import cli, polynomials as poly
-from quivergrass.charts import chart_context, ideal_generators
+from quivergrass.charts import chart_context
 from quivergrass.linalg import Echelon, Expander, rref
 from quivergrass.presentation import all_paths
 from quivergrass.skeletons import skeleton_expander
@@ -338,7 +338,7 @@ def test_reduce_confluence_randomized():
         sks = enumerate_skeletons(alg, tops, d)[:4]
         for sk in sks:
             ctx = chart_context(alg, sk)
-            gens = ideal_generators(alg, sk.tops)
+            gens = list(ctx.generators)
             extra = [
                 AlgElement.of_path(alg.field, p)
                 for p in all_paths(alg.quiver, alg.loewy_bound + 1, start=tops[0])
@@ -356,7 +356,7 @@ def test_route_pruning_is_conservative():
         for d in (2, 3):
             for sk in enumerate_skeletons(alg, tops, d)[:6]:
                 ctx = chart_context(alg, sk)
-                for z in ideal_generators(alg, sk.tops):
+                for z in ctx.generators:
                     assert ctx.reduce_element(z) == reduce_element_worklist(ctx, z, route_prune=False)
                 for p in all_paths(alg.quiver, alg.loewy_bound + 1, start=tops[0]):
                     z = AlgElement.of_path(alg.field, p)
@@ -376,7 +376,7 @@ def test_chart_soundness_at_points():
             for c in chart_solutions(alg, sk):
                 pt = submodule_from_point(alg, sk, c)
                 cover = pt.cover
-                for g in ideal_generators(alg, sk.tops):
+                for g in ctx.generators:
                     expansion = ctx.reduce_element(g)
                     acc = [f.zero] * cover.dim
                     for qpath, coeff in expansion.items():
@@ -513,7 +513,7 @@ def reference_chart_ideal(alg, sk):
     skipped: every ideal generator is rewritten."""
     ctx = chart_context(alg, sk)
     polys, seen = [], set()
-    for g in ideal_generators(alg, sk.tops):
+    for g in ctx.generators:
         for q, coeff in sorted(ctx.reduce_element(g).items(), key=lambda t: alg.path_key(t[0])):
             canon = poly.frozen(poly.canonicalize(alg.field, coeff))
             if canon and canon not in seen:
@@ -532,7 +532,7 @@ def test_skipped_generators_rewrite_to_zero():
             for d in range(len(tops), 5):
                 for sk in enumerate_skeletons(alg, tops, d):
                     ctx = chart_context(alg, sk)
-                    for g in ideal_generators(alg, sk.tops):
+                    for g in ctx.generators:
                         if g.min_length() > sk.max_length():
                             skipped += 1
                             assert ctx.reduce_element(g) == {}, (name, sk, g)
@@ -595,11 +595,14 @@ def test_charts_all_reads_each_generator_length_once(monkeypatch):
 
 
 def test_ideal_generators_are_filed_on_the_algebra():
+    """Every chart context of one top reads the one generator memo of the
+    algebra, with each generator's least term length beside it."""
     alg = two_loop_fork()
-    gens = ideal_generators(alg, (1,))
-    assert alg.ideal_generators_by_tops == {(1,): (tuple(gens), tuple(g.min_length() for g in gens))}
-    gens.append(None)  # a caller's list is its own
-    assert ideal_generators(alg, (1,)) == gens[:-1]
+    first, *rest = [chart_context(alg, sk) for sk in enumerate_skeletons(alg, (1,), 3)]
+    gens = first.generators
+    assert gens and alg.ideal_generators_by_tops == {(1,): (gens, tuple(g.min_length() for g in gens))}
+    assert first.generator_lengths is alg.ideal_generators_by_tops[(1,)][1]
+    assert rest and all(ctx.generators is gens for ctx in rest)
 
 
 def test_algebra_is_freed_without_the_cycle_collector():
@@ -613,7 +616,7 @@ def test_algebra_is_freed_without_the_cycle_collector():
         scene = enumerate_points(alg, (1,), 3)
         for sk in sks:
             chart_ideal(alg, sk)
-            assert cross_validate_chart(scene, sk).matched
+            assert cross_validate_chart(scene, sk).ok
         del alg, scene, sks, sk
         assert ref() is None
     finally:

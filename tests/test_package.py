@@ -33,7 +33,6 @@ UNCALLED = {
     "quotient_rep": "perfbench traces it as a layer, and the tests build P/C as matrices through it, the "
     "reference for what the library reads from C's rows",
     "Representation.dim_at": "the tests' vertex-wise references read a module's dimension at a vertex through it",
-    "ideal_generators": "the tests read the generator memo of chart_ideal through it",
     "_Parser.error": "argparse calls it on a bad command line",
     "SubmodulePoint.from_rows": "the library's checked constructor of a point from raw rows, which raises "
     "NotSubmoduleError; the package builds points only from rows it reduced itself",
@@ -84,7 +83,6 @@ FOREIGN_WRITES = {
     "Echelon.of_reduced": "a factory: it fills the new Echelon it returns",
     "_new_path": "a factory: it fills the new Path it returns",
     "build_algebra": "a factory: it fills the new AlgebraPresentation it returns",
-    "chart_ideal": "it fills ChartContext.ideal; the context holds no algebra, because the algebra holds the context",
 }
 
 

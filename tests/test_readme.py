@@ -1,8 +1,9 @@
-"""The README's quick tour runs as written, and its command table matches
-the parser."""
+"""The README's quick tour runs as written, its command table matches the
+parser, and its library overview names only what the modules hold."""
 
 import argparse
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -32,3 +33,19 @@ def test_readme_command_table_lists_the_flags_of_every_subcommand():
     }
     assert len(rows) == len(listed) == 11
     assert listed == accepted
+
+
+def test_readme_library_overview_names_resolve():
+    """Each backticked identifier in a row of the library-overview table is
+    an attribute of the row's module or a word of its source, so a name the
+    library dropped does not linger in the table."""
+    rows = re.findall(r"^\| `quivergrass\.(\w+)` \| (.*) \|$", README.read_text(), re.M)
+    assert len(rows) == 8
+    checked = 0
+    for module, cell in rows:
+        mod = importlib.import_module(f"quivergrass.{module}")
+        words = set(re.findall(r"\w+", Path(mod.__file__).read_text()))
+        for name in re.findall(r"`([A-Za-z_]\w*)`", cell):
+            assert hasattr(mod, name) or name in words, (module, name)
+            checked += 1
+    assert checked > 50

@@ -2,7 +2,7 @@
 
 The library reads every module P/C from C's rows in P's basis: its Hom
 spaces from one Yoneda kernel (`hom_from_quotient`), its radical layering,
-path ranks and orbit ranks, with no matrices.  The code here builds modules
+invariant ranks and orbit ranks, with no matrices.  The code here builds modules
 as matrices (`quotient_rep`, and on other bases: the cover's path basis, a
 chart's skeleton basis, submodules on their own echelon bases), multiplies
 them along paths (`path_matrix`), measures Hom vertex-wise through
