@@ -449,6 +449,22 @@ def test_orbits_match_the_full_group_scan(catalogue_scenes):
         assert orbits(scene) == full_orbit_partition(scene), label
 
 
+def test_refined_iso_key_is_constant_on_orbits(catalogue_scenes):
+    """The invariant ranks, the part of the key that refines the layering,
+    are constant on every orbit, and on some scene they split a layering
+    class, so the refinement is not idle."""
+    split = []
+    for label, scene in catalogue_scenes:
+        for orb in orbits(scene):
+            assert len({invariant_ranks(scene.points[i]) for i in orb}) == 1, label
+        by_layering = {}
+        for layering, point in zip(scene.layerings, scene.points):
+            by_layering.setdefault(layering, set()).add(invariant_ranks(point))
+        if any(len(ranks) > 1 for ranks in by_layering.values()):
+            split.append(label)
+    assert split
+
+
 def test_iso_classes_do_not_depend_on_the_invariant_ranks(top_scenes, monkeypatch):
     """The invariant ranks only save Hom tests: without them the partition
     is the same, on the scenes of the pairwise test and on double_triple
