@@ -64,7 +64,6 @@ from .moduli import (
     finite_local_type_check,
     is_fully_invariant,
     orbit_dim,
-    point_report,
     top_multiplicity_criterion,
     unipotent_orbit_dim,
 )

@@ -49,8 +49,9 @@ from .fields import GF, QQ, parse_field
 from .moduli import (
     simple_top_moduli_criterion,
     finite_local_type_check,
+    is_fully_invariant,
     orbit_dim,
-    point_report,
+    top_multiplicity_criterion,
     unipotent_orbit_dim,
 )
 from .oracle import (
@@ -603,38 +604,48 @@ def cmd_invariant_check(args, pf, out):
     alg = pf.algebra(args.field)
     tops = _tops_from(args, pf)
     _, _, point = _module_from_args(args, alg, tops)
-    report = point_report(alg, point)
+    inv = is_fully_invariant(alg, point)
+    orbit, unipotent = point.orbit_ranks
+    count = top_multiplicity_criterion(alg, point)
+    witness = None if inv.holds else inv.witness_path.render()
     if args.json:
         _print_json(args, out, {
-            "fully_invariant": report.fully_invariant,
-            "orbit_dim": report.orbit_dimension,
-            "unipotent_orbit_dim": report.unipotent_orbit_dimension,
-            "count_criterion": report.split_count_holds,
-            "witness": None if report.fully_invariant else report.invariance_witness[0].render(),
+            "fully_invariant": inv.holds,
+            "orbit_dim": orbit,
+            "unipotent_orbit_dim": unipotent,
+            "count_criterion": count,
+            "witness": witness,
         })
     else:
         out(f"submodule: {point!r}")
-        out(f"fully invariant: {report.fully_invariant}")
-        if not report.fully_invariant:
-            out(f"witness: right multiplication by {report.invariance_witness[0].render()}")
-        out(f"orbit dimension: {report.orbit_dimension}")
-        out(f"unipotent orbit dimension: {report.unipotent_orbit_dimension}")
-        out(f"count criterion: {report.split_count_holds}")
-    return 0 if report.fully_invariant else 1
+        out(f"fully invariant: {inv.holds}")
+        if witness:
+            out(f"witness: right multiplication by {witness}")
+        out(f"orbit dimension: {orbit}")
+        out(f"unipotent orbit dimension: {unipotent}")
+        out(f"count criterion: {count}")
+    return 0 if inv.holds else 1
+
+
+def _simple_top(args, alg, tops):
+    """The vertex of a simple top, for a check run over F_q with q given by
+    -q; a top of several vertices, or a field of another characteristic, is
+    refused with the command's name."""
+    if len(tops) != 1:
+        raise SemanticError(f"{args.command} needs a simple top (one vertex)")
+    if alg.field.char not in (0, args.q):
+        # the check runs over F_q, and F_p coefficients do not move there
+        raise SemanticError(f"{args.command} over {alg.field.tag} needs -q {alg.field.char}")
+    return tops[0]
 
 
 def cmd_moduli_check(args, pf, out):
     alg = pf.algebra(args.field)
-    tops = _tops_from(args, pf)
-    if len(tops) != 1:
-        raise SemanticError("moduli-check needs a simple top (one vertex)")
-    if alg.field.char not in (0, args.q):
-        # the check runs over F_q, and F_p coefficients do not move there
-        raise SemanticError(f"moduli-check over {alg.field.tag} needs -q {alg.field.char}")
-    rep = simple_top_moduli_criterion(alg, tops[0], prime=args.q, budget=args.budget)
+    top = _simple_top(args, alg, _tops_from(args, pf))
+    rep = simple_top_moduli_criterion(alg, top, prime=args.q, budget=args.budget)
     if args.json:
         _print_json(args, out, {
-            "top": tops[0],
+            "top": top,
             "holds": rep.holds,
             "provenance": rep.provenance,
             "eJe_zero": rep.eje_zero,
@@ -753,16 +764,11 @@ def cmd_cross_validate(args, pf, out):
 
 def cmd_local_type(args, pf, out):
     alg = pf.algebra()
-    tops = _tops_from(args, pf)
-    if len(tops) != 1:
-        raise SemanticError("local-type needs a simple top (one vertex)")
-    if alg.field.char not in (0, args.q):
-        # the check runs over F_q, and F_p coefficients do not move there
-        raise SemanticError(f"local-type over {alg.field.tag} needs -q {alg.field.char}")
-    report = finite_local_type_check(alg, tops[0], args.q, args.budget)
+    top = _simple_top(args, alg, _tops_from(args, pf))
+    report = finite_local_type_check(alg, top, args.q, args.budget)
     if args.json:
         _print_json(args, out, {
-            "top": tops[0],
+            "top": top,
             "q": args.q,
             "verdict": report.verdict,
             "provenance": report.provenance,
@@ -772,7 +778,7 @@ def cmd_local_type(args, pf, out):
             ],
         })
     else:
-        out(f"finite local type at vertex {tops[0]} over F{args.q} " +
+        out(f"finite local type at vertex {top} over F{args.q} " +
             ("HOLDS" if report.verdict else "FAILS") + " (finite-field evidence)")
         for d, n, l, i in report.per_d:
             out(f"  dim {d}: {n} point(s), {l} layering class(es), {i} iso class(es)")

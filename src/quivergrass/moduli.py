@@ -1,17 +1,19 @@
 """Decision procedures for moduli existence and finite local type.
 
 Full invariance of a submodule point decides the absence of proper
-top-stable degenerations of its quotient; it applies the right action of the
-End(P) path basis that the projective cover owns, the same action the oracle
-orbits use, to the rows of the point.  The quiver-level test for a simple
-top S_e, lambda*omega in Lambda*lambda for every lambda in Je and omega in
-eJe, is the same test in the basis of P = Lambda*e: each cyclic submodule
-Lambda*lambda of JP must be fully invariant.  Orbit dimensions come from
-the same action, linearised: the stabiliser of C in Aut(P) is the unit
-group of {phi in End(P) : phi(C) in C}, the kernel of phi -> (phi on C,
-modulo C), so the orbit dimension is the rank of that map over the End(P)
-path basis, and the unipotent orbit dimension its rank over the radical
-triples (`SubmodulePoint.orbit_ranks`).
+top-stable degenerations of its quotient.  It and both orbit dimensions are
+read from the images of C's rows under the End(P) path basis that the
+projective cover owns, modulo C (`SubmodulePoint.end_images`), the same
+right action the oracle orbits use.  C is fully invariant when every image
+vanishes, top idempotents included: at a top of several vertices the
+trivial path e_v projects onto v's slot and can move C.  The stabiliser of
+C in Aut(P) is the unit group of the kernel of phi -> (phi on C, modulo C),
+so the orbit dimension is the rank of the images over the End(P) path
+basis, 0 exactly at a fully invariant point, and the unipotent orbit
+dimension their rank over the radical triples.  The quiver-level test for a
+simple top S_e, lambda*omega in Lambda*lambda for every lambda in Je and
+omega in eJe, is the same test in the basis of P = Lambda*e: each cyclic
+submodule Lambda*lambda of JP must be fully invariant.
 """
 
 from __future__ import annotations
@@ -46,21 +48,21 @@ def is_fully_invariant(alg: AlgebraPresentation, point: SubmodulePoint) -> Invar
 
     Endomorphisms of P are right multiplications by algebra elements running
     between the top vertices, spanned by the triples of `cover.end_basis`;
-    for a squarefree top each basis path is one triple.  The first violating
-    basis path (in path order) and point row are returned as a witness.
+    for a squarefree top each basis path is one triple, and a trivial path
+    e_v is the projection onto v's slot.  A triple keeps C when its vector
+    of `point.end_images` is zero.  The first violating basis path (in path
+    order, trivial paths included) and point row are returned as a witness.
     """
     cover = point.cover
     if not cover.squarefree:
         raise TopNotSquarefreeError("full invariance needs a squarefree top")
-    ech = point.echelon
-    # the unit triples are the identity, which preserves C
-    radical = [t for t in cover.end_basis if t[2].length >= 1]
-    for triple in sorted(radical, key=lambda t: alg.basis_index[t[2]]):
-        act = cover.right_action(triple)
-        for row in point.rows:
-            img = cover.image(act, row)  # None: the image is zero, in C
-            if img is not None and not ech.contains(img):
-                return InvarianceResult(False, triple[2], row)
+    images = point.end_images
+    if any(map(any, images)):
+        n = point.quotient_dim
+        for triple, vec in sorted(zip(cover.end_basis, images), key=lambda tv: alg.basis_index[tv[0][2]]):
+            for k, row in enumerate(point.rows):
+                if any(vec[k * n : (k + 1) * n]):
+                    return InvarianceResult(False, triple[2], row)
     return InvarianceResult(True)
 
 
@@ -158,28 +160,6 @@ def simple_top_moduli_criterion(alg: AlgebraPresentation, e, prime: int = 2, bud
                 witness_omega=inv.witness_path,
             )
     return ModuliCriterionReport(True, "finite-field", False, False, prime=prime)
-
-
-@dataclass(frozen=True)
-class ModuliReport:
-    """Per-point verdicts for one submodule point."""
-
-    fully_invariant: bool
-    invariance_witness: Optional[Tuple[Path, tuple]]
-    orbit_dimension: int
-    unipotent_orbit_dimension: int
-    split_count_holds: bool
-
-
-def point_report(alg: AlgebraPresentation, point: SubmodulePoint) -> ModuliReport:
-    inv = is_fully_invariant(alg, point)
-    return ModuliReport(
-        fully_invariant=inv.holds,
-        invariance_witness=None if inv.holds else (inv.witness_path, inv.witness_row),
-        orbit_dimension=orbit_dim(alg, point),
-        unipotent_orbit_dimension=unipotent_orbit_dim(alg, point),
-        split_count_holds=top_multiplicity_criterion(alg, point),
-    )
 
 
 @dataclass

@@ -220,10 +220,7 @@ def enumerate_points(alg: AlgebraPresentation, tops, d, budget: int = 10 ** 6) -
             rows = []
             for cols, ch in zip(block_cols, chosen):
                 for piv, r in zip(ch.ech.pivots, ch.ech.rows):
-                    row = [f.zero] * cover.dim
-                    for c, x in zip(cols, r):
-                        row[c] = x
-                    rows.append((cols[piv], row))
+                    rows.append((cols[piv], _spread(f, cover.dim, cols, r)))
             rows.sort(key=lambda pr: pr[0])
             points.append(SubmodulePoint(cover, [r for _, r in rows]))
     points.sort(key=lambda p: p.rows)

@@ -12,14 +12,14 @@ submodule C of JP is a subspace of P whose rows vanish at the length-0
 pairs.  The module M = P/C is never built: its basis is the columns of P
 off C's pivots, a pivot column is minus the rest of its reduced row, and
 what C determines is read from its rows through the cover's actions.  A
-`SubmodulePoint` keeps, computed on first read, each column of P modulo C
-and the orbit ranks (the linearised action of End(P) on C); the Yoneda
-equations of Hom(M, N), the radical layering and the ranks of the algebra
-elements that key an isomorphism class are read the same way
-(`yoneda_equations`, `radical_layering`, `invariant_ranks`).
-A `Representation`, a matrix per
-arrow, is what `quotient_rep` builds and `hom_basis` compares: the
-vertex-wise route the tests check the library against.
+`SubmodulePoint` keeps, computed on first read, each column of P modulo C,
+the images of C under End(P) modulo C and the orbit ranks read from them;
+the Yoneda equations of Hom(M, N), the radical layering and the ranks of
+the algebra elements that key an isomorphism class are read the same way
+(`yoneda_equations`, `radical_layering`, `invariant_ranks`).  A
+`Representation`, a matrix per arrow, is what `quotient_rep` builds and
+`hom_basis` compares: the vertex-wise route the tests check the library
+against.
 """
 
 from __future__ import annotations
@@ -296,8 +296,8 @@ class SubmodulePoint:
     Rows of a submodule are homogeneous for the end-vertex grading, so the
     RREF over the (slot, path)-ordered columns doubles as a per-vertex
     description.  What the rows determine is computed once, on first read:
-    their echelon, the vertex blocks of P/C, each column of P modulo C and
-    the orbit ranks.
+    their echelon, the vertex blocks of P/C, each column of P modulo C, the
+    images of the rows under End(P) modulo C and the orbit ranks.
     """
 
     def __init__(self, cover: ProjectiveCover, rows):
@@ -383,6 +383,29 @@ class SubmodulePoint:
         return [(k, a * x) for j, a in action.get(col, ()) for k, x in res[j]]
 
     @cached_property
+    def end_images(self) -> Tuple[List[object], ...]:
+        """Per triple of `cover.end_basis`, the images of C's rows under its
+        right action, modulo C, as one field vector: the image of the k-th
+        row, in the basis of `residues`, fills the k-th block of
+        `quotient_dim` entries, which is zero when the triple keeps that row
+        in C."""
+        cover = self.cover
+        f = self.alg.field
+        n = self.quotient_dim
+        rows = [[(i, c) for i, c in enumerate(row) if c] for row in self.rows]
+        width = n * len(rows)
+        out = []
+        for triple in cover.end_basis:
+            act = cover.right_action(triple)
+            vec = [0] * width
+            for base, row in zip(range(0, width, n), rows):
+                for i, c in row:
+                    for k, x in self.image_terms(act, i):
+                        vec[base + k] += c * x
+            out.append(_field_vector(f, vec))
+        return tuple(out)
+
+    @cached_property
     def orbit_ranks(self) -> Tuple[int, int]:
         """The ranks of the linearised action on C (`stabiliser_ranks`):
         the orbit dimension and the unipotent orbit dimension."""
@@ -438,28 +461,17 @@ def stabiliser_ranks(point: SubmodulePoint) -> Tuple[int, int]:
     rank is the orbit dimension dim End(P) - dim Hom(P, C) - dim End(P/C).
     The radical triples span Hom(P, JP), and the second rank is the
     unipotent orbit dimension dim Hom(P, JM) - dim Hom(M, JM), M = P/C.
-    One elimination gives both: the radical triples are added first."""
-    cover = point.cover
-    f = point.alg.field
-    n = point.quotient_dim
-    rows = [[(i, c) for i, c in enumerate(row) if c] for row in point.rows]
-    width = n * len(rows)
-    radical = [t for t in cover.end_basis if t[2].length]
-    units = [t for t in cover.end_basis if not t[2].length]
-    ech = Echelon(f, width)
-    ranks = []
-    for triples in (radical, units):
-        for triple in triples:
-            act = cover.right_action(triple)
-            vec = [0] * width
-            for base, row in zip(range(0, width, n), rows):
-                for i, c in row:
-                    for k, x in point.image_terms(act, i):
-                        vec[base + k] += c * x
-            ech.add(_field_vector(f, vec))
-        ranks.append(ech.rank)
-    unipotent, full = ranks
-    return full, unipotent
+    One elimination of `SubmodulePoint.end_images` gives both: the radical
+    triples, which follow the unit triples in `end_basis`, are added first."""
+    images = point.end_images
+    units = sum(1 for t in point.cover.end_basis if not t[2].length)
+    ech = Echelon(point.alg.field, point.rank * point.quotient_dim)
+    for vec in images[units:]:
+        ech.add(vec)
+    unipotent = ech.rank
+    for vec in images[:units]:
+        ech.add(vec)
+    return ech.rank, unipotent
 
 
 def yoneda_equations(point: SubmodulePoint, target: SubmodulePoint):

@@ -435,6 +435,25 @@ def test_cli_invariant_check_exit_codes(problem_file):
     )
     assert code == 1
     assert "witness: right multiplication by w" in out
+    # on merge at the top (1, 2), C spanned by a + b has orbit dimension 1
+    # and is moved only by the idempotent e1, which sends a + b to a
+    argv = ["invariant-check", os.path.join(inputs.PROBLEM_DIR, "merge.qg"), "--top", "1,2", "--skeleton", "e1,e2,b", "--point", "1", "--field", "F2"]
+    code, out = run_cli(argv)
+    assert code == 1
+    assert out == (
+        "submodule: SubmodulePoint<[0] a (+) [1] b>\n"
+        "fully invariant: False\n"
+        "witness: right multiplication by e1\n"
+        "orbit dimension: 1\n"
+        "unipotent orbit dimension: 0\n"
+        "count criterion: True\n"
+    )
+    code, out = run_cli(argv + ["--json"])
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": "quivergrass/1", "command": "invariant-check", "fully_invariant": False,
+        "orbit_dim": 1, "unipotent_orbit_dim": 0, "count_criterion": True, "witness": "e1",
+    }
 
 
 def test_cli_input_errors(problem_file, capsys):

@@ -21,7 +21,6 @@ from quivergrass import (
     iso_classes,
     orbit_dim,
     orbits,
-    point_report,
     top_multiplicity_criterion,
     unipotent_orbit_dim,
     with_field,
@@ -163,12 +162,14 @@ def _right_multiply(alg, cover, vec, path):
 
 def _full_p_invariance(alg, point):
     """Reference full invariance on full-P vectors: (holds, witness path,
-    witness row) for the first radical basis path between top vertices, in
-    path order, and then the first row of the point, that moves a row out of
-    the point."""
+    witness row) for the first basis path between top vertices, in path
+    order, and then the first row of the point, that moves a row out of the
+    point.  The trivial paths count: right multiplication by e_v is the
+    projection onto the slot of v, which moves C at a top of several
+    vertices when C is not the sum of its slot components."""
     cover = point.cover
     for path in alg.basis:
-        if path.length == 0 or path.start not in cover.slots or path.end not in cover.slots:
+        if path.start not in cover.slots or path.end not in cover.slots:
             continue
         for row in point.rows:
             if not point.echelon.contains(_right_multiply(alg, cover, row, path)):
@@ -186,6 +187,22 @@ def test_invariance_matches_full_p_reference(top_scenes):
             assert (res.holds, res.witness_path, res.witness_row) == _full_p_invariance(scene.alg, point), label
             checked += 1
     assert checked > 100
+
+
+def test_full_invariance_is_orbit_dimension_zero(top_scenes, catalogue_scenes):
+    """On every squarefree scene, of one top vertex or several, a point is
+    fully invariant exactly when its orbit dimension is 0: both ask whether
+    every endomorphism of P, the top idempotents included, maps C into C.
+    On merge at the top (1, 2), one point over F2 and two over F3 have
+    orbit dimension 1 and are moved only by an idempotent."""
+    checked = 0
+    for label, scene in top_scenes + catalogue_scenes:
+        if not scene.squarefree:
+            continue
+        for point in scene.points:
+            assert is_fully_invariant(scene.alg, point).holds == (orbit_dim(scene.alg, point) == 0), (label, point)
+            checked += 1
+    assert checked > 4000
 
 
 def test_invariance_witness_reverifies():
@@ -307,21 +324,16 @@ def test_moduli_criterion_true_implies_all_points_invariant():
                 assert is_fully_invariant(algp, pt).holds
 
 
-def test_point_report():
-    alg = loop_arrow()
-    _, span_a, _ = _loop_arrow_points(alg)
-    report = point_report(alg, span_a)
-    assert not report.fully_invariant
-    assert report.orbit_dimension == 1
-    assert report.invariance_witness[0].render() == "w"
-
-
 def test_top_dimensions_are_read_once_per_point(monkeypatch):
     """orbit_dim, unipotent_orbit_dim, top_multiplicity_criterion,
-    point_report and iso_classes build no P/C as matrices, and share one
-    elimination of the linearised action on C per point."""
-    builds, eliminations = [], []
+    is_fully_invariant and iso_classes build no P/C as matrices, and share
+    one elimination of the linearised action on C per point;
+    is_fully_invariant reads the images of C that the elimination ranks and
+    maps no vector of its own."""
+    builds, eliminations, images = [], [], []
     real_quotient, real_ranks = representations.quotient_rep, representations.stabiliser_ranks
+    point_cls, cover_cls = representations.SubmodulePoint, representations.ProjectiveCover
+    real_terms, real_image = point_cls.image_terms, cover_cls.image
 
     def counting_quotient(point):
         builds.append(point)
@@ -331,15 +343,26 @@ def test_top_dimensions_are_read_once_per_point(monkeypatch):
         eliminations.append(point)
         return real_ranks(point)
 
+    def counting_terms(point, *args):
+        images.append(point)
+        return real_terms(point, *args)
+
+    def counting_image(cover, *args):
+        images.append(cover)
+        return real_image(cover, *args)
+
     monkeypatch.setattr(representations, "quotient_rep", counting_quotient)
     monkeypatch.setattr(representations, "stabiliser_ranks", counting_ranks)
+    monkeypatch.setattr(point_cls, "image_terms", counting_terms)
+    monkeypatch.setattr(cover_cls, "image", counting_image)
     alg = with_field(loop_arrow(), GF(3))
     scene = enumerate_points(alg, (1,), 3)
     assert len(scene.points) > 1
     for pt in scene.points:
         dims = (orbit_dim(alg, pt), unipotent_orbit_dim(alg, pt), top_multiplicity_criterion(alg, pt))
-        report = point_report(alg, pt)
-        assert (report.orbit_dimension, report.unipotent_orbit_dimension, report.split_count_holds) == dims
+        mapped = len(images)
+        assert is_fully_invariant(alg, pt).holds == (dims[0] == 0)
+        assert len(images) == mapped
     iso_classes(scene)
     assert builds == []
     assert eliminations == list(scene.points)

@@ -502,20 +502,28 @@ def test_classify_counts_stay_pinned(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(start=st.integers(0, 400), k=st.integers(0, 2), d=st.integers(1, 8))
+@given(start=st.integers(0, 400), k=st.integers(0, 3), d=st.integers(1, 8))
 @example(start=75, k=0, d=6)  # 651 points, the most in a scan of seeds 0 to 300
 def test_orbits_are_iso_classes_on_random_presentations(start, k, d):
-    """At a simple top over F2, the orbits are the isomorphism classes, each
-    orbit has q^{orbit_dim} points, and a point is fully invariant exactly
-    when its orbit is a singleton; within the default budgets."""
+    """At a simple top over F2 (k < 3), the orbits are the isomorphism
+    classes, each orbit has q^{orbit_dim} points, and a point is fully
+    invariant exactly when its orbit is a singleton; within the default
+    budgets.  At the two-vertex top (1, 2) (k = 3) a point is fully
+    invariant exactly when its orbit dimension is 0; there an orbit need
+    not have q^{orbit_dim} points: over F2 the automorphisms scaling each
+    slot are trivial, yet the idempotent of a slot can move C."""
     alg = with_field(random_presentation(start=start), GF(2))
     tops = simple_tops(alg)
-    top = tops[k % len(tops)]
-    d = 1 + (d - 1) % ProjectiveCover(alg, (top,)).dim
+    top = (1, 2) if k == 3 else (tops[k % len(tops)],)
+    d = 1 + (d - 1) % ProjectiveCover(alg, top).dim
     try:
-        scene = enumerate_points(alg, (top,), d)
+        scene = enumerate_points(alg, top, d)
     except OracleScaleError:
         assume(False)  # past the default candidate budget, as at start=304, k=1, d=4
+    if k == 3:
+        for point in scene.points:
+            assert is_fully_invariant(alg, point).holds == (orbit_dim(alg, point) == 0)
+        return
     orbs = orbits(scene)
     assert orbit_provenance(scene) == "exhaustive"
     assert set(map(frozenset, orbs)) == set(map(frozenset, iso_classes(scene)))

@@ -28,7 +28,6 @@ from quivergrass import oracle
 from quivergrass.moduli import (
     is_fully_invariant,
     orbit_dim,
-    point_report,
     top_multiplicity_criterion,
     unipotent_orbit_dim,
 )
@@ -151,7 +150,6 @@ def test_commands_leave_no_cyclic_garbage(monkeypatch):
             orbit_dim(alg, pt)
             unipotent_orbit_dim(alg, pt)
             top_multiplicity_criterion(alg, pt)
-            point_report(alg, pt)
         orbits(scene)
         iso_classes(scene)
 
