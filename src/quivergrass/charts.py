@@ -3,18 +3,21 @@
 The congruence rewriting expands any path element over the skeleton basis
 with polynomial coefficients in the chart variables X_{alpha p, q}; applied
 to a generating set of the relation ideal restricted to the top vertices it
-yields the defining polynomials of the chart.  Points of the chart convert
-both ways to submodules C of JP, written like every vector here in the
-basis of the projective cover P; the way back (`point_from_submodule`) and
-the membership test (`has_skeleton`) are one pass of
-`skeletons.skeleton_expander` modulo C.
+yields the defining polynomials of the chart.  The generators are rewritten
+shortest first and only on demand: a chart one of whose generators rewrites
+with a nonzero constant coefficient has no points, and `ChartContext.unit`
+stops there.  Points of the chart convert both ways to submodules C of JP,
+written like every vector here in the basis of the projective cover P; the
+way back (`point_from_submodule`) and the membership test (`has_skeleton`)
+are one pass of `skeletons.skeleton_expander` modulo C.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import polynomials as poly
 from .errors import (
@@ -26,7 +29,7 @@ from .errors import (
 from .linalg import Echelon, Expander
 from .presentation import AlgElement, AlgebraPresentation, Path, all_paths
 from .representations import ProjectiveCover, SubmodulePoint
-from .skeletons import CriticalPair, Skeleton, critical_pairs, is_route, skeleton_expander
+from .skeletons import Skeleton, critical_pairs, is_route, skeleton_expander
 
 
 @dataclass(frozen=True)
@@ -39,32 +42,39 @@ class ChartVariable:
 
 
 class ChartContext:
-    """Variables, critical pairs, the ideal generators of the skeleton's
-    tops, the memoized path rewriter and the chart ideal for one (algebra,
-    skeleton) pair."""
+    """Variables, the targets of the critical products, the ideal
+    generators of the skeleton's tops, the memoized path rewriter and the
+    chart ideal for one (algebra, skeleton) pair.
+
+    The generators are rewritten on demand, shortest first, by one cursor:
+    `unit` stops at the first generator with a nonzero constant coefficient,
+    and `ideal` rewrites the rest."""
 
     def __init__(self, alg: AlgebraPresentation, sk: Skeleton):
         if len(set(sk.tops)) != len(sk.tops):
             raise TopNotSquarefreeError(f"repeated top vertex in {sk.tops}")
         self.field = alg.field  # not alg: alg.chart_contexts holds this context
         self.sk = sk
-        self.pairs: List[CriticalPair] = critical_pairs(alg, sk)
-        self.pair_by_product: Dict[Path, CriticalPair] = {
-            cp.product: cp for cp in self.pairs
-        }
-        self.variables: List[ChartVariable] = []
-        self.var_index: Dict[Tuple[Path, Path], int] = {}
-        for cp in self.pairs:
-            for q in cp.targets:
-                self.var_index[(cp.product, q)] = len(self.variables)
-                self.variables.append(ChartVariable(cp.product, q))
+        # per critical product, its targets with their variable indices
+        self.targets: Dict[Path, Tuple[Tuple[Path, int], ...]] = {}
+        n = 0
+        for cp in critical_pairs(alg, sk):
+            self.targets[cp.product] = tuple(zip(cp.targets, range(n, n + len(cp.targets))))
+            n += len(cp.targets)
+        self.nvars = n
         self.path_set = set(sk.paths)
         self._memo: Dict[Path, Dict[Path, dict]] = {}
         self.generators, self.generator_lengths = _generators_and_lengths(alg, tuple(sk.tops))
+        # rewriting never shortens a path, so a generator longer than every
+        # skeleton path rewrites to zero: the cursor stops before them
+        self._stop = bisect_right(self.generator_lengths, sk.max_length())
+        self._next = 0  # the cursor: generators[:_next] are rewritten
+        self._polys = set()  # their nonzero coefficients, canonical and frozen
+        self._one = (((0,) * n, self.field.one),)  # the constant 1, frozen
 
-    @property
-    def nvars(self):
-        return len(self.variables)
+    @cached_property
+    def variables(self) -> Tuple[ChartVariable, ...]:
+        return tuple(ChartVariable(p, q) for p, ts in self.targets.items() for q, _ in ts)
 
     def var_names(self):
         return [f"X{i + 1}" for i in range(self.nvars)]
@@ -82,15 +92,13 @@ class ChartContext:
         f = self.field
         out: Dict[Path, dict] = {}
         if path in self.path_set:
-            out[path] = poly.const(self.nvars, f, 1)
+            out[path] = dict(self._one)
         elif is_route(path, self.sk) and (k := self._longest_prefix_in(path)) >= 0:
             product = path.prefix(k + 1)
             tail = Path(product.end, path.arrows[k + 1 :])
             # a critical pair dropped (product vanishes in the algebra) or
             # without targets: the congruence sends the whole term to zero
-            cp = self.pair_by_product.get(product)
-            for q in cp.targets if cp is not None else ():
-                idx = self.var_index[(product, q)]
+            for q, idx in self.targets.get(product, ()):
                 for final_q, coeff in self.reduce_path(q.then(tail)).items():
                     term = poly.mul_variable(f, coeff, idx)
                     out[final_q] = poly.add(f, out.get(final_q, {}), term)
@@ -106,17 +114,30 @@ class ChartContext:
                 out[q] = poly.add(f, out.get(q, {}), poly.scale(f, coeff, c))
         return {q: c for q, c in out.items() if c}
 
+    def _rewrite_next(self):
+        """Rewrite the generator at the cursor, file its coefficients and
+        move the cursor on."""
+        f = self.field
+        g = self.generators[self._next]
+        self._next += 1
+        self._polys.update(poly.frozen(poly.canonicalize(f, c)) for c in self.reduce_element(g).values())
+
+    @cached_property
+    def unit(self) -> bool:
+        """Whether some generator rewrites with a nonzero constant
+        coefficient, so that the chart has no points: the generators are
+        rewritten only up to the first such one."""
+        while self._one not in self._polys and self._next < self._stop:
+            self._rewrite_next()
+        return self._one in self._polys
+
     @cached_property
     def ideal(self) -> "ChartIdeal":
         """The chart's variables and defining polynomials (`chart_ideal`):
         the nonzero coefficients of the rewritten generators, canonical."""
-        polys = set()
-        top_length = self.sk.max_length()
-        for g, length in zip(self.generators, self.generator_lengths):
-            if length > top_length:
-                continue  # rewriting never shortens a path, so g rewrites to zero
-            polys.update(poly.frozen(poly.canonicalize(self.field, c)) for c in self.reduce_element(g).values())
-        return ChartIdeal(self.sk, tuple(self.variables), tuple(sorted(polys)))
+        while self._next < self._stop:
+            self._rewrite_next()
+        return ChartIdeal(self.sk, self.variables, tuple(sorted(self._polys)))
 
 
 def chart_context(alg, sk: Skeleton) -> ChartContext:
@@ -147,8 +168,8 @@ def _generators_and_lengths(alg: AlgebraPresentation, tops: tuple):
     """Left-ideal generators of the relations restricted to the top
     vertices: right multiples rho*u by paths u from a top vertex, bounded in
     length so that some term can still have length <= L.  Next to them, each
-    one's `min_length()`; both are computed once and memoized on the
-    algebra as one pair."""
+    one's `min_length()`, computed once; both sorted by it and memoized on
+    the algebra as one pair."""
     memo = alg.ideal_generators_by_tops.get(tops)
     if memo is None:
         f = alg.field
@@ -170,7 +191,11 @@ def _generators_and_lengths(alg: AlgebraPresentation, tops: tuple):
                     g = rel.mul(AlgElement.of_path(f, u))
                     if not g.is_zero():
                         out.append(g)
-        memo = alg.ideal_generators_by_tops[tops] = (tuple(out), tuple(g.min_length() for g in out))
+        keyed = sorted((g.min_length(), i) for i, g in enumerate(out))
+        memo = alg.ideal_generators_by_tops[tops] = (
+            tuple(out[i] for _, i in keyed),
+            tuple(length for length, _ in keyed),
+        )
     return memo
 
 
@@ -204,12 +229,12 @@ def submodule_from_point(alg, sk: Skeleton, point, cover: Optional[ProjectiveCov
     if cover is None:
         cover = ProjectiveCover(alg, sk.tops)
     gens = []
-    for cp in ctx.pairs:
+    for product, targets in ctx.targets.items():
         # the generator mixes summands: alpha*p sits over the slot of p while
         # the target paths sit over their own start vertices; all lie in JP
-        vec = cover.path_vector(cp.product)
-        for q in cp.targets:
-            c = point[ctx.var_index[(cp.product, q)]]
+        vec = cover.path_vector(product)
+        for q, i in targets:
+            c = point[i]
             if c != f.zero:
                 vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, cover.path_vector(q))]
         gens.append(vec)
@@ -249,17 +274,17 @@ def point_from_submodule(alg, sk: Skeleton, point: SubmodulePoint):
     # the expander holds the positive-length paths, longest first, modulo C
     order = [p for l in range(sk.max_length(), 0, -1) for p in sk.of_length(l)]
     coords = [f.zero] * ctx.nvars
-    for cp in ctx.pairs:
-        combo = exp.express(point.cover.path_vector(cp.product))
+    for product, targets in ctx.targets.items():
+        combo = exp.express(point.cover.path_vector(product))
         if combo is None:
             raise SkeletonMismatchError("critical product escapes the basis")
-        eligible = set(cp.targets)
+        eligible = dict(targets)
         for p, c in zip(order, combo):
             if c == f.zero:
                 continue
             if p not in eligible:
                 raise SkeletonMismatchError(
-                    f"expansion of {cp.product.render()} hits ineligible path {p.render()}"
+                    f"expansion of {product.render()} hits ineligible path {p.render()}"
                 )
-            coords[ctx.var_index[(cp.product, p)]] = c
+            coords[eligible[p]] = c
     return tuple(coords)

@@ -57,6 +57,8 @@ class Rationals:
         return -a
 
     def inv(self, a):
+        if a == 1 or a == -1:  # an int: the integral form of +-1
+            return a
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return _integral(Fraction(1) / a)

@@ -39,6 +39,7 @@ from typing import Dict, List, Tuple
 
 from . import polynomials as poly
 from .charts import (
+    chart_context,
     chart_ideal,
     has_skeleton,
     point_from_submodule,
@@ -526,13 +527,18 @@ class CrossValidationReport:
 
 def chart_solutions(alg, sk: Skeleton, budget: int = 10 ** 6):
     """All F_q points of the chart ideal, by exhaustive search behind the
-    budget on q^n, in the order of a scan over F_q^n."""
+    budget on q^n, in the order of a scan over F_q^n.  After the budget
+    check, an empty chart stops at its first generator with a nonzero
+    constant coefficient (`ChartContext.unit`), and only a chart without
+    one is rewritten in full and scanned."""
     f = alg.field
-    ideal = chart_ideal(alg, sk)
-    n = ideal.nvars
+    ctx = chart_context(alg, sk)
+    n = ctx.nvars
     if f.char ** n > budget:
         raise OracleScaleError(f"chart scan q^{n} exceeds the budget")
-    return _solutions(f, n, ideal.poly_dicts())
+    if ctx.unit:
+        return []
+    return _solutions(f, n, chart_ideal(alg, sk).poly_dicts())
 
 
 def _solutions(f, n, polys):

@@ -11,13 +11,6 @@ from fractions import Fraction
 from math import gcd
 
 
-def const(nvars, field, value):
-    c = field.coerce(value)
-    if c == field.zero:
-        return {}
-    return {(0,) * nvars: c}
-
-
 def add(field, a, b):
     out = dict(a)
     for e, c in b.items():
@@ -66,27 +59,32 @@ def leading_monomial(a):
 def canonicalize(field, a):
     """Content removed and sign normalized: over Q the coefficients become
     coprime integers with positive leading coefficient, over F_p the
-    polynomial becomes monic.  A polynomial over Q that is canonical already
-    (the common case for chart equations) is returned as it is."""
+    polynomial becomes monic.  A polynomial that is canonical already (the
+    common case for chart equations) is returned as it is."""
     if not a:
         return {}
-    lead = leading_monomial(a)
+    lead = a[leading_monomial(a)]
     if field.char == 0:
         values = a.values()
-        if a[lead] > 0 and all(type(c) is int for c in values) and gcd(*values) == 1:
-            return a
+        if all(type(c) is int for c in values):
+            g = gcd(*values)
+            if lead < 0:
+                g = -g
+            return a if g == 1 else {e: c // g for e, c in a.items()}
         denom_lcm = 1
-        for c in a.values():
+        for c in values:
             denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        nums = [c * denom_lcm for c in a.values()]
+        nums = [c * denom_lcm for c in values]
         g = 0
         for n in nums:
             g = gcd(g, int(n))
         unit = Fraction(denom_lcm, g if g else 1)
-        if a[lead] < 0:
+        if lead < 0:
             unit = -unit
         return {e: field.mul(c, unit) for e, c in a.items()}
-    unit = field.inv(a[lead])
+    if lead == field.one:
+        return a
+    unit = field.inv(lead)
     return {e: field.mul(unit, c) for e, c in a.items()}
 
 

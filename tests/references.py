@@ -40,7 +40,7 @@ def reduce_element_worklist(ctx: ChartContext, z: AlgElement, rng=None, route_pr
     """
     f = ctx.field
     pending: List[Tuple[Path, dict]] = [
-        (p, poly.const(ctx.nvars, f, c)) for p, c in z.terms.items()
+        (p, {(0,) * ctx.nvars: c}) for p, c in z.terms.items()
     ]
     out: Dict[Path, dict] = {}
     while pending:
@@ -58,11 +58,7 @@ def reduce_element_worklist(ctx: ChartContext, z: AlgElement, rng=None, route_pr
             continue
         product = path.prefix(k).extended_by(path.arrows[k])
         tail = Path(product.end, path.arrows[k + 1 :])
-        cp = ctx.pair_by_product.get(product)
-        if cp is None:
-            continue
-        for q in cp.targets:
-            vidx = ctx.var_index[(product, q)]
+        for q, vidx in ctx.targets.get(product, ()):
             pending.append((q.then(tail), poly.mul_variable(f, coeff, vidx)))
     return {q: c for q, c in out.items() if c}
 

@@ -106,7 +106,23 @@ def test_canonicalize_over_q_gives_coprime_integers_with_positive_lead(a):
     assert out.keys() == a.keys() and all(out[e] == ratio * a[e] for e in a)
     assert all(type(c) is int for c in out.values())
     assert out[lead] > 0 and math.gcd(*out.values()) == 1
-    assert poly.canonicalize(QQ, out) == out
+    assert poly.canonicalize(QQ, out) is out
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), a=st.dictionaries(_monomials, st.integers(1, 4), min_size=1, max_size=5))
+def test_canonicalize_over_f_p_is_monic(p, a):
+    """Over F_p the canonical form is the monic multiple of a, and a monic
+    polynomial is returned as it is."""
+    f = GF(p)
+    a = {e: c % p for e, c in a.items() if c % p}
+    if not a:
+        return
+    out = poly.canonicalize(f, a)
+    lead = poly.leading_monomial(a)
+    assert out.keys() == a.keys() and out[lead] == 1
+    assert all(out[e] == f.mul(out[lead] * pow(a[lead], -1, p), a[e]) for e in a)
+    assert poly.canonicalize(f, out) is out
 
 
 def test_chart_ideal_golden(fork_chart):
@@ -453,11 +469,11 @@ def _reference_coordinates(alg, sk, point, layers_independent):
     assert all(exp.add(cover.path_vector(p)) for p in sk.paths)
     ctx = chart_context(alg, sk)
     coords = [f.zero] * ctx.nvars
-    for cp in ctx.pairs:
-        combo = exp.express(cover.path_vector(cp.product))
+    for product, targets in ctx.targets.items():
+        combo = exp.express(cover.path_vector(product))
         for p, c in zip(sk.paths, combo[n_c:]):
             if c != f.zero:
-                coords[ctx.var_index[(cp.product, p)]] = c  # KeyError if ineligible
+                coords[dict(targets)[p]] = c  # KeyError if ineligible
     return tuple(coords)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quivergrass import fields
 from quivergrass.fields import GF, PRIME_BOUND, QQ, FieldError, is_prime
 
 
@@ -58,3 +59,20 @@ def test_rationals_keep_integral_values_as_ints():
     assert QQ.coerce(big) is big and type(QQ.coerce(True)) is int and QQ.coerce(True) == 1
     with pytest.raises(ZeroDivisionError):
         QQ.inv(0)
+
+
+def test_rationals_invert_units_without_a_fraction(monkeypatch):
+    """1 and -1, the pivots that `build_algebra` and `Echelon` meet most
+    over Q, are their own inverses and build no Fraction."""
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fields, "Fraction", Counted)
+    units = [QQ.inv(1), QQ.inv(-1)]
+    assert units == [1, -1] and all(type(c) is int for c in units)
+    assert built == []
+    assert QQ.inv(-2) == Fraction(-1, 2) and built

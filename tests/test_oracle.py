@@ -24,6 +24,7 @@ from quivergrass import (
 )
 from quivergrass import oracle
 from quivergrass import polynomials as poly
+from quivergrass.charts import ChartContext, chart_context, chart_ideal
 from quivergrass.linalg import is_invertible, rref
 from quivergrass.moduli import is_fully_invariant, orbit_dim, unipotent_orbit_dim
 from quivergrass.oracle import OracleScene, _modules_isomorphic, chart_solutions, group_size, orbit_provenance
@@ -702,3 +703,119 @@ def test_cross_validation_computes_each_chart_value_once(monkeypatch):
         assert made["compatible"] <= n_classes
         n_solutions += report.n_solutions
     assert n_solutions >= len(scene.points)
+
+
+# ---------------------------------------------------------------------------
+# empty charts: the rewriting stops at the first constant coefficient
+
+
+def _chart_answers_agree(alg, alone, tops, d):
+    """At every skeleton of (tops, d) within the default q^n budget,
+    `chart_solutions` on alg, which reads `unit` before the ideal, equals the
+    scan of the full chart ideal, and that ideal equals the one of a second
+    copy of the algebra, alone, read without `unit`.  Returns the number of
+    charts checked and of those whose `unit` holds."""
+    charts = units = 0
+    for sk, sk_alone in zip(enumerate_skeletons(alg, tops, d), enumerate_skeletons(alone, tops, d)):
+        ctx = chart_context(alg, sk)
+        if alg.field.char ** ctx.nvars > 10 ** 6:
+            continue
+        sols = chart_solutions(alg, sk)
+        ideal = chart_ideal(alg, sk)
+        assert sols == oracle._solutions(alg.field, ctx.nvars, ideal.poly_dicts()), (tops, d, sk)
+        assert ideal == chart_ideal(alone, sk_alone), (tops, d, sk)
+        assert not (ctx.unit and sols)
+        charts += 1
+        units += ctx.unit
+    return charts, units
+
+
+def test_chart_solutions_keep_their_answers():
+    """Every skeleton of the cross-validation catalogue at every d over F2
+    and F3, within the budgets: stopping an empty chart at its first
+    constant changes no answer and no chart ideal."""
+    charts = units = 0
+    for name, alg, tops in cross_validation_jobs(catalogue()):
+        for prime in (2, 3):
+            alg_p, alone = with_field(alg, GF(prime)), with_field(alg, GF(prime))
+            for d in range(len(tops), ProjectiveCover(alg_p, tops).dim + 1):
+                n, u = _chart_answers_agree(alg_p, alone, tops, d)
+                charts, units = charts + n, units + u
+    assert charts == 1784 and units == 1412
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.integers(0, 400), k=st.integers(0, 2), d=st.integers(1, 8))
+def test_chart_solutions_keep_their_answers_on_random_presentations(start, k, d):
+    """test_chart_solutions_keep_their_answers at a simple top of a random
+    presentation over F2."""
+    alg = with_field(random_presentation(start=start), GF(2))
+    tops = simple_tops(alg)
+    top = (tops[k % len(tops)],)
+    d = 1 + (d - 1) % ProjectiveCover(alg, top).dim
+    _chart_answers_agree(alg, with_field(random_presentation(start=start), GF(2)), top, d)
+
+
+def test_pruned_skeletons_have_unit_charts():
+    """On the cross-validation catalogue over F2, F3 and Q at every d, each
+    skeleton that `enumerate_skeletons(..., prune=True)` drops has a chart
+    generator with a nonzero constant coefficient.  An observation on these
+    scenes, not a theorem."""
+    dropped = 0
+    for name, alg, tops in cross_validation_jobs(catalogue()):
+        for field in (GF(2), GF(3), alg.field):
+            alg_f = with_field(alg, field)
+            for d in range(len(tops), ProjectiveCover(alg_f, tops).dim + 1):
+                kept = set(enumerate_skeletons(alg_f, tops, d, prune=True))
+                for sk in enumerate_skeletons(alg_f, tops, d):
+                    if sk not in kept:
+                        assert chart_context(alg_f, sk).unit, (name, field, tops, d, sk)
+                        dropped += 1
+    assert dropped == 2093
+
+
+def test_empty_charts_stop_rewriting_at_the_first_constant(monkeypatch):
+    """Cross-validating two_loop_fork over F2 at d = 7 rewrites 482
+    generators, 1 110 before the rewriting stopped at a unit; 213 of its 222
+    charts are empty, each with a unit."""
+    rewrites = []
+    reduce_element = ChartContext.reduce_element
+
+    def counted(self, z):
+        rewrites.append(1)
+        return reduce_element(self, z)
+
+    monkeypatch.setattr(ChartContext, "reduce_element", counted)
+    alg = with_field(two_loop_fork(), GF(2))
+    scene = enumerate_points(alg, (1,), 7)
+    sks = enumerate_skeletons(alg, (1,), 7)
+    reports = [cross_validate_chart(scene, sk) for sk in sks]
+    assert all(r.ok for r in reports)
+    assert len(rewrites) == 482
+    units = [chart_context(alg, sk).unit for sk in sks]
+    assert len(sks) == 222 and sum(units) == 213
+    assert all(r.n_solutions == r.n_points == 0 for r, unit in zip(reports, units) if unit)
+
+
+def test_chart_scan_budget_is_checked_before_rewriting(monkeypatch):
+    """An empty chart past the q^n budget is refused as before, and with
+    none of its generators rewritten; within the budget it has no
+    solutions."""
+    rewrites = []
+    reduce_element = ChartContext.reduce_element
+
+    def counted(self, z):
+        rewrites.append(1)
+        return reduce_element(self, z)
+
+    monkeypatch.setattr(ChartContext, "reduce_element", counted)
+    alg = with_field(two_loop_fork(), GF(2))
+    q = alg.quiver
+    degenerate = make_skeleton(alg, (1,), [Path(1), path_of(q, "w1"), path_of(q, "w1", "w1")])
+    n = chart_context(alg, degenerate).nvars
+    assert n == 2
+    with pytest.raises(OracleScaleError, match=rf"^chart scan q\^{n} exceeds the budget$"):
+        chart_solutions(alg, degenerate, budget=2 ** n - 1)
+    assert rewrites == []
+    assert chart_solutions(alg, degenerate, budget=2 ** n) == []
+    assert chart_context(alg, degenerate).unit and rewrites

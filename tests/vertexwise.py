@@ -198,14 +198,7 @@ def module_from_point(alg, sk, point) -> Representation:
         ap = p.extended_by(arrow)
         if ap in ctx.path_set:
             return [(ap, f.one)]
-        cp = ctx.pair_by_product.get(ap)
-        if cp is None:
-            return []
-        return [
-            (q, point[ctx.var_index[(ap, q)]])
-            for q in cp.targets
-            if point[ctx.var_index[(ap, q)]] != f.zero
-        ]
+        return [(q, point[i]) for q, i in ctx.targets.get(ap, ()) if point[i] != f.zero]
 
     return representation_on_blocks(alg, blocks, column_action)
 
