@@ -50,8 +50,10 @@ def is_fully_invariant(alg: AlgebraPresentation, point: SubmodulePoint) -> Invar
     between the top vertices, spanned by the triples of `cover.end_basis`;
     for a squarefree top each basis path is one triple, and a trivial path
     e_v is the projection onto v's slot.  A triple keeps C when its vector
-    of `point.end_images` is zero.  The first violating basis path (in path
-    order, trivial paths included) and point row are returned as a witness.
+    of `point.end_images` is zero; at a one-slot top the unit triple is the
+    identity of P, whose vector is zero without mapping C's rows.  The
+    first violating basis path (in path order, trivial paths included) and
+    point row are returned as a witness.
     """
     cover = point.cover
     if not cover.squarefree:

@@ -485,7 +485,8 @@ def _iso_partition(scene: OracleScene):
     that C_i kills, and P/C_i = N when some x in K generates N.  A point is
     tested only against the class representatives sharing its key: its
     radical layering and its `invariant_ranks`, the ranks of the cover's
-    `rank_elements`.  The key is exact: an isomorphism phi: M -> N gives
+    `rank_elements`, read per vertex block of C and computed once per
+    distinct block.  The key is exact: an isomorphism phi: M -> N gives
     N_x = phi_t M_x phi_s^-1 for every element x of the algebra from s to
     t, and it fixes the layering.  So every class lies in one layering
     class.

@@ -319,12 +319,18 @@ def default_order_key(quiver: Quiver):
 
 
 def build_algebra(quiver, relations, loewy_bound, field=QQ, order_key=None):
-    """Build KQ/I from relation generators and the nilpotency bound.
+    """Build KQ/(I + J^{L+1}) from relation generators and the nilpotency
+    bound L.
 
-    The span of the truncated two-sided multiples of the relations is row
-    reduced (pivot = largest path in the order); the surviving paths of
-    length <= L form the basis.  Every path of length L+1 must land in the
-    span, otherwise the bound (or admissibility) fails.
+    The span of the two-sided multiples of the relations, each truncated
+    beyond length L+1, is row reduced (pivot = largest path in the order);
+    the surviving paths of length <= L form the basis.  Every path of
+    length L+1 must land in the span, otherwise the bound (or
+    admissibility) fails.  Since the terms longer than L+1 are dropped,
+    this checks J^{L+1} in I + J^{L+2}, not J^{L+1} in I.  The two agree
+    when each relation's terms have one length.  Otherwise the result can
+    differ from KQ/I: with one loop w, w*w*w - w*w at L = 2 passes the
+    check and gives basis e, w, yet in KQ/I, w*w = w*w*w is not zero.
 
     The paths of length <= L+1 are ranked in the order (the algebra's
     `rank`), and each multiple, a dict from rank to coefficient, is reduced

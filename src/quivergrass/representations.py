@@ -13,10 +13,13 @@ pairs.  The module M = P/C is never built: its basis is the columns of P
 off C's pivots, a pivot column is minus the rest of its reduced row, and
 what C determines is read from its rows through the cover's actions.  A
 `SubmodulePoint` keeps, computed on first read, each column of P modulo C,
-the images of C under End(P) modulo C and the orbit ranks read from them;
-the Yoneda equations of Hom(M, N), the radical layering and the ranks of
-the algebra elements that key an isomorphism class are read the same way
-(`yoneda_equations`, `radical_layering`, `invariant_ranks`).  A
+the images of C under End(P) modulo C, where the identity of a one-slot
+cover maps no row, and the orbit ranks read from them; the Yoneda
+equations of Hom(M, N) and the radical layering are read the same way
+(`yoneda_equations`, `radical_layering`).  The ranks of the algebra
+elements that key an isomorphism class (`invariant_ranks`) are read per
+vertex block: an element ending at w has a rank that depends only on C_w,
+so the cover ranks each distinct block once (`block_ranks`).  A
 `Representation`, a matrix per arrow, is what `quotient_rep` builds and
 `hom_basis` compares: the vertex-wise route the tests check the library
 against.
@@ -62,6 +65,8 @@ class ProjectiveCover:
         self._actions: Dict[object, Dict[int, List[Tuple[int, object]]]] = {}
         self._radical_rows: Dict[int, Tuple[Tuple[object, ...], ...]] = {}
         self._path_vectors: Dict[Path, Tuple[object, ...]] = {}
+        # per (vertex w, reduced rows of C_w), the ranks of `block_ranks`
+        self._block_ranks: Dict[tuple, Tuple[int, ...]] = {}
 
     @property
     def dim(self):
@@ -203,21 +208,57 @@ class ProjectiveCover:
     @cached_property
     def rank_elements(self) -> Tuple[tuple, ...]:
         """The algebra elements whose ranks on P/C key an isomorphism class
-        (`invariant_ranks`), each as (start vertex, [(coefficient, sparse
-        action)]): every basis path of positive length that moves some
-        column of P, in basis order, then a + c*b for each pair of parallel
-        arrows a before b, in arrow order, and each c != 0 of the field.
-        A path that moves no column acts by 0 on every P/C, and the trivial
-        paths' ranks, the dimension vector, are the layering's totals."""
+        (`invariant_ranks`), each as (end vertex, images): the images of the
+        columns of P at its start vertex that its paths move, in column
+        order, each as (column, coefficient) terms, where a column may
+        repeat.  They are every basis path of positive length that moves
+        some column of P, in basis order, then a + c*b for each pair of
+        parallel arrows a before b, in arrow order, and each c != 0 of the
+        field.  A path that moves no column acts by 0 on every P/C, and the
+        trivial paths' ranks, the dimension vector, are the layering's
+        totals."""
         f = self.alg.field
         arrows = self.alg.quiver.arrows
-        out = [(p.start, [(1, act)]) for p in self.alg.basis if p.length and (act := self.path_action(p))]
+        out = [(p.end, tuple(act.values())) for p in self.alg.basis if p.length and (act := self.path_action(p))]
         for k, a in enumerate(arrows):
             for b in arrows[k + 1 :]:
                 if a.source == b.source and a.target == b.target:
                     act_a, act_b = self.arrow_action(a), self.arrow_action(b)
-                    out.extend((a.source, [(1, act_a), (c, act_b)]) for c in f.elements() if c)
+                    cols = sorted(act_a.keys() | act_b.keys())
+                    out.extend(
+                        (a.target, tuple(act_a.get(i, []) + [(j, c * x) for j, x in act_b.get(i, ())] for i in cols))
+                        for c in f.elements()
+                        if c
+                    )
         return tuple(out)
+
+    def block_ranks(self, w, rows) -> Tuple[int, ...]:
+        """The ranks on M = P/C of the `rank_elements` that end at w, in
+        their order, where rows are the reduced rows of C whose pivot column
+        ends at w: C is graded by end vertex, so these rows span C_w.  An
+        element x from v to w maps C_v into C_w, so its rank is
+        dim (x*P_v + C_w)/C_w, read from the images of P_v's columns modulo
+        C_w.  Memoised per (w, rows), so each distinct block is ranked once."""
+        key = (w, rows)
+        out = self._block_ranks.get(key)
+        if out is None:
+            f = self.alg.field
+            columns = [i for i, (_, p) in enumerate(self.basis) if p.end == w]
+            n = len(columns) - len(rows)  # dim M_w
+            res = _residues(f, columns, {row.index(f.one): row for row in rows})
+            ranks = []
+            for end, images in self.rank_elements:
+                if end == w:
+                    vectors = []
+                    for img in images:
+                        vec = [0] * n
+                        for j, a in img:
+                            for k, x in res[j]:
+                                vec[k] += a * x
+                        vectors.append(_field_vector(f, vec))
+                    ranks.append(rank(f, vectors, n))
+            out = self._block_ranks[key] = tuple(ranks)
+        return out
 
     def radical_rows(self, m: int):
         """Canonical echelon rows of J^m P, for m >= 1."""
@@ -360,19 +401,9 @@ class SubmodulePoint:
     def residues(self) -> Tuple[Tuple[Tuple[int, object], ...], ...]:
         """Per column of P, the column modulo C in the basis of P/C, the
         columns off C's pivots numbered in column order, as (number,
-        coefficient) terms: a free column is itself, and a pivot column is
-        minus the rest of its reduced row."""
-        f = self.alg.field
-        rows = dict(zip(self.echelon.pivots, self.rows))
-        number = {}
-        for i in range(self.cover.dim):
-            if i not in rows:
-                number[i] = len(number)
-        return tuple(
-            tuple((number[j], f.neg(x)) for j, x in enumerate(rows[i]) if x and j != i)
-            if i in rows else ((number[i], f.one),)
-            for i in range(self.cover.dim)
-        )
+        coefficient) terms (`_residues`)."""
+        reduced = dict(zip(self.echelon.pivots, self.rows))
+        return tuple(_residues(self.alg.field, range(self.cover.dim), reduced).values())
 
     def image_terms(self, action, col):
         """The image of the column col of P under a sparse action of the
@@ -388,7 +419,9 @@ class SubmodulePoint:
         right action, modulo C, as one field vector: the image of the k-th
         row, in the basis of `residues`, fills the k-th block of
         `quotient_dim` entries, which is zero when the triple keeps that row
-        in C."""
+        in C.  The unit triple of a one-slot cover acts as the identity of
+        P, so its vector is zero and C's rows are not mapped; a point that
+        no other triple moves builds no `residues` here."""
         cover = self.cover
         f = self.alg.field
         n = self.quotient_dim
@@ -396,6 +429,9 @@ class SubmodulePoint:
         width = n * len(rows)
         out = []
         for triple in cover.end_basis:
+            if len(cover.slots) == 1 and not triple[2].length:
+                out.append([f.zero] * width)  # the unit of a one-slot cover is the identity of P
+                continue
             act = cover.right_action(triple)
             vec = [0] * width
             for base, row in zip(range(0, width, n), rows):
@@ -443,6 +479,23 @@ def quotient_rep(point: SubmodulePoint) -> Representation:
         return [(free[k], f.coerce(x)) for k, x in point.image_terms(cover.arrow_action(arrow), col)]
 
     return representation_on_blocks(cover.alg, point.blocks, column_action)
+
+
+def _residues(f, columns, reduced):
+    """Per column of P in columns, the column modulo the span of the
+    reduced rows, given by pivot and supported on columns, in the basis of
+    the columns off the pivots, numbered in order, as (number, coefficient)
+    terms: a free column is itself, and a pivot column is minus the rest of
+    its reduced row."""
+    number = {}
+    for i in columns:
+        if i not in reduced:
+            number[i] = len(number)
+    return {
+        i: tuple((number[j], f.neg(x)) for j, x in enumerate(reduced[i]) if x and j != i)
+        if i in reduced else ((number[i], f.one),)
+        for i in columns
+    }
 
 
 def _field_vector(f, vec):
@@ -550,25 +603,16 @@ def radical_layering(point: SubmodulePoint) -> "SemisimpleSequence":
 
 def invariant_ranks(point: SubmodulePoint) -> Tuple[int, ...]:
     """The rank on M = P/C of each element of the cover's `rank_elements`,
-    read from its sparse actions modulo C, on the basis columns of M at the
-    element's start vertex; a column that no action moves adds no image."""
-    f = point.alg.field
-    res = point.residues
-    n = point.quotient_dim
-    out = []
-    for v, actions in point.cover.rank_elements:
-        images = []
-        for col in point.blocks[v]:
-            vec = None
-            for c, act in actions:
-                for j, a in act.get(col, ()):
-                    vec = vec or [0] * n
-                    for k, x in res[j]:
-                        vec[k] += c * a * x
-            if vec:
-                images.append(_field_vector(f, vec))
-        out.append(rank(f, images, n))
-    return tuple(out)
+    in their order.  The rank of an element ending at w depends only on
+    C_w, the rows of C whose pivot column ends at w, so it is read per
+    vertex block from the cover's memo (`block_ranks`)."""
+    cover = point.cover
+    blocks: Dict[object, List[tuple]] = {}
+    for piv, row in zip(point.echelon.pivots, point.rows):
+        blocks.setdefault(cover.basis[piv][1].end, []).append(row)
+    ends = {w for w, _ in cover.rank_elements}
+    per_end = {w: iter(cover.block_ranks(w, tuple(blocks.get(w, ())))) for w in ends}
+    return tuple(next(per_end[w]) for w, _ in cover.rank_elements)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 `reduce_element_worklist` is the unmemoized rewriting, kept as the reference
 for `ChartContext.reduce_element`; with `route_prune=False` it also rewrites
 the paths that are not routes, the reference for the route pruning.
-`index_of` finds a point of a scene.  `incremental_build_algebra` is the
+`index_of` finds a point of a scene.  `end_images_reference` maps C's rows
+under every triple of End(P)'s path basis, the identity included, the
+reference for `SubmodulePoint.end_images`.  `incremental_build_algebra` is the
 reference for `build_algebra`.  `full_orbit_partition` is the reference
 for the exhaustive orbit scan.  `normal_form` reduces an algebra element
 through the algebra's table of path normal forms, and `render_problem`
@@ -69,6 +71,27 @@ def index_of(scene: OracleScene, point: SubmodulePoint) -> Optional[int]:
         if p.rows == point.rows:
             return i
     return None
+
+
+def end_images_reference(point: SubmodulePoint):
+    """Per triple of `cover.end_basis`, the images of C's rows under its
+    right action, modulo C, as one vector: every triple's action applied to
+    every row, each image reduced by C's echelon and read at the columns off
+    C's pivots, the k-th row's image filling the k-th block."""
+    cover = point.cover
+    zero = [point.alg.field.zero] * cover.dim
+    ech = point.echelon
+    pivots = set(ech.pivots)
+    free = [i for i in range(cover.dim) if i not in pivots]
+    out = []
+    for triple in cover.end_basis:
+        act = cover.right_action(triple)
+        vec = []
+        for row in point.rows:
+            image = ech.residual(cover.image(act, row) or zero)
+            vec += [image[i] for i in free]
+        out.append(vec)
+    return out
 
 
 def full_orbit_partition(scene: OracleScene, unipotent_only: bool = False):

@@ -28,7 +28,7 @@ from quivergrass import (
     Quiver,
 )
 from quivergrass import cli, representations
-from quivergrass.linalg import Echelon
+from quivergrass.linalg import Echelon, rank
 from quivergrass.moduli import ModuliCriterionReport
 from quivergrass.presentation import all_paths
 from quivergrass.representations import quotient_rep
@@ -42,7 +42,7 @@ from algebras import (
     random_presentation,
     triple_arrow,
 )
-from references import normal_form
+from references import end_images_reference, normal_form
 from vertexwise import cover_rep, hom_dim, radical_submodule, submodule_as_rep
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
@@ -366,6 +366,42 @@ def test_top_dimensions_are_read_once_per_point(monkeypatch):
     iso_classes(scene)
     assert builds == []
     assert eliminations == list(scene.points)
+
+
+def test_end_images_match_the_reference(catalogue_scenes, top_scenes):
+    """`SubmodulePoint.end_images`, which gives the identity of a one-slot
+    cover a zero vector without mapping C's rows, equals the images of
+    every row under every triple of End(P), the identity included; and so
+    do the orbit ranks and, at a squarefree top, the witness of
+    `is_fully_invariant` read from those images.  The scenes hold one-slot,
+    two-slot and repeated tops."""
+    shapes = set()
+    for label, scene in [*catalogue_scenes, *top_scenes]:
+        alg = scene.alg
+        f = alg.field
+        basis = scene.cover.end_basis
+        units = sum(1 for t in basis if not t[2].length)
+        shapes.add((len(scene.cover.slots), scene.cover.squarefree))
+        for point in scene.points:
+            images = end_images_reference(point)
+            assert list(point.end_images) == images, (label, point)
+            width = point.rank * point.quotient_dim
+            assert point.orbit_ranks == (rank(f, images, width), rank(f, images[units:], width)), (label, point)
+            if not scene.cover.squarefree:
+                continue
+            n = point.quotient_dim
+            witness = next(
+                (
+                    (triple[2], row)
+                    for triple, vec in sorted(zip(basis, images), key=lambda tv: alg.basis_index[tv[0][2]])
+                    for k, row in enumerate(point.rows)
+                    if any(vec[k * n : (k + 1) * n])
+                ),
+                (None, None),
+            )
+            result = is_fully_invariant(alg, point)
+            assert (result.holds, result.witness_path, result.witness_row) == (witness[0] is None, *witness), label
+    assert {(1, True), (2, True), (2, False)} <= shapes
 
 
 def test_finite_local_type_examples():

@@ -1,5 +1,6 @@
 """Brute-force enumeration, orbits, isomorphism classes, cross-validation."""
 
+import functools
 import itertools
 
 import pytest
@@ -22,13 +23,14 @@ from quivergrass import (
     with_field,
     Path,
 )
-from quivergrass import oracle
+from quivergrass import oracle, representations
 from quivergrass import polynomials as poly
 from quivergrass.charts import ChartContext, chart_context, chart_ideal
 from quivergrass.linalg import is_invertible, rref
 from quivergrass.moduli import is_fully_invariant, orbit_dim, unipotent_orbit_dim
 from quivergrass.oracle import OracleScene, _modules_isomorphic, chart_solutions, group_size, orbit_provenance
 from quivergrass.representations import (
+    SubmodulePoint,
     hom_basis,
     hom_from_quotient,
     invariant_ranks,
@@ -389,33 +391,71 @@ def test_layering_totals_are_the_dimension_vector(small_scenes):
             assert scene.layerings[i].totals_per_vertex() == quotient_rep(point).dims, label
 
 
-def test_invariant_ranks_match_the_matrix_route(catalogue_scenes):
-    """Each invariant rank is the rank of the element's summed path matrices
-    on P/C built as matrices: every basis path of positive length that acts
+def _rank_elements(cover):
+    """The elements whose ranks key an isomorphism class, as lists of
+    (coefficient, path): every basis path of positive length that acts
     nonzero on P, then a + c*b for parallel arrows a before b and c != 0."""
+    alg = cover.alg
+    p_rep = cover_rep(cover)
+    elements = [[(1, p)] for p in alg.basis if p.length and any(x for row in path_matrix(p_rep, p) for x in row)]
+    arrows = alg.quiver.arrows
+    for k, a in enumerate(arrows):
+        for b in arrows[k + 1 :]:
+            if (a.source, a.target) == (b.source, b.target):
+                elements += [[(1, Path(a.source, (a,))), (c, Path(b.source, (b,)))] for c in alg.field.elements() if c]
+    return elements
+
+
+def _matrix_route_ranks(point, elements):
+    """Each element's rank on P/C built as matrices: the rank of its summed
+    path matrices."""
+    f = point.alg.field
+    rep = quotient_rep(point)
+    ranks = []
+    for element in elements:
+        start, end = element[0][1].start, element[0][1].end
+        summed = [[f.zero] * rep.dim_at(start) for _ in range(rep.dim_at(end))]
+        for c, p in element:
+            for row, prow in zip(summed, path_matrix(rep, p)):
+                row[:] = [f.add(x, f.mul(c, y)) for x, y in zip(row, prow)]
+        ranks.append(rref(f, summed, rep.dim_at(start)).rank)
+    return tuple(ranks)
+
+
+def test_invariant_ranks_match_the_matrix_route(catalogue_scenes):
+    """Each invariant rank, read per vertex block of C, is the rank of the
+    element's summed path matrices on P/C built as matrices
+    (`_rank_elements`, `_matrix_route_ranks`)."""
     for label, scene in catalogue_scenes:
-        alg = scene.alg
-        f = alg.field
-        p_rep = cover_rep(scene.cover)
-        elements = [
-            [(1, p)] for p in alg.basis if p.length and any(x for row in path_matrix(p_rep, p) for x in row)
-        ]
-        arrows = alg.quiver.arrows
-        for k, a in enumerate(arrows):
-            for b in arrows[k + 1 :]:
-                if (a.source, a.target) == (b.source, b.target):
-                    elements += [[(1, Path(a.source, (a,))), (c, Path(b.source, (b,)))] for c in f.elements() if c]
+        elements = _rank_elements(scene.cover)
         for point in scene.points:
-            rep = quotient_rep(point)
-            expected = []
-            for element in elements:
-                start, end = element[0][1].start, element[0][1].end
-                summed = [[f.zero] * rep.dim_at(start) for _ in range(rep.dim_at(end))]
-                for c, p in element:
-                    for row, prow in zip(summed, path_matrix(rep, p)):
-                        row[:] = [f.add(x, f.mul(c, y)) for x, y in zip(row, prow)]
-                expected.append(rref(f, summed, rep.dim_at(start)).rank)
-            assert invariant_ranks(point) == tuple(expected), label
+            assert invariant_ranks(point) == _matrix_route_ranks(point, elements), label
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    start=st.integers(0, 400),
+    prime=st.sampled_from((2, 3)),
+    shape=st.sampled_from(("v", "v,v", "first two")),
+    d=st.integers(1, 16),
+)
+def test_invariant_ranks_match_the_matrix_route_on_random_presentations(start, prime, shape, d):
+    """The block-wise invariant ranks equal the matrix route on random
+    presentations over F2 and F3, at a simple top (v,), at the repeated top
+    (v, v) and at the first two vertices, where a block of C mixes the
+    slots; within the default budgets."""
+    alg = with_field(random_presentation(start=start), GF(prime))
+    v = simple_tops(alg)[0]
+    tops = {"v": (v,), "v,v": (v, v), "first two": tuple(alg.quiver.vertices[:2])}[shape]
+    cover = ProjectiveCover(alg, tops)
+    d = 1 + (d - 1) % cover.dim
+    try:
+        scene = enumerate_points(alg, tops, d)
+    except OracleScaleError:
+        assume(False)
+    elements = _rank_elements(scene.cover)
+    for point in scene.points:
+        assert invariant_ranks(point) == _matrix_route_ranks(point, elements), (tops, d, point)
 
 
 def test_iso_classes_lie_in_layering_classes(catalogue_scenes):
@@ -480,23 +520,52 @@ def test_iso_classes_do_not_depend_on_the_invariant_ranks(top_scenes, monkeypatc
 
 
 def test_classify_counts_stay_pinned(monkeypatch):
-    """Hom tests and orbit-scan moves are deterministic.  On double_triple
-    over F3 at d = 3, the slowest classify job, Aut(P) is the scalars, so
-    no move is left, and the invariant ranks leave 12 Hom tests (the
-    path ranks alone leave 486).  On two_loop_fork over F3 at d = 3,
-    each of the 30 orbits takes the 8 moves of a group of 18 modulo its 2
-    scalars, less the identity."""
-    calls = {"_modules_isomorphic": 0, "_moved_rows": 0}
-    for name in calls:
+    """Hom tests, orbit-scan moves and the work of the isomorphism key are
+    deterministic.  On double_triple over F3 at d = 3, the slowest classify
+    job, Aut(P) is the scalars, so no move is left, and the invariant ranks
+    leave 12 Hom tests (the path ranks alone leave 486).  The rank
+    elements end at two vertices, 9 at each, and the 195 points have 27
+    distinct blocks of C at each, so ranking each block once takes 54
+    block computations and 486 rank evaluations, where ranking per point
+    took 3 510.  End(P) is the identity there, so only the 6 points the Hom
+    tests read build their `residues`.  On
+    two_loop_fork over F3 at d = 3, each of the 30 orbits takes the 8 moves
+    of a group of 18 modulo its 2 scalars, less the identity."""
+    counted_calls = [
+        (oracle, "_modules_isomorphic"),
+        (oracle, "_moved_rows"),
+        (representations, "rank"),
+        (representations, "_residues"),
+    ]
+    calls = dict.fromkeys([name for _, name in counted_calls] + ["residues"], 0)
+    for module, name in counted_calls:
 
-        def counted(*args, name=name, fn=getattr(oracle, name)):
+        def counted(*args, name=name, fn=getattr(module, name)):
             calls[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(oracle, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    build_residues = SubmodulePoint.__dict__["residues"].func
+
+    def counted_residues(point):
+        calls["residues"] += 1
+        return build_residues(point)
+
+    residues = functools.cached_property(counted_residues)
+    residues.__set_name__(SubmodulePoint, "residues")
+    monkeypatch.setattr(SubmodulePoint, "residues", residues)
     scene = enumerate_points(with_field(double_triple(), GF(3)), (1,), 3)
     assert len(orbits(scene)) == len(iso_classes(scene)) == 195
-    assert calls == {"_modules_isomorphic": 12, "_moved_rows": 0}
+    cover = scene.cover
+    ends = list({w for w, _ in cover.rank_elements})
+    blocks = {
+        (w, tuple(row for piv, row in zip(point.echelon.pivots, point.rows) if cover.basis[piv][1].end == w))
+        for point in scene.points
+        for w in ends
+    }
+    assert len(ends) == 2 and sorted(w for w, _ in blocks) == sorted(ends * 27)
+    # each _residues call builds one block's residues or one point's
+    assert calls == {"_modules_isomorphic": 12, "_moved_rows": 0, "rank": 486, "_residues": 54 + 6, "residues": 6}
     scene = enumerate_points(with_field(two_loop_fork(), GF(3)), (1,), 3)
     assert group_size(scene.cover) == 18
     assert len(orbits(scene)) == 30 and calls["_moved_rows"] == 240

@@ -123,6 +123,20 @@ def test_loewy_bound_error():
         build_algebra(q, [], 2, QQ)  # free loop is infinite dimensional
 
 
+def test_loewy_check_drops_terms_past_the_bound():
+    """The check verifies J^{L+1} in I + J^{L+2}, and the algebra built is
+    KQ/(I + J^{L+1}).  With one loop w, w*w*w - w*w at L = 2 passes: its
+    term w^3 is longer than L + 1 and dropped, so w^2 lies in the span and
+    the basis is e1, w, although in KQ/I, w^2 = w^3 is not zero.  Pinned so
+    that a change to the check is deliberate."""
+    q = Quiver([1], [("w", 1, 1)])
+    rel = AlgElement(QQ, {path_of(q, "w", "w", "w"): QQ.one, path_of(q, "w", "w"): QQ.coerce(-1)})
+    alg = build_algebra(q, [rel], 2, QQ)
+    assert [p.render() for p in alg.basis] == ["e1", "w"]
+    assert ProjectiveCover(alg, (1,)).dim == 2
+    assert alg.nf_path(path_of(q, "w", "w")).is_zero()
+
+
 def test_ideal_multiples_vanish():
     for alg in (loop_arrow(), two_loop_fork(), random_presentation()):
         L1 = alg.loewy_bound + 1
